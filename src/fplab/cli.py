@@ -7,8 +7,9 @@ exits nonzero exactly when some pass/fail row failed.  Report-only rows
 
 Configuration is a flat `key = value` text file; command-line flags override
 file values.  With the default settings output files are byte-identical for
-identical (config, seed); --timings stamps coarse per-suite wall times into
-the rows and summary at the cost of that byte-stability.
+identical (config, seed); --timings stamps each row with the wall time of
+the block that produced it (a sweep cell, or one loop of a suite) and adds
+per-suite totals to the summary, at the cost of that byte-stability.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .errors import ConfigError, FplabError
 from .field import DEFAULT_CAP, is_prime
 from .report import count_failures, summarize, write_csv, write_json
 from .suites import (
+    BlockTimer,
     run_charsum,
     run_identity_suite,
     run_oracle_suite,
@@ -135,17 +137,17 @@ def write_resolved_config(cfg, path):
             fh.write(f"{key} = {value}\n")
 
 
-def _dispatch(command, cfg):
+def _dispatch(command, cfg, timer):
     if command == "identities":
-        return run_identity_suite(cfg), {}
+        return run_identity_suite(cfg, timer), {}
     if command == "oracles":
-        return run_oracle_suite(cfg), {}
+        return run_oracle_suite(cfg, timer), {}
     if command == "sweep":
-        return run_sweep(cfg)
+        return run_sweep(cfg, timer)
     if command == "regions":
-        return run_region_suite(cfg), {}
+        return run_region_suite(cfg, timer), {}
     if command == "charsum":
-        return run_charsum(cfg), {}
+        return run_charsum(cfg, timer), {}
     raise ConfigError(f"unknown command {command!r}")
 
 
@@ -190,23 +192,22 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    timer = BlockTimer() if cfg["timings"] else None
     t0 = time.perf_counter()
     try:
-        rows, fits = _dispatch(args.command, cfg)
+        rows, fits = _dispatch(args.command, cfg, timer)
     except FplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    if cfg["timings"]:
-        for row in rows:
-            row.ms = elapsed_ms
 
     os.makedirs(cfg["out"], exist_ok=True)
     csv_path = os.path.join(cfg["out"], f"{args.command}.csv")
     write_csv(rows, csv_path)
     summary = summarize(rows, fits)
-    if cfg["timings"]:
+    if timer:
         summary["elapsed_ms"] = elapsed_ms
+        summary["timings"] = timer.totals
     write_json(summary, os.path.join(cfg["out"], "summary.json"))
     write_resolved_config(cfg, os.path.join(cfg["out"], "resolved.cfg"))
 

@@ -1,19 +1,24 @@
 """Exact additive energies and representation-function machinery.
 
-All counts are integers produced by exact convolution over Z/p; floating
-point appears only in the Fourier cross-check, which exists to bound the
-error of the orthogonality identity, not to produce counts.
+Every representation function has one form: the sorted distinct residues it
+takes (`values`) and how often it takes each (`counts`), as aligned int64
+arrays.  Counts whose total could reach 2^62 are Python ints instead, and
+every sum of products is computed in int64 only below the same guard, so all
+counts and energies are exact integers.  Floating point appears only in the
+Fourier cross-check, which exists to bound the error of the orthogonality
+identity, not to produce counts.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import FieldMismatchError, LengthOutOfRangeError, NotASubgroupError
 from .field import PrimeField
-from .sets import FpSet, symmetric_interval
+from .sets import FpSet, from_elements, symmetric_interval
 
-_NUMPY_PAIR_LIMIT = 2048  # pairwise-matrix path capped at this set size
+_INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
 
 def _same_field(*sets):
@@ -23,75 +28,116 @@ def _same_field(*sets):
             raise FieldMismatchError(f"p = {p} vs p = {s.field.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityFn:
-    """Sparse table value -> count for a representation function."""
+    """Representation function: sorted distinct residues `values` and the
+    positive `counts` of each, aligned arrays."""
 
     field: PrimeField
     kind: str  # "difference" | "ratio" | "sum"
-    table: dict
+    values: np.ndarray
+    counts: np.ndarray
     meta: dict = dc_field(default_factory=dict)
 
     @property
     def total(self) -> int:
-        return sum(self.table.values())
+        return int(self.counts.sum())
 
     def __call__(self, x: int) -> int:
-        return self.table.get(x % self.field.p, 0)
+        return int(_counts_at(self, np.array([x % self.field.p]))[0])
+
+
+def _residues(a: FpSet) -> np.ndarray:
+    return np.asarray(a.elems, dtype=np.int64)
+
+
+def _convolve(p: int, first: np.ndarray, others, op):
+    """(values, counts) of op(x_0, x_1, ...) mod p over first x others[0] x ...
+
+    first holds sorted distinct residues, each of others distinct residues
+    that op applies injectively (any shift, any nonzero factor).  Each step
+    against a set S runs on the current support: when the len(support) * |S|
+    key matrix has fewer than p entries it sorts the keys and sums equal ones,
+    otherwise it scatters the counts into one dense length-p array, one shift
+    per element of S.  Counts are int64 while their total stays below the
+    guard and Python ints past it.
+    """
+    total = len(first) * math.prod(len(s) for s in others)
+    counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
+    values = first
+    for s in others:
+        if len(values) * len(s) < p:
+            keys = (op(values[:, None], s[None, :]) % p).ravel()
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            counts = np.add.reduceat(np.repeat(counts, len(s))[order], starts)
+            values = keys[starts]
+        else:
+            dense = np.zeros(p, dtype=counts.dtype)
+            for a in s.tolist():
+                dense[op(values, a) % p] += counts
+            values = np.flatnonzero(dense)
+            counts = dense[values]
+    return values, counts
+
+
+def _counts_at(mf: MultiplicityFn, xs: np.ndarray) -> np.ndarray:
+    """mf at each residue of xs, 0 off its support (binary search)."""
+    i = np.searchsorted(mf.values, xs)
+    hit = i < len(mf.values)
+    hit[hit] = mf.values[i[hit]] == xs[hit]
+    out = np.zeros(len(xs), dtype=mf.counts.dtype)
+    out[hit] = mf.counts[i[hit]]
+    return out
+
+
+def _dot(*columns) -> int:
+    """Exact sum over i of prod_j columns[j][i], for nonnegative count arrays.
+
+    sum(columns[0]) * prod(max(columns[1:])) bounds every partial product and
+    the total, so below the guard int64 is exact; past it the sum runs in
+    Python ints.
+    """
+    if not len(columns[0]):
+        return 0
+    bound = int(columns[0].sum())
+    for col in columns[1:]:
+        bound *= int(col.max())
+    if bound < _INT64_SAFE:
+        return int(math.prod(columns).sum())
+    return sum(math.prod(row) for row in zip(*(col.tolist() for col in columns)))
 
 
 def diff_multiplicity(a: FpSet) -> MultiplicityFn:
     """Counts of x as a difference u - v with u, v in the set."""
     p = a.field.p
-    n = len(a)
-    if 64 <= n <= _NUMPY_PAIR_LIMIT:
-        arr = np.asarray(a.elems, dtype=np.int64)
-        diffs = (arr[:, None] - arr[None, :]) % p
-        counts = np.bincount(diffs.ravel(), minlength=p)
-        table = {int(x): int(c) for x, c in enumerate(counts) if c}
-    else:
-        table = {}
-        for u in a.elems:
-            for v in a.elems:
-                d = (u - v) % p
-                table[d] = table.get(d, 0) + 1
-    return MultiplicityFn(a.field, "difference", table)
+    arr = _residues(a)
+    return MultiplicityFn(a.field, "difference", *_convolve(p, arr, [-arr % p], np.add))
 
 
 def ratio_multiplicity(a: FpSet) -> MultiplicityFn:
     """Counts of x as a ratio u / v; zero denominators are skipped and tallied."""
-    p = a.field.p
-    table = {}
-    skipped = 0
-    for v in a.elems:
-        if v == 0:
-            skipped += len(a)
-            continue
-        vinv = a.field.inv(v)
-        for u in a.elems:
-            r = u * vinv % p
-            table[r] = table.get(r, 0) + 1
-    return MultiplicityFn(a.field, "ratio", table, {"skipped_pairs": skipped})
+    fld = a.field
+    inverses = np.array([fld.inv(v) for v in a.elems if v], dtype=np.int64)
+    skipped = len(a) * (len(a) - len(inverses))
+    values, counts = _convolve(fld.p, _residues(a), [inverses], np.multiply)
+    return MultiplicityFn(fld, "ratio", values, counts, {"skipped_pairs": skipped})
 
 
 def additive_energy(a: FpSet) -> int:
     """Number of quadruples with u1 + u2 = v1 + v2, as the second moment of r_-."""
-    return sum(c * c for c in diff_multiplicity(a).table.values())
+    counts = diff_multiplicity(a).counts
+    return _dot(counts, counts)
 
 
 def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     """Number of sextuples with u1 - u2 = v1 - v2 = w1 - w2."""
     _same_field(u, v, w)
-    tu = diff_multiplicity(u).table
-    tv = diff_multiplicity(v).table
-    tw = diff_multiplicity(w).table
-    # iterate the smallest support
-    base = min((tu, tv, tw), key=len)
-    others = [t for t in (tu, tv, tw) if t is not base]
-    total = 0
-    for x, c in base.items():
-        total += c * others[0].get(x, 0) * others[1].get(x, 0)
-    return total
+    r = {s: diff_multiplicity(s) for s in dict.fromkeys((u, v, w))}
+    # only the smallest support can contribute; look the others up on it
+    base = min(r.values(), key=lambda m: len(m.values)).values
+    return _dot(*(_counts_at(r[s], base) for s in (u, v, w)))
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
@@ -113,45 +159,12 @@ def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
     return count
 
 
-def sum_counts(sets) -> list:
-    """Dense table r[x] = number of tuples (u_1..u_k), u_i in sets[i], summing to x.
-
-    Iterated cyclic convolution; exact integers throughout (int64 fast path
-    guarded by a bound on the maximal possible count).
-    """
+def sum_counts(sets) -> MultiplicityFn:
+    """r(x) = number of tuples (u_1..u_k), u_i in sets[i], summing to x."""
     _same_field(*sets)
-    p = sets[0].field.p
-    bound = 1
-    for s in sets:
-        bound *= max(1, len(s))
-    counts = np.zeros(p, dtype=np.int64)
-    for x in sets[0].elems:
-        counts[x] = 1
-    use_numpy = bound < (1 << 62)
-    if use_numpy:
-        for s in sets[1:]:
-            nxt = np.zeros(p, dtype=np.int64)
-            for a in s.elems:
-                nxt += np.roll(counts, a)
-            counts = nxt
-        return [int(c) for c in counts]
-    acc = [0] * p
-    for x in sets[0].elems:
-        acc[x] = 1
-    for s in sets[1:]:
-        nxt = [0] * p
-        for a in s.elems:
-            for x in range(p):
-                nxt[(x + a) % p] += acc[x]
-        acc = nxt
-    return acc
-
-
-def kfold_multiplicity(sets) -> MultiplicityFn:
-    """MultiplicityFn wrapper over sum_counts."""
-    counts = sum_counts(sets)
-    table = {x: c for x, c in enumerate(counts) if c}
-    return MultiplicityFn(sets[0].field, "sum", table)
+    arrays = [_residues(s) for s in sets]
+    values, counts = _convolve(sets[0].field.p, arrays[0], arrays[1:], np.add)
+    return MultiplicityFn(sets[0].field, "sum", values, counts)
 
 
 def t_k(sets, k: int = None) -> int:
@@ -165,8 +178,8 @@ def t_k(sets, k: int = None) -> int:
         k = len(sets)
     if len(sets) != k or k < 1:
         raise ValueError(f"need k = len(sets) >= 1, got k={k}, len={len(sets)}")
-    counts = sum_counts(sets)
-    return sum(c * c for c in counts)
+    counts = sum_counts(sets).counts
+    return _dot(counts, counts)
 
 
 def t_k_fourier(sets) -> float:
@@ -223,31 +236,26 @@ def coset_interval_stats(group: FpSet, radius: int) -> CosetStats:
     order = len(group)
     h = (p - 1) // order
 
-    diffs = diff_multiplicity(group).table
+    diffs = diff_multiplicity(group)
     # coset of x is ind[x] mod h; representative of coset j is g^j
-    t_raw = []
+    reps = []
     rep = 1
     for _ in range(h):
-        t_raw.append(diffs.get(rep, 0))
+        reps.append(rep)
         rep = rep * fld.g % p
+    t_raw = _counts_at(diffs, np.array(reps, dtype=np.int64))
 
     window = [x for x in symmetric_interval(fld, radius).elems if x != 0]
-    c_raw = [0] * h
-    for x in window:
-        c_raw[fld.ind[x] % h] += 1
+    c_raw = np.bincount(np.array([fld.ind[x] % h for x in window], dtype=np.int64), minlength=h)
 
-    by_t = sorted(range(h), key=lambda j: (-t_raw[j], j))
-    c = tuple(c_raw[j] for j in by_t)
-    t = tuple(t_raw[j] for j in by_t)
+    by_t = np.argsort(-t_raw, kind="stable")
+    c = tuple(c_raw[by_t].tolist())
+    t = tuple(t_raw[by_t].tolist())
 
-    r2 = sum(diffs.get(x, 0) ** 2 for x in window)
+    on_window = _counts_at(diffs, np.array(window, dtype=np.int64))
+    r2 = _dot(on_window, on_window)
 
-    members = group.as_set()
-    n_pairs = 0
-    for y in window:
-        yinv = fld.inv(y)
-        for x in window:
-            if x * yinv % p in members:
-                n_pairs += 1
+    ratios = ratio_multiplicity(from_elements(fld, window))
+    n_pairs = int(_counts_at(ratios, _residues(group)).sum())
 
     return CosetStats(fld, order, h, radius, c, t, r2, n_pairs)

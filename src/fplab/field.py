@@ -108,7 +108,7 @@ class PrimeField:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv is None:
-            self._inv = _inverse_table(self.p)
+            self._inv = _inverse_table(self.p, self.g)
         return self._inv[x]
 
     def unit_roots(self) -> np.ndarray:
@@ -126,24 +126,33 @@ class PrimeField:
         return self._additive_roots
 
 
-def _inverse_table(p: int) -> list:
-    # inv[1] = 1 and inv[x] = -(p // x) * inv[p mod x], the usual O(p) recurrence
-    inv = [0] * p
-    inv[1] = 1
-    for x in range(2, p):
-        inv[x] = (p - p // x) * inv[p % x] % p
-    return inv
+def _powers(p: int, g: int) -> np.ndarray:
+    """g^k mod p for k in [0, p-2], as int64.
+
+    A block of B consecutive powers times the block steps g^(jB); every
+    product is below p^2, far inside int64 for p up to the cap.
+    """
+    n = p - 1
+    b = math.isqrt(n) + 1
+    low = np.array([pow(g, i, p) for i in range(b)], dtype=np.int64)
+    high = np.array([pow(g, b * j, p) for j in range(-(-n // b))], dtype=np.int64)
+    return (high[:, None] * low[None, :] % p).ravel()[:n]
+
+
+def _inverse_table(p: int, g: int) -> list:
+    # inv[g^k] = g^(p-1-k)
+    pw = _powers(p, g)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[pw] = pw[-np.arange(p - 1) % (p - 1)]
+    return inv.tolist()
 
 
 @lru_cache(maxsize=None)
 def _build_field_cached(p: int) -> PrimeField:
     g = least_primitive_root(p)
-    ind = [-1] * p
-    acc = 1
-    for k in range(p - 1):
-        ind[acc] = k
-        acc = acc * g % p
-    return PrimeField(p, g, tuple(ind))
+    ind = np.full(p, -1, dtype=np.int64)
+    ind[_powers(p, g)] = np.arange(p - 1)
+    return PrimeField(p, g, tuple(ind.tolist()))
 
 
 def build_field(p: int, cap: int = DEFAULT_CAP) -> PrimeField:

@@ -12,6 +12,7 @@ from math import isqrt
 
 import numpy as np
 
+from .energy import _dot
 from .errors import (
     FieldMismatchError,
     PreconditionViolatedError,
@@ -189,15 +190,15 @@ def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # x - z = l * (y - z) and y != z; exact and O(#A #B #C).
     fld = a.field
     p = fld.p
-    counts = [0] * p
+    xs = np.asarray(a.elems, dtype=np.int64)
+    counts = np.zeros(p, dtype=np.int64)
     for y in b.elems:
-        for z in c.elems:
-            if y == z:
-                continue
-            inv_yz = fld.inv(y - z)
-            for x in a.elems:
-                counts[(x - z) * inv_yz % p] += 1
-    return sum(r * r for r in counts)
+        zs = np.array([z for z in c.elems if z != y], dtype=np.int64)
+        inv_yz = np.array([fld.inv(y - z) for z in zs.tolist()], dtype=np.int64)
+        keys = (xs[None, :] - zs[:, None]) * inv_yz[:, None] % p
+        np.add.at(counts, keys.ravel(), 1)
+    r = counts[counts > 0]
+    return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
 
 
 def collinear_triples(

@@ -6,6 +6,7 @@ bit-exactly.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -43,7 +44,8 @@ class FpSet:
         return iter(self.elems)
 
     def __contains__(self, x):
-        return x in set(self.elems)
+        i = bisect_left(self.elems, x)
+        return i < len(self.elems) and self.elems[i] == x
 
     def __eq__(self, other):
         return (

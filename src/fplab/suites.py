@@ -9,10 +9,13 @@ process pool and are re-sorted before emission.
 
 import hashlib
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from . import bounds, charsums, energy, geometry
+from .errors import InsufficientDataError
 from .field import build_field, character
 from .report import ReportRow
 from .sets import (
@@ -42,87 +45,122 @@ def _random_fpset(fld, size, seed) -> FpSet:
     return random_set(fld, size, seed)
 
 
+def _ms_since(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
+class BlockTimer:
+    """Wall times for `--timings`: each row is stamped with the wall time of
+    the block that produced it (a sweep cell, or one loop of a suite), and
+    totals sums block times per row suite."""
+
+    def __init__(self):
+        self.totals = {}
+
+    def record(self, rows, ms: int):
+        for row in rows:
+            row.ms = ms
+        for suite in dict.fromkeys(row.suite for row in rows):
+            self.totals[suite] = self.totals.get(suite, 0) + ms
+
+    @contextmanager
+    def block(self, rows):
+        """Time the body; the rows it appends to `rows` form the block."""
+        start, t0 = len(rows), time.perf_counter()
+        yield
+        self.record(rows[start:], _ms_since(t0))
+
+
+def _block(timer, rows):
+    return timer.block(rows) if timer else nullcontext()
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
 
-def run_identity_suite(cfg) -> list:
+def run_identity_suite(cfg, timer=None) -> list:
     rows = []
     seed = cfg["seed"]
     for p in cfg["primes"]:
-        fld = build_field(p)
-        for i in range(cfg["identity_trials"]):
-            rng = random.Random(subseed(seed, "line", p, i))
-            a = _random_fpset(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
-            spectrum = geometry.line_spectrum(a)
-            lhs = spectrum.sum_iota()
-            rhs = (p + 1) * len(a) ** 2
-            rows.append(
-                ReportRow(
-                    "line_identity", p, f"n={len(a)};trial={i}", lhs, rhs,
-                    None, "pass" if lhs == rhs else "fail",
-                )
-            )
-        if p <= 31:
+        with _block(timer, rows):
+            fld = build_field(p)
             for i in range(cfg["identity_trials"]):
-                rng = random.Random(subseed(seed, "pair", p, i))
-                a = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
-                b = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
-                lhs, rhs = geometry.pair_spectrum_identity(a, b)
+                rng = random.Random(subseed(seed, "line", p, i))
+                a = _random_fpset(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
+                spectrum = geometry.line_spectrum(a)
+                lhs = spectrum.sum_iota()
+                rhs = (p + 1) * len(a) ** 2
                 rows.append(
                     ReportRow(
-                        "pair_identity", p, f"nA={len(a)};nB={len(b)};trial={i}",
-                        lhs, rhs, None, "pass" if lhs == rhs else "fail",
+                        "line_identity", p, f"n={len(a)};trial={i}", lhs, rhs,
+                        None, "pass" if lhs == rhs else "fail",
                     )
                 )
-        for i in range(2):
-            rng = random.Random(subseed(seed, "tkf", p, i))
-            nsets = rng.randint(2, 3)
-            sets_ = [
-                _random_fpset(fld, rng.randint(1, min(p, 6)), rng.randrange(2**31))
-                for _ in range(nsets)
-            ]
-            exact = energy.t_k(sets_)
-            resid = energy.t_k_fourier_check(sets_)
-            ok = resid < 1e-6 * max(exact, 1)
+        with _block(timer, rows):
+            if p <= 31:
+                for i in range(cfg["identity_trials"]):
+                    rng = random.Random(subseed(seed, "pair", p, i))
+                    a = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
+                    b = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
+                    lhs, rhs = geometry.pair_spectrum_identity(a, b)
+                    rows.append(
+                        ReportRow(
+                            "pair_identity", p, f"nA={len(a)};nB={len(b)};trial={i}",
+                            lhs, rhs, None, "pass" if lhs == rhs else "fail",
+                        )
+                    )
+        with _block(timer, rows):
+            for i in range(2):
+                rng = random.Random(subseed(seed, "tkf", p, i))
+                nsets = rng.randint(2, 3)
+                sets_ = [
+                    _random_fpset(fld, rng.randint(1, min(p, 6)), rng.randrange(2**31))
+                    for _ in range(nsets)
+                ]
+                exact = energy.t_k(sets_)
+                resid = energy.t_k_fourier_check(sets_)
+                ok = resid < 1e-6 * max(exact, 1)
+                rows.append(
+                    ReportRow(
+                        "tk_fourier", p, f"k={nsets};trial={i}", resid, exact,
+                        None, "pass" if ok else "fail",
+                    )
+                )
+    with _block(timer, rows):
+        for p in (2, 3, 5):
+            dev = geometry.gram_structure_check(p)
+            rows.append(
+                ReportRow("gram_structure", p, "full", dev, 0, None,
+                          "pass" if dev == 0 else "fail")
+            )
+    with _block(timer, rows):
+        amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61]
+        for i in range(cfg["amp_trials"]):
+            rng = random.Random(subseed(seed, "amp", i))
+            p = rng.choice(amp_primes)
+            fld = build_field(p)
+            n = rng.randint(2, min(AMP_SIZE_CAP, p - 1))
+            radius = rng.randint(4, min(AMP_RADIUS_CAP, (p - 1) // 2))
+            s = _random_fpset(fld, n, rng.randrange(2**31))
+            params = charsums.AmplificationParams(r=1, y=rng.randint(1, radius // 4), z=1)
+            m = charsums.amplification_map(s, radius, params)
             rows.append(
                 ReportRow(
-                    "tk_fourier", p, f"k={nsets};trial={i}", resid, exact,
-                    None, "pass" if ok else "fail",
+                    "amp_total", p, f"n={n};X={radius};Y={params.y};trial={i}",
+                    m.total, m.expected_total(), None,
+                    "pass" if m.total == m.expected_total() else "fail",
                 )
             )
-    for p in (2, 3, 5):
-        dev = geometry.gram_structure_check(p)
-        rows.append(
-            ReportRow("gram_structure", p, "full", dev, 0, None,
-                      "pass" if dev == 0 else "fail")
-        )
-    amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61]
-    for i in range(cfg["amp_trials"]):
-        rng = random.Random(subseed(seed, "amp", i))
-        p = rng.choice(amp_primes)
-        fld = build_field(p)
-        n = rng.randint(2, min(AMP_SIZE_CAP, p - 1))
-        radius = rng.randint(4, min(AMP_RADIUS_CAP, (p - 1) // 2))
-        s = _random_fpset(fld, n, rng.randrange(2**31))
-        params = charsums.AmplificationParams(r=1, y=rng.randint(1, radius // 4), z=1)
-        m = charsums.amplification_map(s, radius, params)
-        rows.append(
-            ReportRow(
-                "amp_total", p, f"n={n};X={radius};Y={params.y};trial={i}",
-                m.total, m.expected_total(), None,
-                "pass" if m.total == m.expected_total() else "fail",
+            yset = from_elements(fld, m.window)
+            n_fast = charsums.count_n(s, symmetric_interval(fld, radius), yset)
+            rows.append(
+                ReportRow(
+                    "amp_second_moment", p, f"n={n};X={radius};Y={params.y};trial={i}",
+                    m.second_moment, n_fast, None,
+                    "pass" if m.second_moment == n_fast else "fail",
+                )
             )
-        )
-        yset = from_elements(fld, m.window)
-        n_fast = charsums.count_n(s, symmetric_interval(fld, radius), yset)
-        rows.append(
-            ReportRow(
-                "amp_second_moment", p, f"n={n};X={radius};Y={params.y};trial={i}",
-                m.second_moment, n_fast, None,
-                "pass" if m.second_moment == n_fast else "fail",
-            )
-        )
     return rows
 
 
@@ -130,72 +168,75 @@ def run_identity_suite(cfg) -> list:
 # oracle suite
 # ---------------------------------------------------------------------------
 
-def run_oracle_suite(cfg) -> list:
+def run_oracle_suite(cfg, timer=None) -> list:
     rows = []
     seed = cfg["seed"]
     size_cap = cfg["oracle_max_size"]
     primes = [p for p in cfg["primes"] if p >= 5]
     for p in primes:
-        if p > ORACLE_PRIME_CAP:
-            rows.append(
-                ReportRow("collinear_oracle", p, f"requested_p={p};reason=TooLarge",
-                          None, None, None, "skip")
-            )
-            continue
-        fld = build_field(p)
-        for i in range(cfg["oracle_trials"]):
-            rng = random.Random(subseed(seed, "tri", p, i))
-            if size_cap > ORACLE_SIZE_CAP:
+        with _block(timer, rows):
+            if p > ORACLE_PRIME_CAP:
                 rows.append(
-                    ReportRow("collinear_oracle", p,
-                              f"requested_size={size_cap};reason=TooLarge",
+                    ReportRow("collinear_oracle", p, f"requested_p={p};reason=TooLarge",
                               None, None, None, "skip")
                 )
-                break
-            mk = lambda: _random_fpset(
-                fld, rng.randint(1, min(p, size_cap)), rng.randrange(2**31)
-            )
-            a, b, c = mk(), mk(), mk()
-            fast = geometry.collinear_triples(a, b, c)
-            brute = geometry.collinear_triples_bruteforce(a, b, c)
-            rows.append(
-                ReportRow(
-                    "collinear_oracle", p,
-                    f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}",
-                    fast, brute, None, "pass" if fast == brute else "fail",
+                continue
+            fld = build_field(p)
+            for i in range(cfg["oracle_trials"]):
+                rng = random.Random(subseed(seed, "tri", p, i))
+                if size_cap > ORACLE_SIZE_CAP:
+                    rows.append(
+                        ReportRow("collinear_oracle", p,
+                                  f"requested_size={size_cap};reason=TooLarge",
+                                  None, None, None, "skip")
+                    )
+                    break
+                mk = lambda: _random_fpset(
+                    fld, rng.randint(1, min(p, size_cap)), rng.randrange(2**31)
                 )
-            )
+                a, b, c = mk(), mk(), mk()
+                fast = geometry.collinear_triples(a, b, c)
+                brute = geometry.collinear_triples_bruteforce(a, b, c)
+                rows.append(
+                    ReportRow(
+                        "collinear_oracle", p,
+                        f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}",
+                        fast, brute, None, "pass" if fast == brute else "fail",
+                    )
+                )
+        with _block(timer, rows):
+            for i in range(cfg["oracle_trials"] // 2):
+                rng = random.Random(subseed(seed, "e3o", p, i))
+                mk = lambda: _random_fpset(
+                    fld, rng.randint(1, min(p, ORACLE_SIZE_CAP)), rng.randrange(2**31)
+                )
+                u, v, w = mk(), mk(), mk()
+                fast = energy.e3(u, v, w)
+                brute = energy.e3_bruteforce(u, v, w)
+                rows.append(
+                    ReportRow(
+                        "e3_oracle", p, f"nU={len(u)};nV={len(v)};nW={len(w)};trial={i}",
+                        fast, brute, None, "pass" if fast == brute else "fail",
+                    )
+                )
+    with _block(timer, rows):
         for i in range(cfg["oracle_trials"] // 2):
-            rng = random.Random(subseed(seed, "e3o", p, i))
-            mk = lambda: _random_fpset(
-                fld, rng.randint(1, min(p, ORACLE_SIZE_CAP)), rng.randrange(2**31)
-            )
-            u, v, w = mk(), mk(), mk()
-            fast = energy.e3(u, v, w)
-            brute = energy.e3_bruteforce(u, v, w)
+            rng = random.Random(subseed(seed, "cno", i))
+            p = rng.choice([q for q in primes if q <= 61] or [31])
+            fld = build_field(p)
+            s = _random_fpset(fld, rng.randint(2, min(p - 1, AMP_SIZE_CAP)), rng.randrange(2**31))
+            radius = rng.randint(2, min(AMP_RADIUS_CAP, (p - 1) // 2))
+            xset = symmetric_interval(fld, radius)
+            ys = [q for q in (2, 3, 5, 7) if q < p][: rng.randint(1, 2)]
+            yset = from_elements(fld, ys)
+            fast = charsums.count_n(s, xset, yset)
+            brute = charsums.count_n_bruteforce(s, xset, yset)
             rows.append(
                 ReportRow(
-                    "e3_oracle", p, f"nU={len(u)};nV={len(v)};nW={len(w)};trial={i}",
+                    "count_n_oracle", p, f"nS={len(s)};X={radius};nY={len(ys)};trial={i}",
                     fast, brute, None, "pass" if fast == brute else "fail",
                 )
             )
-    for i in range(cfg["oracle_trials"] // 2):
-        rng = random.Random(subseed(seed, "cno", i))
-        p = rng.choice([q for q in primes if q <= 61] or [31])
-        fld = build_field(p)
-        s = _random_fpset(fld, rng.randint(2, min(p - 1, AMP_SIZE_CAP)), rng.randrange(2**31))
-        radius = rng.randint(2, min(AMP_RADIUS_CAP, (p - 1) // 2))
-        xset = symmetric_interval(fld, radius)
-        ys = [q for q in (2, 3, 5, 7) if q < p][: rng.randint(1, 2)]
-        yset = from_elements(fld, ys)
-        fast = charsums.count_n(s, xset, yset)
-        brute = charsums.count_n_bruteforce(s, xset, yset)
-        rows.append(
-            ReportRow(
-                "count_n_oracle", p, f"nS={len(s)};X={radius};nY={len(ys)};trial={i}",
-                fast, brute, None, "pass" if fast == brute else "fail",
-            )
-        )
     return rows
 
 
@@ -394,10 +435,12 @@ _CELL_RUNNERS = {
 
 def _run_cell(args):
     family, p, seed, epsilon = args
-    return _CELL_RUNNERS[family](p, seed, epsilon)
+    t0 = time.perf_counter()
+    rows, fits = _CELL_RUNNERS[family](p, seed, epsilon)
+    return rows, fits, _ms_since(t0)
 
 
-def run_sweep(cfg):
+def run_sweep(cfg, timer=None):
     """Run all sweep families; returns (rows, fits) with fits a name ->
     FitResult mapping for the JSON summary."""
     cells = _sweep_cells(cfg)
@@ -408,7 +451,9 @@ def run_sweep(cfg):
     else:
         results = [_run_cell(t) for t in tasks]
     rows, fitrecords = [], []
-    for r, f in results:
+    for r, f, ms in results:
+        if timer:
+            timer.record(r, ms)
         rows.extend(r)
         fitrecords.extend(f)
     rows.sort(key=lambda row: (row.suite, row.p, row.params))
@@ -428,7 +473,7 @@ def run_sweep(cfg):
             recs = [r for r in recs if r["p"] == top]
         try:
             fits[family] = bounds.exponent_fit(recs, quantity, driver)
-        except Exception:
+        except InsufficientDataError:
             continue
     return rows, fits
 
@@ -437,95 +482,99 @@ def run_sweep(cfg):
 # regions suite
 # ---------------------------------------------------------------------------
 
-def run_region_suite(cfg) -> list:
+def run_region_suite(cfg, timer=None) -> list:
     rows = []
     eps = 1e-9
-    for name, fn, thr in (
-        ("chang_diag", bounds.chang_region, 7 / 22),
-        ("karatsuba_diag", bounds.karatsuba_region, 1 / 3),
-    ):
-        above = fn(bounds.ExponentPoint(thr + eps, thr + eps))
-        below = fn(bounds.ExponentPoint(thr - eps, thr - eps))
-        rows.append(
-            ReportRow(
-                "region_boundary", 0, f"which={name};thr={thr:.9f}",
-                int(above), int(not below), None,
-                "pass" if above and not below else "fail",
-            )
-        )
-    thr = 2 / 7
-    inside = bounds.subgroup_region(bounds.ExponentPoint(thr + 1e-6, thr + 1e-6))
-    outside = bounds.subgroup_region(bounds.ExponentPoint(thr - 1e-6, thr - 1e-6))
-    rows.append(
-        ReportRow(
-            "region_boundary", 0, "which=subgroup_diag;thr=2/7",
-            inside, outside, None,
-            "pass" if inside == "inside" and outside == "outside" else "fail",
-        )
-    )
-    # Karatsuba strictly dominates Chang on the open window (1/4, 2/7)
-    wins = 0
-    samples = 64
-    for i in range(samples):
-        z = 0.25 + (2 / 7 - 0.25) * (i + 1) / (samples + 1)
-        k = int(1 / z)
-        chang_thr = (3 * k - 2 - 4 * k * z) / (6 * k - 8)
-        kar_thr = (1 - z) / 2
-        if kar_thr < chang_thr:
-            wins += 1
-    rows.append(
-        ReportRow(
-            "region_window", 0, f"window=(1/4,2/7);samples={samples}",
-            wins, samples, None, "pass" if wins == samples else "fail",
-        )
-    )
-    n = cfg["region_check_grid"]
-    disagreements = []
-    for i in range(n):
-        for j in range(n):
-            zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
-            xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
-            pt = bounds.ExponentPoint(zeta, xi)
-            if not bounds.subgroup_region_agreement(pt):
-                disagreements.append((zeta, xi))
-    rows.append(
-        ReportRow(
-            "region_agreement", 0, f"grid={n}x{n}",
-            len(disagreements), n * n, None, "report",
-        )
-    )
-    for zeta, xi in disagreements[:100]:
-        rows.append(
-            ReportRow(
-                "region_agreement", 0,
-                f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}",
-                None, None, None, "report",
-            )
-        )
-    m = cfg["region_table_grid"]
-    for i in range(m):
-        for j in range(m):
-            zeta = 0.02 + 0.96 * i / (m - 1)
-            xi = 0.02 + 0.96 * j / (m - 1)
-            pt = bounds.ExponentPoint(zeta, xi)
-            try:
-                chang = "T" if bounds.chang_region(pt) else "F"
-            except Exception:
-                chang = "-"
-            kar = "T" if bounds.karatsuba_region(pt) else "F"
-            try:
-                sub = {"inside": "T", "outside": "F", "out_of_domain": "-"}[
-                    bounds.subgroup_region(pt)
-                ]
-            except Exception:
-                sub = "-"
+    with _block(timer, rows):
+        for name, fn, thr in (
+            ("chang_diag", bounds.chang_region, 7 / 22),
+            ("karatsuba_diag", bounds.karatsuba_region, 1 / 3),
+        ):
+            above = fn(bounds.ExponentPoint(thr + eps, thr + eps))
+            below = fn(bounds.ExponentPoint(thr - eps, thr - eps))
             rows.append(
                 ReportRow(
-                    "region_table", 0,
-                    f"zeta={zeta:.4f};xi={xi:.4f};chang={chang};karatsuba={kar};subgroup={sub}",
+                    "region_boundary", 0, f"which={name};thr={thr:.9f}",
+                    int(above), int(not below), None,
+                    "pass" if above and not below else "fail",
+                )
+            )
+        thr = 2 / 7
+        inside = bounds.subgroup_region(bounds.ExponentPoint(thr + 1e-6, thr + 1e-6))
+        outside = bounds.subgroup_region(bounds.ExponentPoint(thr - 1e-6, thr - 1e-6))
+        rows.append(
+            ReportRow(
+                "region_boundary", 0, "which=subgroup_diag;thr=2/7",
+                inside, outside, None,
+                "pass" if inside == "inside" and outside == "outside" else "fail",
+            )
+        )
+    with _block(timer, rows):
+        # Karatsuba strictly dominates Chang on the open window (1/4, 2/7)
+        wins = 0
+        samples = 64
+        for i in range(samples):
+            z = 0.25 + (2 / 7 - 0.25) * (i + 1) / (samples + 1)
+            k = int(1 / z)
+            chang_thr = (3 * k - 2 - 4 * k * z) / (6 * k - 8)
+            kar_thr = (1 - z) / 2
+            if kar_thr < chang_thr:
+                wins += 1
+        rows.append(
+            ReportRow(
+                "region_window", 0, f"window=(1/4,2/7);samples={samples}",
+                wins, samples, None, "pass" if wins == samples else "fail",
+            )
+        )
+    with _block(timer, rows):
+        n = cfg["region_check_grid"]
+        disagreements = []
+        for i in range(n):
+            for j in range(n):
+                zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
+                xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
+                pt = bounds.ExponentPoint(zeta, xi)
+                if not bounds.subgroup_region_agreement(pt):
+                    disagreements.append((zeta, xi))
+        rows.append(
+            ReportRow(
+                "region_agreement", 0, f"grid={n}x{n}",
+                len(disagreements), n * n, None, "report",
+            )
+        )
+        for zeta, xi in disagreements[:100]:
+            rows.append(
+                ReportRow(
+                    "region_agreement", 0,
+                    f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}",
                     None, None, None, "report",
                 )
             )
+    with _block(timer, rows):
+        m = cfg["region_table_grid"]
+        for i in range(m):
+            for j in range(m):
+                zeta = 0.02 + 0.96 * i / (m - 1)
+                xi = 0.02 + 0.96 * j / (m - 1)
+                pt = bounds.ExponentPoint(zeta, xi)
+                try:
+                    chang = "T" if bounds.chang_region(pt) else "F"
+                except Exception:
+                    chang = "-"
+                kar = "T" if bounds.karatsuba_region(pt) else "F"
+                try:
+                    sub = {"inside": "T", "outside": "F", "out_of_domain": "-"}[
+                        bounds.subgroup_region(pt)
+                    ]
+                except Exception:
+                    sub = "-"
+                rows.append(
+                    ReportRow(
+                        "region_table", 0,
+                        f"zeta={zeta:.4f};xi={xi:.4f};chang={chang};karatsuba={kar};subgroup={sub}",
+                        None, None, None, "report",
+                    )
+                )
     return rows
 
 
@@ -533,7 +582,8 @@ def run_region_suite(cfg) -> list:
 # single charsum evaluation
 # ---------------------------------------------------------------------------
 
-def run_charsum(cfg) -> list:
+def run_charsum(cfg, timer=None) -> list:
+    t0 = time.perf_counter()
     p = cfg["charsum_p"]
     fld = build_field(p, cfg["max_p"])
     m = cfg["charsum_m"]
@@ -573,4 +623,6 @@ def run_charsum(cfg) -> list:
                 None, None, None, "skip",
             )
         )
+    if timer:
+        timer.record(rows, _ms_since(t0))
     return rows

@@ -170,3 +170,24 @@ def test_timings_flag_stamps_rows(tmp_path):
     assert main(["identities", "--config", cfg, "--out", str(out), "--timings"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "elapsed_ms" in summary
+
+
+def test_timings_stamp_each_sweep_cell(tmp_path):
+    cfg = _write_cfg(tmp_path, "sweep_primes = 61,4093\n")
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(timed), "--timings"]) == 0
+    plain_summary = json.loads((plain / "summary.json").read_text())
+    assert "timings" not in plain_summary and "elapsed_ms" not in plain_summary
+    assert all(line.endswith(",0") for line in (plain / "sweep.csv").read_text().splitlines()[1:])
+    cells = {}
+    for line in (timed / "sweep.csv").read_text().splitlines()[1:]:
+        fields = line.split(",")
+        cells.setdefault((fields[0], int(fields[1])), set()).add(int(fields[-1]))
+    # every row of a cell carries that cell's own wall time, and cells differ
+    assert all(len(ms) == 1 for ms in cells.values())
+    assert len({ms for (ms,) in cells.values()}) >= 2
+    timings = json.loads((timed / "summary.json").read_text())["timings"]
+    assert set(timings) == {suite for suite, _ in cells}
+    for suite, total in timings.items():
+        assert total == sum(ms for (s, _), (ms,) in cells.items() if s == suite)

@@ -1,8 +1,13 @@
+import itertools
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fplab import energy
 from fplab.errors import (
     FieldMismatchError,
     LengthOutOfRangeError,
@@ -14,8 +19,8 @@ from fplab.energy import (
     diff_multiplicity,
     e3,
     e3_bruteforce,
-    kfold_multiplicity,
     ratio_multiplicity,
+    sum_counts,
     t_k,
     t_k_fourier,
     t_k_fourier_check,
@@ -30,17 +35,27 @@ from fplab.sets import (
 )
 
 
+def _support(mf):
+    """(values, counts) as Python lists, after checking the int64 layout."""
+    assert mf.values.dtype == np.int64 and len(mf.values) == len(mf.counts)
+    return mf.values.tolist(), mf.counts.tolist()
+
+
+def _as_support(table):
+    return sorted(table), [table[x] for x in sorted(table)]
+
+
 def test_diff_multiplicity_examples():
     f7 = build_field(7)
-    assert diff_multiplicity(from_elements(f7, [0])).table == {0: 1}
-    assert diff_multiplicity(from_elements(f7, [0, 1])).table == {0: 2, 1: 1, 6: 1}
-    perfect = diff_multiplicity(from_elements(f7, [1, 2, 4])).table
-    assert perfect == {0: 3, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+    assert _support(diff_multiplicity(from_elements(f7, [0]))) == ([0], [1])
+    assert _support(diff_multiplicity(from_elements(f7, [0, 1]))) == ([0, 1, 6], [2, 1, 1])
+    perfect = _support(diff_multiplicity(from_elements(f7, [1, 2, 4])))
+    assert perfect == ([0, 1, 2, 3, 4, 5, 6], [3, 1, 1, 1, 1, 1, 1])
 
 
 def test_diff_multiplicity_total_and_numpy_path():
     fld = build_field(257)
-    a = random_set(fld, 80, seed=3)  # size 80 takes the pairwise-matrix path
+    a = random_set(fld, 80, seed=3)  # 80 * 80 >= 257: the dense scatter step
     mf = diff_multiplicity(a)
     assert mf.total == len(a) ** 2
     slow = {}
@@ -48,7 +63,7 @@ def test_diff_multiplicity_total_and_numpy_path():
         for v in a.elems:
             d = (u - v) % 257
             slow[d] = slow.get(d, 0) + 1
-    assert mf.table == slow
+    assert _support(mf) == _as_support(slow)
 
 
 def test_additive_energy_examples():
@@ -117,10 +132,10 @@ def test_t_k_matches_brute_quadruples():
         assert t_k([a, b]) == direct
 
 
-def test_kfold_multiplicity_total():
+def test_sum_counts_total():
     fld = build_field(13)
     sets = [random_set(fld, n, seed=n) for n in (3, 4, 5)]
-    mf = kfold_multiplicity(sets)
+    mf = sum_counts(sets)
     assert mf.total == 3 * 4 * 5
 
 
@@ -143,10 +158,10 @@ def test_fourier_examples():
 
 def test_ratio_multiplicity_examples():
     f7 = build_field(7)
-    assert ratio_multiplicity(from_elements(f7, [1])).table == {1: 1}
+    assert _support(ratio_multiplicity(from_elements(f7, [1]))) == ([1], [1])
     assert ratio_multiplicity(from_elements(f7, [1, 2, 4]))(2) == 3
     mf = ratio_multiplicity(from_elements(f7, [0, 1]))
-    assert mf.table == {0: 1, 1: 1}
+    assert _support(mf) == ([0, 1], [1, 1])
     assert mf.meta["skipped_pairs"] == 2
 
 
@@ -268,7 +283,7 @@ def test_coset_stats_bruteforce_cross_check():
 
 
 def test_coset_stats_invariants():
-    for p, order, radius in ((7, 3, 3), (31, 5, 6), (61, 12, 10), (61, 60, 14)):
+    for p, order, radius in ((7, 3, 0), (7, 3, 3), (31, 5, 6), (61, 12, 10), (61, 60, 14)):
         fld = build_field(p)
         g = subgroup(fld, order)
         stats = coset_interval_stats(g, radius)
@@ -300,3 +315,112 @@ def test_translation_invariance_of_e3():
     for a in (1, 17, 60):
         shifted = s.translate(a)
         assert e3(shifted, shifted, ibar) == base
+
+
+# ---------------------------------------------------------------------------
+# property tests: the sparse/dense (values, counts) kernels against references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _fields_and_sets(draw, count, max_size):
+    # p = 5 .. 101 against sizes 1 .. max_size puts len(support) * |S| on both
+    # sides of p, so both the sorting step and the dense scatter step run
+    p = draw(st.sampled_from([5, 7, 13, 31, 61, 101]))
+    fld = build_field(p)
+    sets = [
+        from_elements(fld, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max_size)))
+        for _ in range(count)
+    ]
+    return sets
+
+
+def _t_k_direct(sets):
+    p = sets[0].field.p
+    sums = Counter(sum(combo) % p for combo in itertools.product(*(s.elems for s in sets)))
+    return sum(c * c for c in sums.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields_and_sets(count=1, max_size=12))
+def test_additive_energy_property(sets):
+    (a,) = sets
+    p = a.field.p
+    diffs = Counter((u - v) % p for u in a for v in a)
+    assert _support(diff_multiplicity(a)) == _as_support(diffs)
+    assert additive_energy(a) == sum(c * c for c in diffs.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields_and_sets(count=3, max_size=5))
+def test_e3_property(sets):
+    assert e3(*sets) == e3_bruteforce(*sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: _fields_and_sets(count=k, max_size=9)))
+def test_t_k_property(sets):
+    exact = t_k(sets)
+    assert exact == _t_k_direct(sets)
+    assert abs(exact - t_k_fourier(sets)) < 1e-6 * exact
+    assert sum_counts(sets).total == math.prod(len(s) for s in sets)
+
+
+@pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5))])
+def test_t_k_both_steps(p, sizes):
+    # (101, ...): 3*4 and then |support|*2 stay below p, sorting steps only;
+    # (7, ...): every step reaches p, dense steps only; (31, ...) mixes both
+    fld = build_field(p)
+    sets = [random_set(fld, n, seed=n + p) for n in sizes]
+    assert t_k(sets) == _t_k_direct(sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields_and_sets(count=3, max_size=7), st.integers(1, 3))
+def test_python_int_route_past_guard(sets, k):
+    # a zero guard sends every count into Python ints and every sum of
+    # products through the Python-int route; results must not move
+    want_e3, want_e2, want_tk = e3(*sets), additive_energy(sets[0]), t_k(sets[:k])
+    want_ratio = _support(ratio_multiplicity(sets[1]))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_INT64_SAFE", 0)
+        assert e3(*sets) == want_e3
+        assert additive_energy(sets[0]) == want_e2
+        assert t_k(sets[:k]) == want_tk
+        assert sum_counts(sets[:k]).counts.dtype == object
+        assert _support(ratio_multiplicity(sets[1])) == want_ratio
+
+
+def test_energies_near_cap_against_python_ints():
+    # p close to 2^20 and n = 2048: e3 needs ~2^44 of the 2^62 int64 guard
+    # (the route past the guard is checked above); the reference counts
+    # densely with np.bincount and sums in Python ints
+    fld = build_field(1048573)
+    p = fld.p
+    u = random_set(fld, 2048, seed=1)
+    v = random_set(fld, 2048, seed=2)
+    w = interval(fld, 0, 2048)
+
+    def dense(s):
+        arr = np.asarray(s.elems, dtype=np.int64)
+        return np.bincount(((arr[:, None] - arr[None, :]) % p).ravel(), minlength=p).tolist()
+
+    ru, rv, rw = dense(u), dense(v), dense(w)
+    assert additive_energy(u) == sum(c * c for c in ru)
+    assert e3(u, v, w) == sum(a * b * c for a, b, c in zip(ru, rv, rw))
+    assert e3(u, u, u) == sum(c**3 for c in ru)
+
+
+def test_t_k_past_int64():
+    # four intervals of length 1024 near 2^20: total 2^40 tuples, so counts
+    # fit int64, but T_4 is about 2^68 and needs the guarded sum of squares
+    fld = build_field(1048573)
+    n = 1024
+    r = [1] * n
+    for _ in range(3):  # exact convolution with the length-n indicator
+        prefix = [0]
+        for c in r:
+            prefix.append(prefix[-1] + c)
+        r = [prefix[min(x + 1, len(r))] - prefix[max(0, x + 1 - n)] for x in range(len(r) + n - 1)]
+    want = sum(c * c for c in r)
+    assert want >= 1 << 63
+    assert t_k([interval(fld, 0, n)] * 4) == want

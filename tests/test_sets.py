@@ -180,3 +180,14 @@ def test_translate():
     fld = build_field(11)
     a = from_elements(fld, [1, 9, 10])
     assert a.translate(2).elems == (0, 1, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 11, 13]),
+    elems=st.lists(st.integers(min_value=0, max_value=12), max_size=8),
+)
+def test_membership_matches_element_set(p, elems):
+    a = from_elements(build_field(p), elems)
+    for x in range(-2, p + 2):
+        assert (x in a) == (x in set(a.elems))
