@@ -22,6 +22,7 @@ from .errors import (
     TooLargeError,
     ZeroDenominatorError,
 )
+from .energy import _dot
 from .field import Character, PrimeField
 from .sets import FpSet, poly_eval, primes_upto, symmetric_interval
 
@@ -205,76 +206,70 @@ def prime_window(params: AmplificationParams, p: int) -> list:
     return [q % p for q in qs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityMap:
     """Sparse map (lambda, mu) -> number of (s, t, x, y) with s != t,
-    (s+x)/y = lambda and (t+x)/y = mu."""
+    (s+x)/y = lambda and (t+x)/y = mu, as sorted distinct keys
+    lambda * p + mu and their positive counts, aligned int64 arrays."""
 
     field: PrimeField
-    nu: dict
+    keys: np.ndarray
+    counts: np.ndarray
     n_source: int
     x_radius: int
     window: tuple
 
     @property
     def total(self) -> int:
-        return sum(self.nu.values())
+        return int(self.counts.sum())
 
     @property
     def second_moment(self) -> int:
-        return sum(c * c for c in self.nu.values())
+        return _dot(self.counts, self.counts)
 
     def expected_total(self) -> int:
         return self.n_source * (self.n_source - 1) * (2 * self.x_radius + 1) * len(self.window)
 
 
+def _fibre(fld: PrimeField, s_elems, x_elems, y_elems):
+    """(keys, counts) of lambda * p + mu over (s, t, x, y) with s != t,
+    lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
+
+    Keys and the products (x + s) * y^-1 stay below p^2 <= 2^40, so int64 is
+    exact.  Equal keys are merged across all y at once, in O(#Y #X #S^2)
+    memory.
+    """
+    p = fld.p
+    ss = np.asarray(s_elems, dtype=np.int64)
+    xs = np.asarray(x_elems, dtype=np.int64)
+    yinv = fld.inverses()[np.asarray(y_elems, dtype=np.int64)]
+    vals = (xs[:, None] + ss[None, :]) % p * yinv[:, None, None] % p  # (Y, X, S)
+    i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
+    return np.unique(vals[..., i] * p + vals[..., j], return_counts=True)
+
+
 def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) -> MultiplicityMap:
     """The full sparse multiplicity map of the amplification substitution."""
     fld = s_set.field
-    p = fld.p
     if 4 * params.y * params.z > x_radius:
         raise InadmissibleYZError(
             f"4YZ = {4 * params.y * params.z} exceeds X = {x_radius}"
         )
-    window = prime_window(params, p)
+    window = prime_window(params, fld.p)
     interval = symmetric_interval(fld, x_radius).elems
-    nu = {}
-    elems = s_set.elems
-    for y in window:
-        yinv = fld.inv(y)
-        for x in interval:
-            vals = [(s + x) * yinv % p for s in elems]
-            for i, lam in enumerate(vals):
-                for j, mu in enumerate(vals):
-                    if i == j:
-                        continue
-                    key = (lam, mu)
-                    nu[key] = nu.get(key, 0) + 1
-    return MultiplicityMap(fld, nu, len(elems), x_radius, tuple(window))
+    keys, counts = _fibre(fld, s_set.elems, interval, window)
+    return MultiplicityMap(fld, keys, counts, len(s_set), x_radius, tuple(window))
 
 
 def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     """Solutions of (x1+s1)/y1 = (x2+s2)/y2 and (x1+t1)/y1 = (x2+t2)/y2
     with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration."""
-    fld = s_set.field
-    p = fld.p
     if s_set.field.p != x_set.field.p or s_set.field.p != y_set.field.p:
         raise FieldMismatchError("sets live in different fields")
     if 0 in y_set.as_set():
         raise ZeroDenominatorError("denominator set contains 0")
-    fibre = {}
-    elems = s_set.elems
-    for y in y_set.elems:
-        yinv = fld.inv(y)
-        for x in x_set.elems:
-            vals = [(x + s) * yinv % p for s in elems]
-            for i, lam in enumerate(vals):
-                for j, mu in enumerate(vals):
-                    if i == j:
-                        continue
-                    key = (lam, mu)
-                    fibre[key] = fibre.get(key, 0) + 1
-    return sum(c * c for c in fibre.values())
+    _, counts = _fibre(s_set.field, s_set.elems, x_set.elems, y_set.elems)
+    return _dot(counts, counts)
 
 
 def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:

@@ -121,6 +121,8 @@ def resolve_config(args) -> dict:
         for p in cfg[key]:
             if not is_prime(p):
                 raise ConfigError(f"{key}: {p} is not prime")
+            if p < 3:
+                raise ConfigError(f"{key}: {p} is below 3 (p = 2 is not supported)")
         kept = [p for p in cfg[key] if p <= cfg["max_p"]]
         cfg[key] = kept
     if cfg["workers"] < 1:

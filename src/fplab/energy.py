@@ -119,9 +119,10 @@ def diff_multiplicity(a: FpSet) -> MultiplicityFn:
 def ratio_multiplicity(a: FpSet) -> MultiplicityFn:
     """Counts of x as a ratio u / v; zero denominators are skipped and tallied."""
     fld = a.field
-    inverses = np.array([fld.inv(v) for v in a.elems if v], dtype=np.int64)
+    arr = _residues(a)
+    inverses = fld.inverses()[arr[arr != 0]]
     skipped = len(a) * (len(a) - len(inverses))
-    values, counts = _convolve(fld.p, _residues(a), [inverses], np.multiply)
+    values, counts = _convolve(fld.p, arr, [inverses], np.multiply)
     return MultiplicityFn(fld, "ratio", values, counts, {"skipped_pairs": skipped})
 
 
@@ -246,7 +247,7 @@ def coset_interval_stats(group: FpSet, radius: int) -> CosetStats:
     t_raw = _counts_at(diffs, np.array(reps, dtype=np.int64))
 
     window = [x for x in symmetric_interval(fld, radius).elems if x != 0]
-    c_raw = np.bincount(np.array([fld.ind[x] % h for x in window], dtype=np.int64), minlength=h)
+    c_raw = np.bincount(fld.ind[np.array(window, dtype=np.int64)] % h, minlength=h)
 
     by_t = np.argsort(-t_raw, kind="stable")
     c = tuple(c_raw[by_t].tolist())

@@ -79,13 +79,15 @@ class PrimeField:
     """Prime p, its least primitive root g, and the full discrete-log table.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
-    as a sentinel.  Instances are immutable after construction and safe to
-    share across workers.
+    as a sentinel.  ind and the lazy inverse table are read-only int64 arrays,
+    so kernels index them directly; the scalar accessors return Python ints.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     __slots__ = ("p", "g", "ind", "_unit_roots", "_additive_roots", "_inv")
 
-    def __init__(self, p: int, g: int, ind: tuple):
+    def __init__(self, p: int, g: int, ind: np.ndarray):
         self.p = p
         self.g = g
         self.ind = ind
@@ -107,9 +109,14 @@ class PrimeField:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
+        return int(self.inverses()[x])
+
+    def inverses(self) -> np.ndarray:
+        """inv[x] for x in [0, p-1] as a read-only int64 array, with inv[0] = 0;
+        cached."""
         if self._inv is None:
             self._inv = _inverse_table(self.p, self.g)
-        return self._inv[x]
+        return self._inv
 
     def unit_roots(self) -> np.ndarray:
         """exp(2*pi*i*k/(p-1)) for k in [0, p-2]; cached."""
@@ -139,12 +146,13 @@ def _powers(p: int, g: int) -> np.ndarray:
     return (high[:, None] * low[None, :] % p).ravel()[:n]
 
 
-def _inverse_table(p: int, g: int) -> list:
+def _inverse_table(p: int, g: int) -> np.ndarray:
     # inv[g^k] = g^(p-1-k)
     pw = _powers(p, g)
     inv = np.zeros(p, dtype=np.int64)
     inv[pw] = pw[-np.arange(p - 1) % (p - 1)]
-    return inv.tolist()
+    inv.flags.writeable = False
+    return inv
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +160,8 @@ def _build_field_cached(p: int) -> PrimeField:
     g = least_primitive_root(p)
     ind = np.full(p, -1, dtype=np.int64)
     ind[_powers(p, g)] = np.arange(p - 1)
-    return PrimeField(p, g, tuple(ind.tolist()))
+    ind.flags.writeable = False
+    return PrimeField(p, g, ind)
 
 
 def build_field(p: int, cap: int = DEFAULT_CAP) -> PrimeField:
@@ -215,7 +224,7 @@ class Character:
         x %= self.field.p
         if x == 0:
             return -1
-        return self.m * self.field.ind[x] % (self.field.p - 1)
+        return self.m * int(self.field.ind[x]) % (self.field.p - 1)
 
     def __call__(self, x: int) -> complex:
         e = self.exponent(x)
@@ -231,17 +240,15 @@ class Character:
         if self._table is None:
             p = self.field.p
             roots = self.field.unit_roots()
-            idx = np.asarray(self.field.ind, dtype=np.int64)
             tab = np.zeros(p, dtype=np.complex128)
-            tab[1:] = roots[(self.m * idx[1:]) % (p - 1)]
+            tab[1:] = roots[(self.m * self.field.ind[1:]) % (p - 1)]
             self._table = tab
         return self._table
 
     def exponents(self) -> np.ndarray:
         """m * ind[x] mod (p-1) for all x, with -1 at x = 0."""
         p = self.field.p
-        idx = np.asarray(self.field.ind, dtype=np.int64)
-        out = (self.m * idx) % (p - 1)
+        out = (self.m * self.field.ind) % (p - 1)
         out[0] = -1
         return out
 

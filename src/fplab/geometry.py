@@ -152,79 +152,38 @@ def level_set_counts(a: FpSet, m):
 # collinear triples
 # ---------------------------------------------------------------------------
 
-def _triple_cross_from_spectra(a: FpSet, b: FpSet, c: FpSet) -> int:
-    p = a.field.p
-    specs = sorted(
-        (line_spectrum(s) for s in (a, b, c)), key=lambda s: len(s.counts)
-    )
-    # joint sum over all lines; only lines hit by the smallest spectrum matter
-    g3 = 0
-    s0, s1, s2 = specs
-    for line, c0 in s0.counts.items():
-        c1 = s1.counts.get(line, 0)
-        if not c1:
-            continue
-        c2 = s2.counts.get(line, 0)
-        if c2:
-            g3 += c0 * c1 * c2
-    return _cross_from_joint(g3, a, b, c)
-
-
-def _cross_from_joint(g3: int, a: FpSet, b: FpSet, c: FpSet) -> int:
-    # Corrections to the joint line sum: drop horizontal and vertical lines
-    # (their B/C points never differ in both coordinates) and, on slanted
-    # lines, the coincident q_b = q_c pairs.  The latter reduces, through the
-    # exact pair-spectrum identity for A against E = B cap C, to cardinality
-    # arithmetic only.
-    p = a.field.p
-    na, nb, nc = len(a), len(b), len(c)
-    i_abc = len(a.as_set() & b.as_set() & c.as_set())
-    n_e = len(b.as_set() & c.as_set())
-    axis = 2 * na * nb * nc * i_abc
-    coincident = (na * n_e) ** 2 + p * i_abc * i_abc - 2 * na * n_e * i_abc
-    return g3 - axis - coincident
-
-
 def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
-    # x - z = l * (y - z) and y != z; exact and O(#A #B #C).
-    fld = a.field
-    p = fld.p
+    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time and
+    # O(#A #C + p) memory, one batch of (x, z) pairs per y.
+    p = a.field.p
+    inv = a.field.inverses()
     xs = np.asarray(a.elems, dtype=np.int64)
+    cs = np.asarray(c.elems, dtype=np.int64)
     counts = np.zeros(p, dtype=np.int64)
     for y in b.elems:
-        zs = np.array([z for z in c.elems if z != y], dtype=np.int64)
-        inv_yz = np.array([fld.inv(y - z) for z in zs.tolist()], dtype=np.int64)
-        keys = (xs[None, :] - zs[:, None]) * inv_yz[:, None] % p
+        zs = cs[cs != y]
+        keys = (xs[None, :] - zs[:, None]) * inv[(y - zs) % p][:, None] % p
         np.add.at(counts, keys.ravel(), 1)
     r = counts[counts > 0]
     return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
 
 
-def collinear_triples(
-    a: FpSet, b: FpSet, c: FpSet, convention: str = "cross", method: str = "auto"
-) -> int:
+def collinear_triples(a: FpSet, b: FpSet, c: FpSet, convention: str = "cross") -> int:
     """Number of solutions of (a1-c1)(b2-c2) = (a2-c2)(b1-c1) with
     b1 != c1, b2 != c2 (convention "cross"), or the number of point
     triples in A^2 x B^2 x C^2 lying on a common line, coincidences
     included (convention "geometric").
 
-    Both conventions agree with their brute-force oracles; the two fast
-    routes (line spectra for small p, ratio fibration otherwise) count the
-    same quantity exactly.
+    Counted exactly through the ratio fibration T = sum_l R(l)^2, where R(l)
+    is the number of (x, y, z) in A x B x C with x - z = l (y - z), y != z.
+    The geometric convention adds, by cardinality arithmetic, the triples the
+    cross convention excludes (b1 = c1 or b2 = c2).  Both conventions agree
+    with their brute-force oracles.
     """
     if not (a.field.p == b.field.p == c.field.p):
         raise FieldMismatchError("sets live in different fields")
-    p = a.field.p
-    if method == "auto":
-        build = (len(a) ** 2 + len(b) ** 2 + len(c) ** 2) * (p + 1)
-        method = "spectrum" if build <= 300_000 else "ratio"
-    if method == "spectrum":
-        cross = _triple_cross_from_spectra(a, b, c)
-    elif method == "ratio":
-        cross = _triple_cross_from_ratios(a, b, c)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    cross = _triple_cross_from_ratios(a, b, c)
     if convention == "cross":
         return cross
     if convention == "geometric":
@@ -347,6 +306,8 @@ def gram_structure_check(p: int, cap: int = GRAM_CAP) -> int:
 def max_collinear_points_3d(points, p: int) -> int:
     """Largest number of the given 3D points on a single line."""
     n = len(points)
+    if len({tuple(v % p for v in q) for q in points}) != n:
+        raise ValueError("points must be distinct mod p")
     if n <= 1:
         return n
     pair_counts = {}
@@ -364,7 +325,8 @@ def max_collinear_points_3d(points, p: int) -> int:
             pair_counts[key] = pair_counts.get(key, 0) + 1
     best = max(pair_counts.values())
     m = (1 + isqrt(1 + 8 * best)) // 2
-    assert m * (m - 1) // 2 == best
+    if m * (m - 1) // 2 != best:
+        raise RuntimeError(f"{best} point pairs on one line is not m(m-1)/2 for any m")
     return m
 
 

@@ -15,11 +15,16 @@ from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from . import bounds, charsums, energy, geometry
-from .errors import InsufficientDataError
+from .errors import (
+    DegenerateKError,
+    DomainViolationError,
+    InsufficientDataError,
+    LengthOutOfRangeError,
+    PreconditionViolatedError,
+)
 from .field import build_field, character
 from .report import ReportRow
 from .sets import (
-    FpSet,
     from_elements,
     interval,
     poly_image,
@@ -39,10 +44,6 @@ def subseed(master: int, *parts) -> int:
     """Stable 64-bit stream id for a row, independent of execution order."""
     text = "|".join(str(x) for x in (master, *parts))
     return int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
-
-
-def _random_fpset(fld, size, seed) -> FpSet:
-    return random_set(fld, size, seed)
 
 
 def _ms_since(t0: float) -> int:
@@ -87,7 +88,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             fld = build_field(p)
             for i in range(cfg["identity_trials"]):
                 rng = random.Random(subseed(seed, "line", p, i))
-                a = _random_fpset(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
+                a = random_set(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
                 spectrum = geometry.line_spectrum(a)
                 lhs = spectrum.sum_iota()
                 rhs = (p + 1) * len(a) ** 2
@@ -101,8 +102,8 @@ def run_identity_suite(cfg, timer=None) -> list:
             if p <= 31:
                 for i in range(cfg["identity_trials"]):
                     rng = random.Random(subseed(seed, "pair", p, i))
-                    a = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
-                    b = _random_fpset(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
+                    a = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
+                    b = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
                     lhs, rhs = geometry.pair_spectrum_identity(a, b)
                     rows.append(
                         ReportRow(
@@ -115,7 +116,7 @@ def run_identity_suite(cfg, timer=None) -> list:
                 rng = random.Random(subseed(seed, "tkf", p, i))
                 nsets = rng.randint(2, 3)
                 sets_ = [
-                    _random_fpset(fld, rng.randint(1, min(p, 6)), rng.randrange(2**31))
+                    random_set(fld, rng.randint(1, min(p, 6)), rng.randrange(2**31))
                     for _ in range(nsets)
                 ]
                 exact = energy.t_k(sets_)
@@ -142,7 +143,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             fld = build_field(p)
             n = rng.randint(2, min(AMP_SIZE_CAP, p - 1))
             radius = rng.randint(4, min(AMP_RADIUS_CAP, (p - 1) // 2))
-            s = _random_fpset(fld, n, rng.randrange(2**31))
+            s = random_set(fld, n, rng.randrange(2**31))
             params = charsums.AmplificationParams(r=1, y=rng.randint(1, radius // 4), z=1)
             m = charsums.amplification_map(s, radius, params)
             rows.append(
@@ -191,7 +192,7 @@ def run_oracle_suite(cfg, timer=None) -> list:
                                   None, None, None, "skip")
                     )
                     break
-                mk = lambda: _random_fpset(
+                mk = lambda: random_set(
                     fld, rng.randint(1, min(p, size_cap)), rng.randrange(2**31)
                 )
                 a, b, c = mk(), mk(), mk()
@@ -207,7 +208,7 @@ def run_oracle_suite(cfg, timer=None) -> list:
         with _block(timer, rows):
             for i in range(cfg["oracle_trials"] // 2):
                 rng = random.Random(subseed(seed, "e3o", p, i))
-                mk = lambda: _random_fpset(
+                mk = lambda: random_set(
                     fld, rng.randint(1, min(p, ORACLE_SIZE_CAP)), rng.randrange(2**31)
                 )
                 u, v, w = mk(), mk(), mk()
@@ -224,7 +225,7 @@ def run_oracle_suite(cfg, timer=None) -> list:
             rng = random.Random(subseed(seed, "cno", i))
             p = rng.choice([q for q in primes if q <= 61] or [31])
             fld = build_field(p)
-            s = _random_fpset(fld, rng.randint(2, min(p - 1, AMP_SIZE_CAP)), rng.randrange(2**31))
+            s = random_set(fld, rng.randint(2, min(p - 1, AMP_SIZE_CAP)), rng.randrange(2**31))
             radius = rng.randint(2, min(AMP_RADIUS_CAP, (p - 1) // 2))
             xset = symmetric_interval(fld, radius)
             ys = [q for q in (2, 3, 5, 7) if q < p][: rng.randint(1, 2)]
@@ -263,7 +264,7 @@ def _cell_tabc(p, seed, epsilon):
     target = max(2, round(p**0.3))
     for i in range(3):
         rng = random.Random(subseed(seed, "sw_tabc", p, i))
-        mk = lambda: _random_fpset(
+        mk = lambda: random_set(
             fld, rng.randint(max(1, target // 2), target), rng.randrange(2**31)
         )
         a, b, c = mk(), mk(), mk()
@@ -316,7 +317,7 @@ def _cell_nsxy(p, seed, epsilon):
         rows.append(ReportRow("sweep_nsxy", p, f"nS={nS};X={x_len};reason=precondition",
                                None, None, None, "skip"))
         return rows, fits
-    s = _random_fpset(fld, nS, rng.randrange(2**31))
+    s = random_set(fld, nS, rng.randrange(2**31))
     xset = interval(fld, 0, x_len)
     ys = [q for q in primes_upto(y_bound) if q < p]
     if not ys:
@@ -365,7 +366,6 @@ def _cell_subgroup(p, seed, epsilon):
 def _cell_poly(p, seed, epsilon):
     fld = build_field(p)
     rows, fits = [], []
-    rng = random.Random(subseed(seed, "sw_poly", p))
     for d, coeffs in ((2, [1, 1, 1]), (3, [2, 0, 1, 1])):
         k = bounds.poly_t_index(d)
         for x_len in (8, 16, 32, 64, 128):
@@ -407,7 +407,7 @@ def _cell_thm11(p, seed, epsilon):
         rows.append(ReportRow("sweep_thm11", p, f"S={n_s};X={x_len};reason=precondition",
                                None, None, None, "skip"))
         return rows, fits
-    s = _random_fpset(fld, n_s, rng.randrange(2**31))
+    s = random_set(fld, n_s, rng.randrange(2**31))
     chi = character(fld, (p - 1) // 2)
     iv = interval(fld, 0, x_len)
     w = abs(charsums.bilinear_sum(chi, s, iv))
@@ -559,14 +559,14 @@ def run_region_suite(cfg, timer=None) -> list:
                 pt = bounds.ExponentPoint(zeta, xi)
                 try:
                     chang = "T" if bounds.chang_region(pt) else "F"
-                except Exception:
+                except (DegenerateKError, DomainViolationError):
                     chang = "-"
                 kar = "T" if bounds.karatsuba_region(pt) else "F"
                 try:
                     sub = {"inside": "T", "outside": "F", "out_of_domain": "-"}[
                         bounds.subgroup_region(pt)
                     ]
-                except Exception:
+                except (DegenerateKError, DomainViolationError):
                     sub = "-"
                 rows.append(
                     ReportRow(
@@ -616,10 +616,11 @@ def run_charsum(cfg, timer=None) -> list:
                 w, rhs, w / rhs, "report",
             )
         )
-    except Exception as exc:
+    except (LengthOutOfRangeError, PreconditionViolatedError) as exc:
         rows.append(
             ReportRow(
-                "charsum", p, f"m={m};nS={len(s)};X={x_len};r={r};skip={exc}",
+                "charsum", p,
+                f"m={m};nS={len(s)};X={x_len};r={r};reason={type(exc).__name__}",
                 None, None, None, "skip",
             )
         )

@@ -2,7 +2,9 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fplab.charsums import (
     AmplificationParams,
@@ -139,7 +141,7 @@ def test_amplification_singleton_is_empty():
     m = amplification_map(
         from_elements(fld, [5]), 8, AmplificationParams(r=1, y=2, z=1)
     )
-    assert m.nu == {} and m.total == 0
+    assert m.keys.tolist() == [] and m.counts.tolist() == [] and m.total == 0
 
 
 def test_amplification_example_bruteforce():
@@ -159,7 +161,9 @@ def test_amplification_example_bruteforce():
                     yinv = pow(y, p - 2, p)
                     key = ((a + x) * yinv % p, (t + x) * yinv % p)
                     nu[key] = nu.get(key, 0) + 1
-    assert m.nu == nu
+    assert m.keys.dtype == m.counts.dtype == np.int64
+    assert m.keys.tolist() == [lam * p + mu for lam, mu in sorted(nu)]
+    assert m.counts.tolist() == [nu[key] for key in sorted(nu)]
     assert m.total == m.expected_total() == 2 * 1 * 17 * 2
 
 
@@ -214,6 +218,37 @@ def test_count_n_edges():
         n = count_n(s, xset, yset)
         # diagonal solutions always exist
         assert n >= len(s) * (len(s) - 1) * len(xset) * len(yset)
+
+
+@st.composite
+def _nsxy_sets(draw):
+    # at p = 1048573, S, X and Y sit near p - 1, where the lambda * p + mu
+    # keys of the fibre are largest (~2^40)
+    p = draw(st.sampled_from([7, 13, 31, 1048573]))
+    low = max(1, p - 10)
+    fld = build_field(p)
+    mk = lambda n: from_elements(
+        fld, draw(st.lists(st.integers(low, p - 1), min_size=1, max_size=n))
+    )
+    return mk(4), mk(3), mk(2)
+
+
+def _big_field_set(*elems):
+    return from_elements(build_field(1048573), elems)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nsxy_sets())
+# Y = {y, 2y} makes (x + s)/y = (x' + s')/(2y) collide across y, and
+# (x + s) * y^-1 spans [0, p^2): a product that wrapped would split them
+@example((
+    _big_field_set(*range(1048569, 1048573)),
+    _big_field_set(*range(1048570, 1048573)),
+    _big_field_set(400000, 800000),
+))
+def test_count_n_property(sets):
+    s, xset, yset = sets
+    assert count_n(s, xset, yset) == count_n_bruteforce(s, xset, yset)
 
 
 # ---------------------------------------------------------------------------

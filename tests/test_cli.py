@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import pytest
 
@@ -107,6 +109,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "6 is not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["primes", "sweep_primes"])
+def test_config_rejects_two(tmp_path, key):
+    cfg = _write_cfg(tmp_path, f"{key} = 5,2\n")
+    with pytest.raises(ConfigError, match=f"{key}: 2 "):
+        resolve_config(_Args(config=cfg))
+
+
 def test_oracles_reproducible_and_skips(tmp_path):
     cfg = _write_cfg(
         tmp_path, "primes = 7,37\noracle_trials = 4\n"
@@ -152,6 +161,25 @@ def test_charsum_command(tmp_path):
     assert rc == 0
     text = (out / "charsum.csv").read_text()
     assert "stat=W" in text and "stat=modulus" in text
+
+
+@pytest.mark.parametrize("x_len, reason", [
+    (40, "PreconditionViolatedError"),  # S^2 X > p^2
+    (60, "LengthOutOfRangeError"),  # the radius-X symmetric interval exceeds F_p
+])
+def test_charsum_skip_row_params_grammar(tmp_path, x_len, reason):
+    out = tmp_path / "c"
+    rc = main(
+        ["charsum", "--out", str(out), "--p", "101", "--set-size", "60",
+         "--x-len", str(x_len)]
+    )
+    assert rc == 0
+    with open(out / "charsum.csv", newline="") as fh:
+        skips = [row for row in csv.DictReader(fh) if row["status"] == "skip"]
+    assert len(skips) == 1
+    fields = skips[0]["params"].split(";")
+    assert all(re.fullmatch(r"[A-Za-z_]\w*=[^;=\s]+", f) for f in fields), fields
+    assert f"reason={reason}" in fields
 
 
 def test_charsum_subgroup_source(tmp_path):

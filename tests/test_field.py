@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,7 +56,7 @@ def test_least_primitive_root_agrees_with_exhaustion():
 def test_index_round_trip(p):
     fld = build_field(p)
     for x in range(1, p):
-        assert pow(fld.g, fld.ind[x], p) == x
+        assert pow(fld.g, int(fld.ind[x]), p) == x
 
 
 def test_character_examples():
@@ -128,6 +129,23 @@ def test_orthogonality():
                 assert abs(total - (p - 1)) < 1e-9
             else:
                 assert abs(total) < 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 31, 1048573])
+def test_tables_are_read_only_int64(p):
+    fld = build_field(p)
+    for table in (fld.ind, fld.inverses()):
+        assert table.dtype == np.int64 and table.shape == (p,)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert fld.ind[0] == -1 and fld.inverses()[0] == 0
+    rng = random.Random(p)
+    for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(20)]:
+        y = fld.inv(x)
+        assert type(y) is int and x * y % p == 1
+        assert pow(fld.g, int(fld.ind[x]), p) == x % p
+        assert type(character(fld, 1).exponent(x)) is int
 
 
 def test_values_table_matches_pointwise():

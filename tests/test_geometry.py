@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fplab
 from fplab.errors import PreconditionViolatedError, TooLargeError
 from fplab.field import build_field
 from fplab.geometry import (
@@ -164,6 +170,24 @@ def test_collinear_examples():
     assert collinear_triples(full, full, full) == brute == 108
 
 
+def _cross_from_spectra(a, b, c):
+    """Independent route to the cross count: the joint line sum
+    sum_l iota_A iota_B iota_C over the public line spectra, minus the
+    horizontal/vertical lines (whose B/C points never differ in both
+    coordinates) and, on slanted lines, the coincident q_b = q_c pairs.  The
+    latter reduces, through the pair-spectrum identity for A against
+    E = B cap C, to cardinality arithmetic.  O(n^2 p): oracle scale only."""
+    p = a.field.p
+    sa, sb, sc = (line_spectrum(s).counts for s in (a, b, c))
+    joint = sum(n * sb.get(line, 0) * sc.get(line, 0) for line, n in sa.items())
+    na, nb, nc = len(a), len(b), len(c)
+    i_abc = len(a.as_set() & b.as_set() & c.as_set())
+    n_e = len(b.as_set() & c.as_set())
+    axis = 2 * na * nb * nc * i_abc
+    coincident = (na * n_e) ** 2 + p * i_abc * i_abc - 2 * na * n_e * i_abc
+    return joint - axis - coincident
+
+
 def test_collinear_fast_equals_oracle():
     rng = random.Random(4)
     for p in (7, 13, 31):
@@ -172,8 +196,8 @@ def test_collinear_fast_equals_oracle():
             mk = lambda: random_set(fld, rng.randint(1, 6), rng.randrange(2**31))
             a, b, c = mk(), mk(), mk()
             brute = collinear_triples_bruteforce(a, b, c)
-            assert collinear_triples(a, b, c, method="spectrum") == brute
-            assert collinear_triples(a, b, c, method="ratio") == brute
+            assert collinear_triples(a, b, c) == brute
+            assert _cross_from_spectra(a, b, c) == brute
 
 
 def test_collinear_geometric_convention():
@@ -184,25 +208,57 @@ def test_collinear_geometric_convention():
             mk = lambda: random_set(fld, rng.randint(1, 5), rng.randrange(2**31))
             a, b, c = mk(), mk(), mk()
             want = collinear_triples_geometric_bruteforce(a, b, c)
-            for method in ("spectrum", "ratio"):
-                assert (
-                    collinear_triples(a, b, c, convention="geometric", method=method)
-                    == want
-                )
+            assert collinear_triples(a, b, c, convention="geometric") == want
 
 
 def test_collinear_fast_routes_agree_beyond_oracle_scale():
-    # the two fast routes are independent; they must agree where the
-    # brute force is too slow to referee
+    # the ratio fibration and the line-spectrum joint sum are independent;
+    # they must agree where the brute force is too slow to referee
     rng = random.Random(123)
     for _ in range(15):
         p = rng.choice([31, 61, 101])
         fld = build_field(p)
         mk = lambda: random_set(fld, rng.randint(1, 22), rng.randrange(2**31))
         a, b, c = mk(), mk(), mk()
-        assert collinear_triples(a, b, c, method="spectrum") == collinear_triples(
-            a, b, c, method="ratio"
-        )
+        assert collinear_triples(a, b, c) == _cross_from_spectra(a, b, c)
+
+
+@st.composite
+def _collinear_sets(draw):
+    # at p = 1048573 the elements sit near 0 and near p - 1, so x - z and the
+    # inverse it is multiplied by both reach ~p and the ratio route's
+    # (x - z) * inv products reach ~p^2
+    p = draw(st.sampled_from([5, 7, 13, 31, 1048573]))
+    if p < 100:
+        elems = st.integers(0, p - 1)
+    else:
+        elems = st.one_of(st.integers(0, 5), st.integers(p - 6, p - 1))
+    fld = build_field(p)
+    return [
+        from_elements(fld, draw(st.lists(elems, min_size=1, max_size=4)))
+        for _ in range(3)
+    ]
+
+
+def _big_field_set(*elems):
+    return from_elements(build_field(1048573), elems)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_collinear_sets())
+# ratios such as (p-1-0)/(2-0) = (0-1)/(3-1) = -1/2 collide: a wrapped
+# (x - z) * inv product splits them
+@example([
+    _big_field_set(0, 1, 2, 1048572),
+    _big_field_set(0, 2, 1048571, 1048572),
+    _big_field_set(1, 3, 1048570, 1048572),
+])
+def test_collinear_property(sets):
+    a, b, c = sets
+    assert collinear_triples(a, b, c) == collinear_triples_bruteforce(a, b, c)
+    assert collinear_triples(a, b, c, convention="geometric") == (
+        collinear_triples_geometric_bruteforce(a, b, c)
+    )
 
 
 def test_collinear_oracle_full_size_corner():
@@ -259,6 +315,37 @@ def test_max_collinear_3d():
     assert max_collinear_points_3d(line_pts[:2] + [(1, 1, 4)], p) == 2
     assert max_collinear_points_3d([(0, 0, 0)], p) == 1
     assert max_collinear_points_3d([], p) == 0
+
+
+def test_max_collinear_3d_rejects_duplicates():
+    with pytest.raises(ValueError):
+        max_collinear_points_3d([(1, 2, 3), (1, 2, 3), (0, 0, 1)], 5)
+    with pytest.raises(ValueError):  # equal mod p
+        max_collinear_points_3d([(0, 0, 0), (5, 0, 0), (0, 0, 1)], 5)
+
+
+def test_max_collinear_3d_checks_survive_optimize():
+    code = (
+        "import fplab.geometry as g\n"
+        "try:\n"
+        "    g.max_collinear_points_3d([(1, 2, 3), (1, 2, 3), (0, 0, 1)], 5)\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('duplicates accepted')\n"
+        "g.isqrt = lambda n: 0  # break the pair-count inversion\n"
+        "try:\n"
+        "    g.max_collinear_points_3d([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 5)\n"
+        "except RuntimeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('invariant check skipped')\n"
+    )
+    src = str(Path(fplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_misha_report():
