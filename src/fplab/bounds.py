@@ -19,10 +19,20 @@ from .errors import (
     PreconditionViolatedError,
 )
 
-# piecewise breakpoints of the subgroup region, as exact rationals
-_BP1 = Fraction(6, 25)
-_BP2 = Fraction(10, 31)
-_BP3 = Fraction(134, 361)
+def _float_cut(bp: Fraction, strict: bool) -> float:
+    """The largest double c <= bp (c < bp when strict): for every double z,
+    `z <= c` is exactly `z <= bp` (`z < bp`)."""
+    cut = float(bp)
+    if Fraction(cut) > bp or (strict and Fraction(cut) == bp):
+        cut = float(np.nextafter(cut, -np.inf))
+    return cut
+
+
+# the exact breakpoints of the subgroup threshold as float cuts: zeta <= 6/25,
+# zeta < 10/31 and zeta < 134/361 are z <= _CUT1, _CUT2 and _CUT3
+_CUT1 = _float_cut(Fraction(6, 25), strict=False)
+_CUT2 = _float_cut(Fraction(10, 31), strict=True)
+_CUT3 = _float_cut(Fraction(134, 361), strict=True)
 
 
 @dataclass(frozen=True)
@@ -53,15 +63,47 @@ def karatsuba_region(pt: ExponentPoint) -> bool:
     return pt.xi > (1 - pt.zeta) / 2
 
 
+def _threshold_array(z):
+    """Piecewise xi-threshold at each float64 zeta; NaN outside (6/25, 1/2)."""
+    thr = np.where(z <= _CUT3, (6 - 9 * z) / 16, (20 - 40 * z) / 31)
+    thr = np.where(z <= _CUT2, 1 - 2.5 * z, thr)
+    return np.where((z <= _CUT1) | (z >= 0.5), np.nan, thr)
+
+
+def _subgroup_domain(zeta, xi):
+    z, x = np.asarray(zeta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
+    if not (np.all((0 < z) & (z < 0.5)) and np.all((0 < x) & (x < 0.4))):
+        raise DomainViolationError("need 0 < zeta < 1/2 and 0 < xi < 2/5")
+    return z, x
+
+
+def subgroup_inside(zeta, xi):
+    """Elementwise, over broadcast arrays or scalars: xi lies strictly above
+    the piecewise subgroup threshold.  Needs 0 < zeta < 1/2, 0 < xi < 2/5."""
+    z, x = _subgroup_domain(zeta, xi)
+    return x > _threshold_array(z)
+
+
+def subgroup_inside_raw(zeta, xi):
+    """Elementwise, same domain: the raw system the threshold was distilled
+    from, (5z + 2x > 2 and z + x > 1/2) and (40z + 31x > 20 or
+    (9z + 16x > 6 and 36z + 55x > 21))."""
+    z, x = _subgroup_domain(zeta, xi)
+    cond1 = (5 * z + 2 * x > 2) & (z + x > 0.5)
+    cond2 = 40 * z + 31 * x > 20
+    cond3 = (9 * z + 16 * x > 6) & (36 * z + 55 * x > 21)
+    return cond1 & (cond2 | cond3)
+
+
+def subgroup_agreement(zeta, xi):
+    """Elementwise: the piecewise and raw classifications agree."""
+    return subgroup_inside(zeta, xi) == subgroup_inside_raw(zeta, xi)
+
+
 def subgroup_threshold(zeta: float):
     """Piecewise xi-threshold for nontrivial subgroup sums; None below 6/25."""
-    if zeta <= _BP1 or zeta >= Fraction(1, 2):
-        return None
-    if zeta < _BP2:
-        return 1 - 2.5 * zeta
-    if zeta < _BP3:
-        return (6 - 9 * zeta) / 16
-    return (20 - 40 * zeta) / 31
+    thr = float(_threshold_array(np.float64(zeta)))
+    return None if math.isnan(thr) else thr
 
 
 def subgroup_region(pt: ExponentPoint) -> str:
@@ -70,33 +112,20 @@ def subgroup_region(pt: ExponentPoint) -> str:
     Returns "inside", "outside" or "out_of_domain" (zeta at or below 6/25,
     where the threshold meets the xi < 2/5 ceiling and the region is empty).
     """
-    if not (pt.zeta < 0.5 and pt.xi < 0.4):
-        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
-    thr = subgroup_threshold(pt.zeta)
-    if thr is None:
-        return "out_of_domain"
-    return "inside" if pt.xi > thr else "outside"
+    if subgroup_inside(pt.zeta, pt.xi):
+        return "inside"
+    return "out_of_domain" if subgroup_threshold(pt.zeta) is None else "outside"
 
 
 def subgroup_region_raw(pt: ExponentPoint) -> str:
-    """The same region from the raw inequalities it was distilled from:
-    (5z + 2x > 2 and z + x > 1/2) and (40z + 31x > 20  or
-    (9z + 16x > 6 and 36z + 55x > 21))."""
-    if not (pt.zeta < 0.5 and pt.xi < 0.4):
-        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
-    z, x = pt.zeta, pt.xi
-    cond1 = 5 * z + 2 * x > 2 and z + x > 0.5
-    cond2 = 40 * z + 31 * x > 20
-    cond3 = 9 * z + 16 * x > 6 and 36 * z + 55 * x > 21
-    return "inside" if cond1 and (cond2 or cond3) else "outside"
+    """The same region from the raw inequalities (see subgroup_inside_raw)."""
+    return "inside" if subgroup_inside_raw(pt.zeta, pt.xi) else "outside"
 
 
 def subgroup_region_agreement(pt: ExponentPoint) -> bool:
     """True when the piecewise classification matches the raw conditions
     (out_of_domain counts as outside)."""
-    piecewise = subgroup_region(pt)
-    raw = subgroup_region_raw(pt)
-    return (piecewise == "inside") == (raw == "inside")
+    return bool(subgroup_agreement(pt.zeta, pt.xi))
 
 
 def primes_region(pt: ExponentPoint) -> bool:

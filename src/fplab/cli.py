@@ -96,26 +96,17 @@ def _coerce(key, value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args, dropped=None) -> dict:
+    """Defaults, then the config file, then flags.  Primes above max_p are
+    removed; a `dropped` dict receives them as {key: [p, ...]}."""
     cfg = dict(DEFAULTS)
     if args.config:
         for key, value in parse_config_file(args.config).items():
             cfg[key] = _coerce(key, value)
-    for key in (
-        "seed",
-        "workers",
-        "epsilon",
-        "max_p",
-        "out",
-        "timings",
-    ):
+    for key in ("seed", "workers", "epsilon", "max_p", "out", "timings", "charsum_p",
+                "charsum_m", "charsum_n", "charsum_x", "charsum_r", "charsum_subgroup"):
         value = getattr(args, key, None)
-        if value is not None and value is not False:
-            cfg[key] = _coerce(key, value)
-    for key in ("charsum_p", "charsum_m", "charsum_n", "charsum_x", "charsum_r",
-                "charsum_subgroup"):
-        value = getattr(args, key, None)
-        if value is not None:
+        if value is not None and value is not False:  # an unset --timings is False
             cfg[key] = _coerce(key, value)
     for key in _INT_LISTS:
         for p in cfg[key]:
@@ -123,10 +114,13 @@ def resolve_config(args) -> dict:
                 raise ConfigError(f"{key}: {p} is not prime")
             if p < 3:
                 raise ConfigError(f"{key}: {p} is below 3 (p = 2 is not supported)")
-        kept = [p for p in cfg[key] if p <= cfg["max_p"]]
-        cfg[key] = kept
-    if cfg["workers"] < 1:
-        raise ConfigError(f"workers: need >= 1, got {cfg['workers']}")
+        above = [p for p in cfg[key] if p > cfg["max_p"]]
+        if above and dropped is not None:
+            dropped[key] = above
+        cfg[key] = [p for p in cfg[key] if p <= cfg["max_p"]]
+    for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")
     return cfg
 
 
@@ -189,8 +183,9 @@ def main(argv=None) -> int:
             sp.add_argument("--r", dest="charsum_r", type=int)
             sp.add_argument("--subgroup-order", dest="charsum_subgroup", type=int)
     args = parser.parse_args(argv)
+    dropped = {}
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, dropped)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -207,6 +202,8 @@ def main(argv=None) -> int:
     csv_path = os.path.join(cfg["out"], f"{args.command}.csv")
     write_csv(rows, csv_path)
     summary = summarize(rows, fits)
+    if dropped:
+        summary["dropped_primes"] = dropped
     if timer:
         summary["elapsed_ms"] = elapsed_ms
         summary["timings"] = timer.totals

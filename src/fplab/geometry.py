@@ -28,32 +28,6 @@ GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scal
 # lines in F_p^2
 # ---------------------------------------------------------------------------
 
-def all_lines(p: int) -> list:
-    """Every line of F_p^2 in canonical form (p^2 + p of them)."""
-    lines = [("v", c) for c in range(p)]
-    lines += [("s", a, b) for a in range(p) for b in range(p)]
-    return lines
-
-
-def lines_through(x: int, y: int, p: int) -> list:
-    """The p + 1 lines through the point (x, y)."""
-    out = [("v", x)]
-    for a in range(p):
-        out.append(("s", a, (y - a * x) % p))
-    return out
-
-
-def line_through(q, r, p: int):
-    """Canonical line through two distinct points."""
-    (x1, y1), (x2, y2) = q, r
-    if q == r:
-        raise ValueError("need two distinct points")
-    if x1 == x2:
-        return ("v", x1)
-    a = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
-    return ("s", a, (y1 - a * x1) % p)
-
-
 class LineSpectrum:
     """Map line -> multiplicity against A x A, restricted to hit lines.
 

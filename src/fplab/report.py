@@ -68,6 +68,9 @@ def summarize(rows, slopes=None) -> dict:
         bucket[row.status] += 1
     out = {"suites": counts, "slopes": {}}
     for name, fit in (slopes or {}).items():
+        if isinstance(fit, str):  # the reason a fit failed
+            out.setdefault("failed_fits", {})[name] = fit
+            continue
         out["slopes"][name] = {
             "slope": float(f"{fit.slope:.12g}"),
             "residual": float(f"{fit.residual:.12g}"),

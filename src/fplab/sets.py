@@ -142,11 +142,6 @@ def subgroup(field: PrimeField, order: int) -> FpSet:
     return FpSet(field, tuple(sorted(elems)), "subgroup")
 
 
-def cofactor(group: FpSet) -> int:
-    """Index h = (p-1)/order of a subgroup-tagged set."""
-    return (group.field.p - 1) // len(group)
-
-
 def poly_eval(coeffs, x: int, p: int) -> int:
     """Evaluate sum(coeffs[i] * x^i) mod p by Horner's rule."""
     acc = 0

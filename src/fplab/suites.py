@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds, charsums, energy, geometry
 from .errors import (
     DegenerateKError,
@@ -441,8 +443,8 @@ def _run_cell(args):
 
 
 def run_sweep(cfg, timer=None):
-    """Run all sweep families; returns (rows, fits) with fits a name ->
-    FitResult mapping for the JSON summary."""
+    """Run all sweep families; returns (rows, fits) with fits mapping each
+    family name to its FitResult, or to the reason its fit failed."""
     cells = _sweep_cells(cfg)
     tasks = [(family, p, cfg["seed"], cfg["epsilon"]) for family, p in cells]
     if cfg["workers"] > 1:
@@ -473,8 +475,8 @@ def run_sweep(cfg, timer=None):
             recs = [r for r in recs if r["p"] == top]
         try:
             fits[family] = bounds.exponent_fit(recs, quantity, driver)
-        except InsufficientDataError:
-            continue
+        except InsufficientDataError as exc:
+            fits[family] = str(exc)
     return rows, fits
 
 
@@ -528,25 +530,23 @@ def run_region_suite(cfg, timer=None) -> list:
         )
     with _block(timer, rows):
         n = cfg["region_check_grid"]
-        disagreements = []
-        for i in range(n):
-            for j in range(n):
-                zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
-                xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
-                pt = bounds.ExponentPoint(zeta, xi)
-                if not bounds.subgroup_region_agreement(pt):
-                    disagreements.append((zeta, xi))
+        # zeta varies down the rows and xi across the columns, so nonzero()
+        # lists disagreements in the order of an i-then-j loop
+        steps = np.arange(n, dtype=np.float64)
+        zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
+        xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
+        rows_i, cols_j = np.nonzero(~bounds.subgroup_agreement(zeta, xi))
         rows.append(
             ReportRow(
                 "region_agreement", 0, f"grid={n}x{n}",
-                len(disagreements), n * n, None, "report",
+                len(rows_i), n * n, None, "report",
             )
         )
-        for zeta, xi in disagreements[:100]:
+        for i, j in zip(rows_i[:100], cols_j[:100]):
             rows.append(
                 ReportRow(
                     "region_agreement", 0,
-                    f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}",
+                    f"flag=disagree;zeta={float(zeta[i, 0]):.6f};xi={float(xi[0, j]):.6f}",
                     None, None, None, "report",
                 )
             )

@@ -1,10 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fplab.bounds import (
     ExponentPoint,
+    _float_cut,
     chang_region,
     cor12_rhs,
     cor13_rhs,
@@ -14,7 +18,10 @@ from fplab.bounds import (
     poly_energy_skeletons,
     poly_t_index,
     primes_region,
+    subgroup_agreement,
     subgroup_e3_skeletons,
+    subgroup_inside,
+    subgroup_inside_raw,
     subgroup_region,
     subgroup_region_agreement,
     subgroup_region_raw,
@@ -31,6 +38,7 @@ from fplab.errors import (
 )
 from fplab.field import build_field
 from fplab.sets import from_elements, interval, poly_image, subgroup
+from fplab.suites import run_region_suite
 
 EPS = 1e-9
 
@@ -95,6 +103,164 @@ def test_subgroup_region_raw_spot():
     # deep inside: zeta = xi = 0.35 satisfies cond1 and cond3
     assert subgroup_region_raw(ExponentPoint(0.35, 0.35)) == "inside"
     assert subgroup_region_raw(ExponentPoint(0.30, 0.05)) == "outside"
+
+
+# ---------------------------------------------------------------------------
+# subgroup region: the array classifiers against a per-point referee that
+# compares with the exact rational breakpoints
+# ---------------------------------------------------------------------------
+
+def _ref_threshold(zeta):
+    if zeta <= Fraction(6, 25) or zeta >= Fraction(1, 2):
+        return None
+    if zeta < Fraction(10, 31):
+        return 1 - 2.5 * zeta
+    if zeta < Fraction(134, 361):
+        return (6 - 9 * zeta) / 16
+    return (20 - 40 * zeta) / 31
+
+
+def _ref_region(z, x):
+    if not (z < 0.5 and x < 0.4):
+        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
+    thr = _ref_threshold(z)
+    if thr is None:
+        return "out_of_domain"
+    return "inside" if x > thr else "outside"
+
+
+def _ref_raw(z, x):
+    if not (z < 0.5 and x < 0.4):
+        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
+    cond1 = 5 * z + 2 * x > 2 and z + x > 0.5
+    cond2 = 40 * z + 31 * x > 20
+    cond3 = 9 * z + 16 * x > 6 and 36 * z + 55 * x > 21
+    return "inside" if cond1 and (cond2 or cond3) else "outside"
+
+
+def _ref_agree(z, x):
+    return (_ref_region(z, x) == "inside") == (_ref_raw(z, x) == "inside")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainViolationError:
+        return DomainViolationError
+
+
+def _check_against_referee(points):
+    """Scalar wrappers point by point, then the array classifiers on the
+    in-domain points as one batch."""
+    for z, x in points:
+        assert subgroup_threshold(z) == _ref_threshold(z)
+        pt = ExponentPoint(z, x)
+        assert _outcome(subgroup_region, pt) == _outcome(_ref_region, z, x)
+        assert _outcome(subgroup_region_raw, pt) == _outcome(_ref_raw, z, x)
+        assert _outcome(subgroup_region_agreement, pt) == _outcome(_ref_agree, z, x)
+    batch = [(z, x) for z, x in points if z < 0.5 and x < 0.4]
+    zs = np.array([z for z, _ in batch], dtype=np.float64)
+    xs = np.array([x for _, x in batch], dtype=np.float64)
+    assert subgroup_inside(zs, xs).tolist() == [_ref_region(z, x) == "inside" for z, x in batch]
+    assert subgroup_inside_raw(zs, xs).tolist() == [_ref_raw(z, x) == "inside" for z, x in batch]
+    assert subgroup_agreement(zs, xs).tolist() == [_ref_agree(z, x) for z, x in batch]
+
+
+def _ulps(value, k=2):
+    """value and its k nearest doubles on either side."""
+    out = [float(value)]
+    for direction in (-np.inf, np.inf):
+        v = float(value)
+        for _ in range(k):
+            v = float(np.nextafter(v, direction))
+            out.append(v)
+    return sorted(out)
+
+
+_LINES = (
+    lambda z: (20 - 40 * z) / 31,
+    lambda z: (2 - 5 * z) / 2,
+    lambda z: 0.5 - z,
+    lambda z: (6 - 9 * z) / 16,
+    lambda z: (21 - 36 * z) / 55,
+)
+
+
+def _pinned_points():
+    points = []
+    for bp in (Fraction(6, 25), Fraction(10, 31), Fraction(134, 361), Fraction(1, 2)):
+        for z in _ulps(bp):
+            thr = _ref_threshold(z)
+            xis = [0.3, 0.39] + ([] if thr is None else _ulps(thr, 1))
+            points += [(z, x) for x in xis]
+    for z in (0.26, 0.3, 1 / 3, 0.36, 0.4, 0.45, 0.49, float(Fraction(134, 361))):
+        for line in _LINES:
+            points += [(z, x) for x in _ulps(line(z), 1) if 0 < x <= 1]
+    return points
+
+
+def test_float_cuts_match_exact_breakpoints():
+    for bp, strict in ((Fraction(6, 25), False), (Fraction(10, 31), True),
+                       (Fraction(134, 361), True), (Fraction(1, 4), False),
+                       (Fraction(1, 4), True)):
+        cut = _float_cut(bp, strict)
+        above = float(np.nextafter(cut, np.inf))
+        assert (Fraction(cut) < bp) if strict else (Fraction(cut) <= bp)
+        assert (Fraction(above) >= bp) if strict else (Fraction(above) > bp)
+    assert _float_cut(Fraction(1, 4), strict=False) == 0.25
+
+
+def test_subgroup_region_pinned_breakpoints_and_lines():
+    points = _pinned_points()
+    assert len(points) > 150
+    _check_against_referee(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.floats(0, 0.5, exclude_min=True, exclude_max=True),
+        st.floats(0, 0.4, exclude_min=True, exclude_max=True),
+    ),
+    min_size=1, max_size=20,
+))
+def test_subgroup_region_property(points):
+    _check_against_referee(points)
+
+
+def test_subgroup_classifiers_broadcast_and_reject_domain():
+    zeta = np.array([[0.25], [0.3], [0.45]])
+    xi = np.array([[0.1, 0.3, 0.39]])
+    grid = subgroup_inside(zeta, xi)
+    assert grid.shape == (3, 3)
+    assert grid.tolist() == [[_ref_region(z, x) == "inside" for x in xi[0]] for z in zeta[:, 0]]
+    assert subgroup_inside(0.35, 0.35).shape == ()
+    for fn in (subgroup_inside, subgroup_inside_raw, subgroup_agreement):
+        with pytest.raises(DomainViolationError):
+            fn(np.array([0.3, 0.5]), np.array([0.3, 0.3]))
+        with pytest.raises(DomainViolationError):
+            fn(np.array([0.3, 0.3]), np.array([0.3, 0.4]))
+        with pytest.raises(DomainViolationError):
+            fn(0.0, 0.3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 82, 128])
+def test_region_agreement_grid_matches_referee(n):
+    expected = []
+    for i in range(n):
+        for j in range(n):
+            zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
+            xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
+            if not _ref_agree(zeta, xi):
+                expected.append(f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}")
+    rows = run_region_suite({"region_check_grid": n, "region_table_grid": 2})
+    head, *flags = [r for r in rows if r.suite == "region_agreement"]
+    assert head.params == f"grid={n}x{n}"
+    assert (head.measured, head.skeleton) == (len(expected), n * n)
+    assert type(head.measured) is int
+    assert [r.params for r in flags] == expected[:100]
+    if n == 82:
+        assert expected == ["flag=disagree;zeta=0.282716;xi=0.293210"]
 
 
 def test_primes_region():

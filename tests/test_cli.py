@@ -46,12 +46,22 @@ def test_config_rejects_bad_values(tmp_path):
     cfg_file.write_text("workers 2\n")
     with pytest.raises(ConfigError):
         resolve_config(_Args(config=str(cfg_file)))
+    for key in ("region_check_grid", "region_table_grid"):
+        cfg_file.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"{key}: need >= 2, got 1"):
+            resolve_config(_Args(config=str(cfg_file)))
 
 
 def test_max_p_filters_primes():
     cfg = resolve_config(_Args(max_p=7))
     assert cfg["primes"] == [p for p in DEFAULTS["primes"] if p <= 7]
     assert cfg["sweep_primes"] == []
+    dropped = {}
+    resolve_config(_Args(max_p=7), dropped)
+    assert dropped == {"primes": [11, 13], "sweep_primes": DEFAULTS["sweep_primes"]}
+    dropped = {}
+    resolve_config(_Args(), dropped)
+    assert dropped == {}
 
 
 def test_report_row_helpers(tmp_path):
@@ -130,6 +140,29 @@ def test_oracles_reproducible_and_skips(tmp_path):
     out3 = tmp_path / "o3"
     assert main(["oracles", "--config", cfg_big, "--out", str(out3)]) == 0
     assert ",skip," in (out3 / "oracles.csv").read_text()
+
+
+def test_sweep_max_p_50_reports_dropped_primes(tmp_path):
+    out = tmp_path / "s"
+    assert main(["sweep", "--max-p", "50", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dropped_primes"] == {"sweep_primes": DEFAULTS["sweep_primes"]}
+    assert summary["slopes"] == {}
+    assert set(summary["failed_fits"].values()) == {"need >= 4 usable rows, have 0"}
+
+
+def test_sweep_reports_failed_fits(tmp_path):
+    cfg = _write_cfg(tmp_path, "sweep_primes = 61,127,251\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--max-p", "200", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dropped_primes"] == {"sweep_primes": [251]}
+    assert summary["slopes"] == {}
+    failed = summary["failed_fits"]
+    assert sorted(failed) == ["poly_e2_d2", "poly_e2_d3", "poly_t3_d2", "poly_t3_d3",
+                              "subgroup_e3", "thm11_ratio"]
+    assert failed["subgroup_e3"] == "driver must span at least one decade"
+    assert failed["thm11_ratio"] == "need >= 4 usable rows, have 2"
 
 
 def test_sweep_workers_agree(tmp_path):

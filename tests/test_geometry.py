@@ -12,7 +12,6 @@ import fplab
 from fplab.errors import PreconditionViolatedError, TooLargeError
 from fplab.field import build_field
 from fplab.geometry import (
-    all_lines,
     all_planes,
     collinear_triples,
     collinear_triples_bruteforce,
@@ -21,8 +20,6 @@ from fplab.geometry import (
     incidence_count,
     level_set_counts,
     line_spectrum,
-    line_through,
-    lines_through,
     max_collinear_points_3d,
     misha_residual_report,
     normalize_plane,
@@ -36,17 +33,6 @@ from fplab.sets import from_elements, random_set
 # census
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_line_census(p):
-    lines = all_lines(p)
-    assert len(lines) == p * p + p
-    assert len(set(lines)) == len(lines)
-    for pt in ((0, 0), (1, p - 1), (p - 1, 1)):
-        through = lines_through(pt[0], pt[1], p)
-        assert len(through) == p + 1
-        assert set(through) <= set(lines)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_plane_census(p):
     planes = all_planes(p)
@@ -58,17 +44,6 @@ def test_plane_census(p):
     # normalization is idempotent on the canonical list
     for pl in planes:
         assert normalize_plane(*pl, p) == pl
-
-
-def test_line_through_two_points():
-    p = 7
-    for q, r in (((0, 0), (1, 1)), ((2, 3), (2, 5)), ((1, 4), (6, 4))):
-        line = line_through(q, r, p)
-        for pt in (q, r):
-            if line[0] == "v":
-                assert pt[0] == line[1]
-            else:
-                assert (line[1] * pt[0] + line[2]) % p == pt[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each digest is the sha256 of `<command>.csv` followed by `summary.json`, for
 one run of the command with the default configuration (seed 1).  A change
 that moves any of them changes what fplab reports; if that is intended, say
 so and re-pin the digest in the same change.
+
+The default 200x200 region grid has no disagreement between the piecewise
+and raw subgroup regions, so it writes no `flag=disagree` row; the 82x82 grid
+writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.
 """
 
 import hashlib
@@ -19,12 +23,28 @@ GOLDEN = {
     "regions": "d57b2bf7798a2ad0c3ca65c7a9cf06a86b997c8c30c2ab25999386a470c8565b",
     "charsum": "60f7695ad7ec3ee43610360959746a39715e8f48c4fe52a58aa81c27d41791ad",
 }
+REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
+
+
+def _digest(out, command):
+    digest = hashlib.sha256()
+    for name in (f"{command}.csv", "summary.json"):
+        digest.update((out / name).read_bytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_default_output_digest(command, tmp_path):
     assert main([command, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256()
-    for name in (f"{command}.csv", "summary.json"):
-        digest.update((tmp_path / name).read_bytes())
-    assert digest.hexdigest() == GOLDEN[command]
+    assert _digest(tmp_path, command) == GOLDEN[command]
+
+
+def test_regions_flag_row_digest(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("region_check_grid = 82\n")
+    out = tmp_path / "out"
+    assert main(["regions", "--config", str(cfg), "--out", str(out)]) == 0
+    flags = [line for line in (out / "regions.csv").read_text().splitlines()
+             if "flag=disagree" in line]
+    assert flags == ["region_agreement,0,flag=disagree;zeta=0.282716;xi=0.293210,,,,report,0"]
+    assert _digest(out, "regions") == REGIONS_GRID_82
