@@ -41,7 +41,6 @@ class ExponentPoint:
 
     zeta: float
     xi: float
-    d: int = None
 
     def __post_init__(self):
         if not (0 < self.zeta <= 1 and 0 < self.xi <= 1):
@@ -117,39 +116,9 @@ def subgroup_region(pt: ExponentPoint) -> str:
     return "out_of_domain" if subgroup_threshold(pt.zeta) is None else "outside"
 
 
-def subgroup_region_raw(pt: ExponentPoint) -> str:
-    """The same region from the raw inequalities (see subgroup_inside_raw)."""
-    return "inside" if subgroup_inside_raw(pt.zeta, pt.xi) else "outside"
-
-
-def subgroup_region_agreement(pt: ExponentPoint) -> bool:
-    """True when the piecewise classification matches the raw conditions
-    (out_of_domain counts as outside)."""
-    return bool(subgroup_agreement(pt.zeta, pt.xi))
-
-
-def primes_region(pt: ExponentPoint) -> bool:
-    """Nontriviality region for character sums over shifted prime values of
-    a degree-d polynomial."""
-    if pt.d is None or pt.d < 2:
-        raise DomainViolationError("need a polynomial degree d >= 2")
-    if pt.xi > min(0.5, 2 - 2 * pt.zeta):
-        raise DomainViolationError("need xi <= min(1/2, 2 - 2 zeta)")
-    z, x, d = pt.zeta, pt.xi, pt.d
-    second = z + 2.5 * x > 1
-    if d == 2:
-        return 1.25 * z + 2 * x > 1 and second
-    return (1 + 2.0 ** (-d + 1)) * z + 2 * x > 1 and second
-
-
 # ---------------------------------------------------------------------------
 # skeleton evaluators
 # ---------------------------------------------------------------------------
-
-def e3_trivial_bound(nu: int, nv: int, nw: int) -> int:
-    """#U #V #W min(#U, #V, #W), the trivial ceiling for the triple energy."""
-    return nu * nv * nw * min(nu, nv, nw)
-
 
 def _check_thm11(p: int, s: int, x: int, r: int):
     if s < 1 or x < 1 or r < 1:
@@ -170,17 +139,6 @@ def thm11_rhs(p: int, s: int, x: int, r: int, e3_value, epsilon: float = 0.0) ->
     t2 = p ** ((r + 2) / r) / (s * x**2.5)
     t3 = p ** ((r + 2) / r) / (s * s * x * x)
     return s * x * (t1 + t2 + t3) ** (1 / (4 * r)) * p**epsilon + math.sqrt(s) * x
-
-
-def cor12_rhs(p: int, s: int, x: int, r: int, epsilon: float = 0.0) -> float:
-    """thm11_rhs with the triple energy replaced by its trivial plug-in
-    min(S, X) S^2 X, which collapses the first term to M p^{(r+1)/r}/(S^2 X^2)."""
-    return thm11_rhs(p, s, x, r, min(s, x) * s * s * x, epsilon)
-
-
-def cor13_rhs(p: int, s: int, x: int, r: int, e2_value, epsilon: float = 0.0) -> float:
-    """thm11_rhs with the triple energy replaced by X * E+(S)."""
-    return thm11_rhs(p, s, x, r, x * e2_value, epsilon)
 
 
 def tabc_skeletons(p: int, a: int, b: int, c: int):

@@ -8,9 +8,8 @@ z in (Z, 2Z], which turns the inner sums into complete sums over F_p whose
 size the Weil bound controls.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import isqrt, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -19,15 +18,13 @@ from .errors import (
     FieldMismatchError,
     InadmissibleYZError,
     SupportMismatchError,
-    TooLargeError,
     ZeroDenominatorError,
 )
 from .energy import _dot
 from .field import Character, PrimeField
-from .sets import FpSet, poly_eval, primes_upto, symmetric_interval
+from .sets import FpSet, primes_upto, symmetric_interval
 
 _UNIT_SLACK = 1e-12
-_SIGMA_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -40,10 +37,6 @@ class WeightVector:
         for k, v in self.values.items():
             if abs(v) > 1 + _UNIT_SLACK:
                 raise ValueError(f"weight at {k} leaves the unit disk: {v}")
-
-    @classmethod
-    def unit(cls, keys) -> "WeightVector":
-        return cls({k: 1.0 + 0j for k in keys})
 
     def __getitem__(self, k) -> complex:
         return self.values[k]
@@ -98,101 +91,21 @@ def modulus_sum(chi: Character, s_set: FpSet, x_set: FpSet, beta=None) -> float:
     return float(np.abs(_inner_sums(chi, s_set, x_set, beta)).sum())
 
 
-def optimal_alpha(chi: Character, s_set: FpSet, x_set: FpSet, beta=None) -> WeightVector:
-    """Unimodular outer weights aligning every inner sum's phase, so that
-    |bilinear_sum| meets modulus_sum."""
-    inner = _inner_sums(chi, s_set, x_set, beta)
-    vals = {}
-    for s, w in zip(s_set.elems, inner):
-        vals[s] = complex(w.conjugate() / abs(w)) if abs(w) > 0 else 1.0 + 0j
-    return WeightVector(vals)
-
-
-def prime_poly_modulus_sum(chi: Character, coeffs, q_bound: int, r_bound: int) -> float:
-    """sum over primes q <= Q of |sum over primes r <= R of chi(f(q) + r)|.
-
-    Evaluated through the polynomial-image fibration: group the outer primes
-    by f(q) mod p, then take one inner sum per fiber value.
-    """
-    p = chi.field.p
-    fibers = {}
-    for q in primes_upto(q_bound):
-        v = poly_eval([c % p for c in coeffs], q % p, p)
-        fibers[v] = fibers.get(v, 0) + 1
-    if not fibers:
-        return 0.0
-    tab = chi.values()
-    rs = np.asarray([r % p for r in primes_upto(r_bound)], dtype=np.int64)
-    if rs.size == 0:
-        return 0.0
-    total = 0.0
-    for v, mult in sorted(fibers.items()):
-        total += mult * abs(complex(tab[(v + rs) % p].sum()))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # amplification transform
 # ---------------------------------------------------------------------------
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0, k >= 1")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / k)))
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
 @dataclass(frozen=True)
 class AmplificationParams:
-    """Amplification step parameters: Hoelder exponent r, prime window
-    [y, 2y], shift range (z, 2z], unimodular shift weights eta."""
+    """Amplification step parameters: prime window [y, 2y] and shift range
+    (z, 2z]."""
 
-    r: int
     y: int
     z: int
-    eta: WeightVector = None
-    flags: tuple = ()
 
     def __post_init__(self):
-        if self.r < 1 or self.y < 1 or self.z < 1:
-            raise ValueError("r, y, z must be positive")
-        if self.eta is not None and not self.eta.covers(self.shift_range()):
-            raise SupportMismatchError("eta does not cover (z, 2z]")
-
-    def shift_range(self):
-        return range(self.z + 1, 2 * self.z + 1)
-
-    def eta_or_unit(self) -> WeightVector:
-        return self.eta if self.eta is not None else WeightVector.unit(self.shift_range())
-
-    @classmethod
-    def defaults(cls, field: PrimeField, x_radius: int, r: int) -> "AmplificationParams":
-        """Y ~ 2X p^(-1/r), Z = floor(p^(1/r)), clamped so that 4YZ <= X and
-        the prime window stays below sqrt(p); clamps are flagged."""
-        p = field.p
-        flags = []
-        z0 = max(1, _iroot(p, r))
-        z = min(z0, max(1, x_radius // 4))
-        if z != z0:
-            flags.append("z_clamped")
-        y0 = max(1, int(2 * x_radius * p ** (-1.0 / r)))
-        y_adm = x_radius // (4 * z)
-        y_sqrt = max(1, isqrt(p) // 2)
-        y = min(y0, y_adm, y_sqrt)
-        if y < 1:
-            raise InadmissibleYZError(
-                f"no admissible Y: x_radius={x_radius}, z={z} force 4YZ > X"
-            )
-        if y != y0:
-            flags.append("y_clamped")
-        return cls(r, y, z, None, tuple(flags))
+        if self.y < 1 or self.z < 1:
+            raise ValueError("y, z must be positive")
 
 
 def prime_window(params: AmplificationParams, p: int) -> list:
@@ -296,7 +209,7 @@ def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# complete product sums and sigma
+# complete product sums
 # ---------------------------------------------------------------------------
 
 def complete_product_sum(chi: Character, shifts) -> complex:
@@ -344,44 +257,3 @@ def weil_applicable(chi: Character, shifts) -> bool:
 def weil_bound(p: int, r: int) -> float:
     """(2r - 1) sqrt(p), the complete-sum bound for nondegenerate products."""
     return (2 * r - 1) * sqrt(p)
-
-
-def sigma_total(chi: Character, params: AmplificationParams) -> float:
-    """sigma = sum over (lambda, mu) in F_p^2 of
-    |sum_z eta_z chi(lambda + z) conj(chi)(mu + z)|^(2r), full enumeration."""
-    p = chi.field.p
-    if p > _SIGMA_CAP:
-        raise TooLargeError(f"sigma enumeration needs p <= {_SIGMA_CAP}, got {p}")
-    zs = list(params.shift_range())
-    eta = params.eta_or_unit().array(zs)
-    tab = chi.values()
-    lam = np.arange(p, dtype=np.int64)
-    cols = np.stack([tab[(lam + z) % p] for z in zs], axis=1)  # (p, Z)
-    inner = (cols * eta[None, :]) @ cols.conj().T  # (p, p): rows lambda, cols mu
-    return float((np.abs(inner) ** (2 * params.r)).sum())
-
-
-def sigma_via_expansion(chi: Character, params: AmplificationParams) -> float:
-    """sigma evaluated in the opposite order: expand the 2r-th power into
-    shift tuples and reuse complete product sums.  Expensive (Z^(2r) tuples);
-    exists as an independent route for cross-checking sigma_total."""
-    r = params.r
-    zs = list(params.shift_range())
-    if len(zs) ** (2 * r) > 4_000_000:
-        raise TooLargeError("expansion too large; shrink Z or r")
-    eta = params.eta_or_unit()
-    total = 0j
-    for tup in itertools.product(zs, repeat=2 * r):
-        phase = 1.0 + 0j
-        for z in tup[:r]:
-            phase *= eta[z]
-        for z in tup[r:]:
-            phase *= eta[z].conjugate()
-        w = complete_product_sum(chi, tup)
-        total += phase * (w * w.conjugate())
-    return float(total.real)
-
-
-def sigma_skeleton(p: int, z: int, r: int) -> float:
-    """Z^(2r) p + Z^r p^2 with the implied constant stripped."""
-    return float(z ** (2 * r) * p + z**r * p * p)

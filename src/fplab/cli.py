@@ -55,11 +55,17 @@ DEFAULTS = {
 _INT_LISTS = ("primes", "sweep_primes")
 _FLOATS = ("epsilon",)
 _BOOLS = ("timings",)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path) -> dict:
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}")
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -83,11 +89,15 @@ def _coerce(key, value):
         except ValueError:
             raise ConfigError(f"{key}: expected integers, got {value!r}")
     if key in _FLOATS:
-        return float(value)
+        try:
+            return float(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected a number, got {value!r}")
     if key in _BOOLS:
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes", "on")
+        try:
+            return _BOOL_WORDS[str(value).lower()]
+        except KeyError:
+            raise ConfigError(f"{key}: expected true or false, got {value!r}")
     if key == "out":
         return str(value)
     try:

@@ -10,13 +10,13 @@ identity, not to produce counts.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatchError, LengthOutOfRangeError, NotASubgroupError
+from .errors import FieldMismatchError
 from .field import PrimeField
-from .sets import FpSet, from_elements, symmetric_interval
+from .sets import FpSet
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
@@ -34,40 +34,35 @@ class MultiplicityFn:
     positive `counts` of each, aligned arrays."""
 
     field: PrimeField
-    kind: str  # "difference" | "ratio" | "sum"
+    kind: str  # "difference" | "sum"
     values: np.ndarray
     counts: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def __call__(self, x: int) -> int:
-        return int(_counts_at(self, np.array([x % self.field.p]))[0])
 
 
 def _residues(a: FpSet) -> np.ndarray:
     return np.asarray(a.elems, dtype=np.int64)
 
 
-def _convolve(p: int, first: np.ndarray, others, op):
-    """(values, counts) of op(x_0, x_1, ...) mod p over first x others[0] x ...
+def _convolve(p: int, first: np.ndarray, others):
+    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...
 
-    first holds sorted distinct residues, each of others distinct residues
-    that op applies injectively (any shift, any nonzero factor).  Each step
-    against a set S runs on the current support: when the len(support) * |S|
-    key matrix has fewer than p entries it sorts the keys and sums equal ones,
-    otherwise it scatters the counts into one dense length-p array, one shift
-    per element of S.  Counts are int64 while their total stays below the
-    guard and Python ints past it.
+    first holds sorted distinct residues, each of others distinct residues.
+    Each step against a set S runs on the current support: when the
+    len(support) * |S| key matrix has fewer than p entries it sorts the keys
+    and sums equal ones, otherwise it scatters the counts into one dense
+    length-p array, one shift per element of S.  Counts are int64 while their
+    total stays below the guard and Python ints past it.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
     values = first
     for s in others:
         if len(values) * len(s) < p:
-            keys = (op(values[:, None], s[None, :]) % p).ravel()
+            keys = ((values[:, None] + s[None, :]) % p).ravel()
             order = np.argsort(keys)
             keys = keys[order]
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -76,7 +71,7 @@ def _convolve(p: int, first: np.ndarray, others, op):
         else:
             dense = np.zeros(p, dtype=counts.dtype)
             for a in s.tolist():
-                dense[op(values, a) % p] += counts
+                dense[(values + a) % p] += counts
             values = np.flatnonzero(dense)
             counts = dense[values]
     return values, counts
@@ -113,17 +108,7 @@ def diff_multiplicity(a: FpSet) -> MultiplicityFn:
     """Counts of x as a difference u - v with u, v in the set."""
     p = a.field.p
     arr = _residues(a)
-    return MultiplicityFn(a.field, "difference", *_convolve(p, arr, [-arr % p], np.add))
-
-
-def ratio_multiplicity(a: FpSet) -> MultiplicityFn:
-    """Counts of x as a ratio u / v; zero denominators are skipped and tallied."""
-    fld = a.field
-    arr = _residues(a)
-    inverses = fld.inverses()[arr[arr != 0]]
-    skipped = len(a) * (len(a) - len(inverses))
-    values, counts = _convolve(fld.p, arr, [inverses], np.multiply)
-    return MultiplicityFn(fld, "ratio", values, counts, {"skipped_pairs": skipped})
+    return MultiplicityFn(a.field, "difference", *_convolve(p, arr, [-arr % p]))
 
 
 def additive_energy(a: FpSet) -> int:
@@ -164,21 +149,19 @@ def sum_counts(sets) -> MultiplicityFn:
     """r(x) = number of tuples (u_1..u_k), u_i in sets[i], summing to x."""
     _same_field(*sets)
     arrays = [_residues(s) for s in sets]
-    values, counts = _convolve(sets[0].field.p, arrays[0], arrays[1:], np.add)
+    values, counts = _convolve(sets[0].field.p, arrays[0], arrays[1:])
     return MultiplicityFn(sets[0].field, "sum", values, counts)
 
 
-def t_k(sets, k: int = None) -> int:
+def t_k(sets) -> int:
     """Number of 2k-tuples with u_1 + ... + u_k = v_1 + ... + v_k.
 
     sets lists the k source sets (repeat a set for the symmetric energy);
     t_k([s, s]) is the additive energy.
     """
     sets = list(sets)
-    if k is None:
-        k = len(sets)
-    if len(sets) != k or k < 1:
-        raise ValueError(f"need k = len(sets) >= 1, got k={k}, len={len(sets)}")
+    if not sets:
+        raise ValueError("need at least one set")
     counts = sum_counts(sets).counts
     return _dot(counts, counts)
 
@@ -199,64 +182,7 @@ def t_k_fourier(sets) -> float:
     return float(prod.sum() / p)
 
 
-def t_k_fourier_check(sets, k: int = None) -> float:
+def t_k_fourier_check(sets) -> float:
     """|t_k - its Fourier evaluation|; contract: below 1e-6 relative."""
-    exact = t_k(sets, k)
+    exact = t_k(sets)
     return abs(exact - t_k_fourier(sets))
-
-
-@dataclass(frozen=True)
-class CosetStats:
-    """Interval statistics of the cosets of a multiplicative subgroup.
-
-    Cosets C_j are ordered so the difference counts t_j are nonincreasing;
-    c lists the sizes of the coset intersections with the symmetric interval
-    under the same ordering.  r2_sum is the second moment of r_- over the
-    punctured interval, n_ratio_pairs the number of interval pairs whose
-    ratio falls in the subgroup.
-    """
-
-    field: PrimeField
-    order: int
-    h: int
-    radius: int
-    c: tuple
-    t: tuple
-    r2_sum: int
-    n_ratio_pairs: int
-
-
-def coset_interval_stats(group: FpSet, radius: int) -> CosetStats:
-    """Per-coset counts c_j, t_j plus the derived sums for a subgroup."""
-    if group.tag != "subgroup":
-        raise NotASubgroupError(f"set tagged {group.tag!r}, need a subgroup")
-    fld = group.field
-    p = fld.p
-    if radius < 0 or 2 * radius + 1 > p:
-        raise LengthOutOfRangeError(f"radius {radius} too large for p = {p}")
-    order = len(group)
-    h = (p - 1) // order
-
-    diffs = diff_multiplicity(group)
-    # coset of x is ind[x] mod h; representative of coset j is g^j
-    reps = []
-    rep = 1
-    for _ in range(h):
-        reps.append(rep)
-        rep = rep * fld.g % p
-    t_raw = _counts_at(diffs, np.array(reps, dtype=np.int64))
-
-    window = [x for x in symmetric_interval(fld, radius).elems if x != 0]
-    c_raw = np.bincount(fld.ind[np.array(window, dtype=np.int64)] % h, minlength=h)
-
-    by_t = np.argsort(-t_raw, kind="stable")
-    c = tuple(c_raw[by_t].tolist())
-    t = tuple(t_raw[by_t].tolist())
-
-    on_window = _counts_at(diffs, np.array(window, dtype=np.int64))
-    r2 = _dot(on_window, on_window)
-
-    ratios = ratio_multiplicity(from_elements(fld, window))
-    n_pairs = int(_counts_at(ratios, _residues(group)).sum())
-
-    return CosetStats(fld, order, h, radius, c, t, r2, n_pairs)

@@ -41,10 +41,6 @@ class FieldMismatchError(FplabError):
     pass
 
 
-class NotASubgroupError(FplabError):
-    pass
-
-
 # -- character sums ----------------------------------------------------------
 
 class SupportMismatchError(FplabError):

@@ -31,8 +31,8 @@ GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scal
 class LineSpectrum:
     """Map line -> multiplicity against A x A, restricted to hit lines.
 
-    Multiplicities of unstored lines are zero; the centered values
-    f(line) = iota(line) - (#A)^2 / p are exact rationals.
+    Multiplicities of unstored lines are zero; the mean multiplicity
+    (#A)^2 / p and the centered second moment are exact rationals.
     """
 
     __slots__ = ("field", "set_size", "counts")
@@ -46,14 +46,8 @@ class LineSpectrum:
     def p(self) -> int:
         return self.field.p
 
-    def iota(self, line) -> int:
-        return self.counts.get(line, 0)
-
     def mean(self) -> Fraction:
         return Fraction(self.set_size * self.set_size, self.p)
-
-    def f(self, line) -> Fraction:
-        return Fraction(self.iota(line)) - self.mean()
 
     def total_lines(self) -> int:
         return self.p * self.p + self.p
@@ -104,24 +98,6 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
     return lhs, rhs
 
 
-def level_set_counts(a: FpSet, m):
-    """Cardinalities of {l : M < iota <= 2M} and {l : |f| > M}, plus the
-    report-only skeleton min(p #A^2 / M^2, #A^5 / M^4)."""
-    if m <= 0:
-        raise ValueError("M must be positive")
-    mf = Fraction(m)
-    spectrum = line_spectrum(a)
-    l_count = sum(1 for c in spectrum.counts.values() if mf < c <= 2 * mf)
-    mean = spectrum.mean()
-    k_count = sum(1 for c in spectrum.counts.values() if abs(Fraction(c) - mean) > mf)
-    if mean > mf:
-        k_count += spectrum.zero_lines()
-    n = len(a)
-    mfl = float(mf)
-    skeleton = min(a.field.p * n**2 / mfl**2, n**5 / mfl**4) if n else 0.0
-    return l_count, k_count, skeleton
-
-
 # ---------------------------------------------------------------------------
 # collinear triples
 # ---------------------------------------------------------------------------
@@ -143,32 +119,20 @@ def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
 
 
-def collinear_triples(a: FpSet, b: FpSet, c: FpSet, convention: str = "cross") -> int:
+def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
     """Number of solutions of (a1-c1)(b2-c2) = (a2-c2)(b1-c1) with
-    b1 != c1, b2 != c2 (convention "cross"), or the number of point
-    triples in A^2 x B^2 x C^2 lying on a common line, coincidences
-    included (convention "geometric").
+    b1 != c1, b2 != c2.
 
     Counted exactly through the ratio fibration T = sum_l R(l)^2, where R(l)
     is the number of (x, y, z) in A x B x C with x - z = l (y - z), y != z.
-    The geometric convention adds, by cardinality arithmetic, the triples the
-    cross convention excludes (b1 = c1 or b2 = c2).  Both conventions agree
-    with their brute-force oracles.
     """
     if not (a.field.p == b.field.p == c.field.p):
         raise FieldMismatchError("sets live in different fields")
-    cross = _triple_cross_from_ratios(a, b, c)
-    if convention == "cross":
-        return cross
-    if convention == "geometric":
-        na, n_e = len(a), len(b.as_set() & c.as_set())
-        i_abc = len(a.as_set() & b.as_set() & c.as_set())
-        return cross + (na * n_e) ** 2 - 2 * na * n_e * i_abc + 2 * na * len(b) * len(c) * i_abc
-    raise ValueError(f"unknown convention {convention!r}")
+    return _triple_cross_from_ratios(a, b, c)
 
 
 def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
-    """Literal enumeration of all sextuples for the cross convention."""
+    """Literal enumeration of all sextuples; oracle for collinear_triples."""
     p = a.field.p
     count = 0
     ae, be, ce = a.elems, b.elems, c.elems
@@ -187,24 +151,6 @@ def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
                         for a2 in ae:
                             if lhs == (a2 - c2) * k1 % p:
                                 count += 1
-    return count
-
-
-def collinear_triples_geometric_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
-    """Point-triple enumeration with a determinant collinearity test."""
-    p = a.field.p
-    pts_a = [(x, y) for x in a.elems for y in a.elems]
-    pts_b = [(x, y) for x in b.elems for y in b.elems]
-    pts_c = [(x, y) for x in c.elems for y in c.elems]
-    count = 0
-    for qa in pts_a:
-        for qb in pts_b:
-            for qc in pts_c:
-                d = (qb[0] - qa[0]) * (qc[1] - qa[1]) - (qb[1] - qa[1]) * (
-                    qc[0] - qa[0]
-                )
-                if d % p == 0:
-                    count += 1
     return count
 
 
@@ -261,13 +207,13 @@ def incidence_count(p: int, points, planes):
     return count, residual
 
 
-def gram_structure_check(p: int, cap: int = GRAM_CAP) -> int:
+def gram_structure_check(p: int) -> int:
     """Max deviation of G G^t from p^2 Id + (p+1) 1 over the full
     point/plane incidence matrix; the contract is zero."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > cap:
-        raise TooLargeError(f"p = {p} exceeds the dense-matrix cap {cap}")
+    if p > GRAM_CAP:
+        raise TooLargeError(f"p = {p} exceeds the dense-matrix cap {GRAM_CAP}")
     points = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
     planes = all_planes(p)
     m = _incidence_matrix(p, points, planes).astype(np.int64)

@@ -146,7 +146,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             n = rng.randint(2, min(AMP_SIZE_CAP, p - 1))
             radius = rng.randint(4, min(AMP_RADIUS_CAP, (p - 1) // 2))
             s = random_set(fld, n, rng.randrange(2**31))
-            params = charsums.AmplificationParams(r=1, y=rng.randint(1, radius // 4), z=1)
+            params = charsums.AmplificationParams(y=rng.randint(1, radius // 4), z=1)
             m = charsums.amplification_map(s, radius, params)
             rows.append(
                 ReportRow(

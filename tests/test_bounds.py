@@ -10,21 +10,15 @@ from fplab.bounds import (
     ExponentPoint,
     _float_cut,
     chang_region,
-    cor12_rhs,
-    cor13_rhs,
-    e3_trivial_bound,
     exponent_fit,
     karatsuba_region,
     poly_energy_skeletons,
     poly_t_index,
-    primes_region,
     subgroup_agreement,
     subgroup_e3_skeletons,
     subgroup_inside,
     subgroup_inside_raw,
     subgroup_region,
-    subgroup_region_agreement,
-    subgroup_region_raw,
     subgroup_threshold,
     tabc_skeletons,
     thm11_rhs,
@@ -37,7 +31,7 @@ from fplab.errors import (
     PreconditionViolatedError,
 )
 from fplab.field import build_field
-from fplab.sets import from_elements, interval, poly_image, subgroup
+from fplab.sets import interval, poly_image, subgroup
 from fplab.suites import run_region_suite
 
 EPS = 1e-9
@@ -92,17 +86,16 @@ def test_subgroup_threshold_continuity():
 
 def test_subgroup_region_matches_raw_conditions():
     n = 120
-    for i in range(n):
-        for j in range(n):
-            zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
-            xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
-            assert subgroup_region_agreement(ExponentPoint(zeta, xi))
+    steps = np.arange(n, dtype=np.float64)
+    zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
+    xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
+    assert subgroup_agreement(zeta, xi).all()
 
 
 def test_subgroup_region_raw_spot():
     # deep inside: zeta = xi = 0.35 satisfies cond1 and cond3
-    assert subgroup_region_raw(ExponentPoint(0.35, 0.35)) == "inside"
-    assert subgroup_region_raw(ExponentPoint(0.30, 0.05)) == "outside"
+    assert subgroup_inside_raw(0.35, 0.35)
+    assert not subgroup_inside_raw(0.30, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +128,11 @@ def _ref_raw(z, x):
     cond1 = 5 * z + 2 * x > 2 and z + x > 0.5
     cond2 = 40 * z + 31 * x > 20
     cond3 = 9 * z + 16 * x > 6 and 36 * z + 55 * x > 21
-    return "inside" if cond1 and (cond2 or cond3) else "outside"
+    return cond1 and (cond2 or cond3)
 
 
 def _ref_agree(z, x):
-    return (_ref_region(z, x) == "inside") == (_ref_raw(z, x) == "inside")
+    return (_ref_region(z, x) == "inside") == _ref_raw(z, x)
 
 
 def _outcome(fn, *args):
@@ -150,19 +143,18 @@ def _outcome(fn, *args):
 
 
 def _check_against_referee(points):
-    """Scalar wrappers point by point, then the array classifiers on the
-    in-domain points as one batch."""
+    """Each point alone (0-d arrays for the classifiers), then the array
+    classifiers on the in-domain points as one batch."""
     for z, x in points:
         assert subgroup_threshold(z) == _ref_threshold(z)
-        pt = ExponentPoint(z, x)
-        assert _outcome(subgroup_region, pt) == _outcome(_ref_region, z, x)
-        assert _outcome(subgroup_region_raw, pt) == _outcome(_ref_raw, z, x)
-        assert _outcome(subgroup_region_agreement, pt) == _outcome(_ref_agree, z, x)
+        assert _outcome(subgroup_region, ExponentPoint(z, x)) == _outcome(_ref_region, z, x)
+        assert _outcome(subgroup_inside_raw, z, x) == _outcome(_ref_raw, z, x)
+        assert _outcome(subgroup_agreement, z, x) == _outcome(_ref_agree, z, x)
     batch = [(z, x) for z, x in points if z < 0.5 and x < 0.4]
     zs = np.array([z for z, _ in batch], dtype=np.float64)
     xs = np.array([x for _, x in batch], dtype=np.float64)
     assert subgroup_inside(zs, xs).tolist() == [_ref_region(z, x) == "inside" for z, x in batch]
-    assert subgroup_inside_raw(zs, xs).tolist() == [_ref_raw(z, x) == "inside" for z, x in batch]
+    assert subgroup_inside_raw(zs, xs).tolist() == [_ref_raw(z, x) for z, x in batch]
     assert subgroup_agreement(zs, xs).tolist() == [_ref_agree(z, x) for z, x in batch]
 
 
@@ -263,16 +255,6 @@ def test_region_agreement_grid_matches_referee(n):
         assert expected == ["flag=disagree;zeta=0.282716;xi=0.293210"]
 
 
-def test_primes_region():
-    assert primes_region(ExponentPoint(0.4, 0.4, 2))
-    assert primes_region(ExponentPoint(0.4, 0.35, 3))
-    assert not primes_region(ExponentPoint(0.3, 0.25, 2))
-    with pytest.raises(DomainViolationError):
-        primes_region(ExponentPoint(0.4, 0.6, 2))
-    with pytest.raises(DomainViolationError):
-        primes_region(ExponentPoint(0.4, 0.4))
-
-
 def test_thm11_preconditions_named():
     with pytest.raises(PreconditionViolatedError, match=r"X < p\^\{1/2\}"):
         thm11_rhs(61, 5, 30, 2, 100)
@@ -282,28 +264,10 @@ def test_thm11_preconditions_named():
         thm11_rhs(4093, 10, 40, 1, 100)
 
 
-def test_thm11_corollary_ordering():
-    p, s, x, r = 4093, 50, 40, 3
-    triv = e3_trivial_bound(s, s, x)  #= s*s*x*min(s,x) since x <= s
-    assert triv == min(s, x) * s * s * x
-    base = thm11_rhs(p, s, x, r, triv)
-    assert cor12_rhs(p, s, x, r) == base  # identical plug-in, exact equality
-    for e3v in (0, triv // 10, triv):
-        assert thm11_rhs(p, s, x, r, e3v) <= cor12_rhs(p, s, x, r) + 1e-12
-
-
 def test_thm11_monotone_in_e3():
     p, s, x, r = 4093, 50, 40, 3
     values = [thm11_rhs(p, s, x, r, v) for v in (0, 10, 10**4, 10**6)]
     assert values == sorted(values)
-
-
-def test_cor13_matches_plugin():
-    p, s, x, r = 4093, 50, 40, 3
-    fld = build_field(p)
-    sset = from_elements(fld, range(1, s + 1))
-    e2 = additive_energy(sset)
-    assert cor13_rhs(p, s, x, r, e2) == thm11_rhs(p, s, x, r, x * e2)
 
 
 def test_tabc_skeletons():

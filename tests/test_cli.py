@@ -252,3 +252,18 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     assert set(timings) == {suite for suite, _ in cells}
     for suite, total in timings.items():
         assert total == sum(ms for (s, _), (ms,) in cells.items() if s == suite)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("epsilon = abc\n", "epsilon: expected a number, got 'abc'"),
+    ("timings = maybe\n", "timings: expected true or false, got 'maybe'"),
+    (None, "missing.cfg: No such file or directory"),
+], ids=["epsilon", "timings", "missing_file"])
+def test_config_input_errors_exit_2(tmp_path, capsys, body, message):
+    cfg = tmp_path / "missing.cfg"
+    if body is not None:
+        cfg.write_text(body)
+    rc = main(["charsum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

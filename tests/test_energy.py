@@ -8,18 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fplab import energy
-from fplab.errors import (
-    FieldMismatchError,
-    LengthOutOfRangeError,
-    NotASubgroupError,
-)
+from fplab.errors import FieldMismatchError
 from fplab.energy import (
     additive_energy,
-    coset_interval_stats,
     diff_multiplicity,
     e3,
     e3_bruteforce,
-    ratio_multiplicity,
     sum_counts,
     t_k,
     t_k_fourier,
@@ -115,7 +109,7 @@ def test_t_k_examples():
     singles = [from_elements(f7, [2]), from_elements(f7, [3])]
     assert t_k(singles) == 1
     with pytest.raises(ValueError):
-        t_k([s, s], k=3)
+        t_k([])
 
 
 def test_t_k_matches_brute_quadruples():
@@ -156,23 +150,12 @@ def test_fourier_examples():
         assert t_k_fourier_check(sets) < 1e-6 * exact
 
 
-def test_ratio_multiplicity_examples():
-    f7 = build_field(7)
-    assert _support(ratio_multiplicity(from_elements(f7, [1]))) == ([1], [1])
-    assert ratio_multiplicity(from_elements(f7, [1, 2, 4]))(2) == 3
-    mf = ratio_multiplicity(from_elements(f7, [0, 1]))
-    assert _support(mf) == ([0, 1], [1, 1])
-    assert mf.meta["skipped_pairs"] == 2
-
-
 def test_multiplicity_totals():
     fld = build_field(31)
     rng = random.Random(9)
     for _ in range(10):
         a = random_set(fld, rng.randint(1, 12), rng.randrange(2**31))
         assert diff_multiplicity(a).total == len(a) ** 2
-        nz = len(a) - (1 if 0 in a.as_set() else 0)
-        assert ratio_multiplicity(a).total == len(a) * nz
 
 
 # ---------------------------------------------------------------------------
@@ -234,77 +217,6 @@ def test_holder_chain_log_form():
                 math.log(t_k([sets[0]] + [sets[j]] * (k - 1))) for j in range(1, k)
             ) / (k - 1)
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-
-
-# ---------------------------------------------------------------------------
-# coset statistics
-# ---------------------------------------------------------------------------
-
-def test_coset_stats_trivial_subgroup():
-    f7 = build_field(7)
-    stats = coset_interval_stats(subgroup(f7, 1), 1)
-    assert stats.n_ratio_pairs == 2  # (1,1) and (6,6)
-    assert stats.r2_sum == 0
-    assert stats.order == 1 and stats.h == 6
-
-
-def test_coset_stats_bruteforce_cross_check():
-    f7 = build_field(7)
-    g = subgroup(f7, 3)
-    stats = coset_interval_stats(g, 3)
-    # brute force every field from the definitions
-    p = 7
-    window = [x % p for x in range(-3, 4) if x != 0]
-    members = set(g.elems)
-    diffs = {}
-    for a in g:
-        for b in g:
-            d = (a - b) % p
-            diffs[d] = diffs.get(d, 0) + 1
-    r2 = sum(diffs.get(x, 0) ** 2 for x in window)
-    assert stats.r2_sum == r2
-    n_pairs = sum(
-        1
-        for x in window
-        for y in window
-        if x * pow(y, p - 2, p) % p in members
-    )
-    assert stats.n_ratio_pairs == n_pairs
-    cosets = {}
-    for x in range(1, p):
-        key = frozenset(x * u % p for u in g)
-        cosets.setdefault(key, []).append(x)
-    want_pairs = sorted(
-        (diffs.get(xs[0], 0), sum(1 for x in xs if x in set(window)))
-        for key, xs in cosets.items()
-    )
-    got_pairs = sorted(zip(stats.t, stats.c))
-    assert want_pairs == got_pairs
-
-
-def test_coset_stats_invariants():
-    for p, order, radius in ((7, 3, 0), (7, 3, 3), (31, 5, 6), (61, 12, 10), (61, 60, 14)):
-        fld = build_field(p)
-        g = subgroup(fld, order)
-        stats = coset_interval_stats(g, radius)
-        assert list(stats.t) == sorted(stats.t, reverse=True)
-        assert sum(stats.c) == 2 * radius
-        assert stats.order * sum(stats.t) == stats.order**2 - stats.order
-        # r2_sum decomposes over cosets
-        assert stats.r2_sum == sum(cj * tj * tj for cj, tj in zip(stats.c, stats.t))
-        # Cauchy step and the coset-pair identity, both exact
-        assert stats.r2_sum**2 <= sum(t**4 for t in stats.t) * sum(
-            c * c for c in stats.c
-        )
-        assert sum(c * c for c in stats.c) <= stats.n_ratio_pairs
-
-
-def test_coset_stats_rejects():
-    f7 = build_field(7)
-    with pytest.raises(NotASubgroupError):
-        coset_interval_stats(from_elements(f7, [1, 2, 4]), 2)
-    with pytest.raises(LengthOutOfRangeError):
-        coset_interval_stats(subgroup(f7, 3), 4)
 
 
 def test_translation_invariance_of_e3():
@@ -380,14 +292,14 @@ def test_python_int_route_past_guard(sets, k):
     # a zero guard sends every count into Python ints and every sum of
     # products through the Python-int route; results must not move
     want_e3, want_e2, want_tk = e3(*sets), additive_energy(sets[0]), t_k(sets[:k])
-    want_ratio = _support(ratio_multiplicity(sets[1]))
+    want_diff = _support(diff_multiplicity(sets[1]))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(energy, "_INT64_SAFE", 0)
         assert e3(*sets) == want_e3
         assert additive_energy(sets[0]) == want_e2
         assert t_k(sets[:k]) == want_tk
         assert sum_counts(sets[:k]).counts.dtype == object
-        assert _support(ratio_multiplicity(sets[1])) == want_ratio
+        assert _support(diff_multiplicity(sets[1])) == want_diff
 
 
 def test_energies_near_cap_against_python_ints():

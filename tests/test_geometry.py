@@ -15,10 +15,8 @@ from fplab.geometry import (
     all_planes,
     collinear_triples,
     collinear_triples_bruteforce,
-    collinear_triples_geometric_bruteforce,
     gram_structure_check,
     incidence_count,
-    level_set_counts,
     line_spectrum,
     max_collinear_points_3d,
     misha_residual_report,
@@ -106,28 +104,6 @@ def test_centered_second_moment_bound():
             assert spec.f_l2() <= Fraction(p * len(a) ** 2)
 
 
-def test_level_set_counts():
-    f3 = build_field(3)
-    z = from_elements(f3, [0])
-    l_count, k_count, skeleton = level_set_counts(z, 0.5)
-    assert l_count == 4
-    assert skeleton > 0
-    # M at or above #A empties the dyadic level set
-    assert level_set_counts(z, 1)[0] == 0
-    fld = build_field(13)
-    a = random_set(fld, 6, seed=9)
-    assert level_set_counts(a, len(a))[0] == 0
-    # dyadic masses add back to the sum identity
-    spec = line_spectrum(a)
-    total = 0
-    m = Fraction(1, 2)
-    while m <= len(a):
-        count_in_band = sum(1 for c in spec.counts.values() if m < c <= 2 * m)
-        total += sum(c for c in spec.counts.values() if m < c <= 2 * m)
-        m *= 2
-    assert total == spec.sum_iota()
-
-
 # ---------------------------------------------------------------------------
 # collinear triples
 # ---------------------------------------------------------------------------
@@ -175,17 +151,6 @@ def test_collinear_fast_equals_oracle():
             assert _cross_from_spectra(a, b, c) == brute
 
 
-def test_collinear_geometric_convention():
-    rng = random.Random(5)
-    for p in (5, 11):
-        fld = build_field(p)
-        for _ in range(6):
-            mk = lambda: random_set(fld, rng.randint(1, 5), rng.randrange(2**31))
-            a, b, c = mk(), mk(), mk()
-            want = collinear_triples_geometric_bruteforce(a, b, c)
-            assert collinear_triples(a, b, c, convention="geometric") == want
-
-
 def test_collinear_fast_routes_agree_beyond_oracle_scale():
     # the ratio fibration and the line-spectrum joint sum are independent;
     # they must agree where the brute force is too slow to referee
@@ -231,9 +196,6 @@ def _big_field_set(*elems):
 def test_collinear_property(sets):
     a, b, c = sets
     assert collinear_triples(a, b, c) == collinear_triples_bruteforce(a, b, c)
-    assert collinear_triples(a, b, c, convention="geometric") == (
-        collinear_triples_geometric_bruteforce(a, b, c)
-    )
 
 
 def test_collinear_oracle_full_size_corner():
