@@ -9,10 +9,8 @@ from .field import Character, PrimeField, build_field, character, is_prime
 from .sets import (
     FpSet,
     from_elements,
-    from_line,
     interval,
     poly_image,
-    primes_set,
     random_set,
     subgroup,
     sumset,
@@ -26,11 +24,9 @@ __all__ = [
     "build_field",
     "character",
     "from_elements",
-    "from_line",
     "interval",
     "is_prime",
     "poly_image",
-    "primes_set",
     "random_set",
     "subgroup",
     "sumset",

@@ -20,7 +20,7 @@ from .errors import (
     SupportMismatchError,
     ZeroDenominatorError,
 )
-from .energy import _dot
+from .energy import MultiplicityFn
 from .field import Character, PrimeField
 from .sets import FpSet, primes_upto, symmetric_interval
 
@@ -119,34 +119,9 @@ def prime_window(params: AmplificationParams, p: int) -> list:
     return [q % p for q in qs]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicityMap:
-    """Sparse map (lambda, mu) -> number of (s, t, x, y) with s != t,
-    (s+x)/y = lambda and (t+x)/y = mu, as sorted distinct keys
-    lambda * p + mu and their positive counts, aligned int64 arrays."""
-
-    field: PrimeField
-    keys: np.ndarray
-    counts: np.ndarray
-    n_source: int
-    x_radius: int
-    window: tuple
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def second_moment(self) -> int:
-        return _dot(self.counts, self.counts)
-
-    def expected_total(self) -> int:
-        return self.n_source * (self.n_source - 1) * (2 * self.x_radius + 1) * len(self.window)
-
-
-def _fibre(fld: PrimeField, s_elems, x_elems, y_elems):
-    """(keys, counts) of lambda * p + mu over (s, t, x, y) with s != t,
-    lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
+def _fibre(fld: PrimeField, s_elems, x_elems, y_elems) -> MultiplicityFn:
+    """Multiplicities of the keys lambda * p + mu over (s, t, x, y) with
+    s != t, lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
 
     Keys and the products (x + s) * y^-1 stay below p^2 <= 2^40, so int64 is
     exact.  Equal keys are merged across all y at once, in O(#Y #X #S^2)
@@ -158,20 +133,20 @@ def _fibre(fld: PrimeField, s_elems, x_elems, y_elems):
     yinv = fld.inverses()[np.asarray(y_elems, dtype=np.int64)]
     vals = (xs[:, None] + ss[None, :]) % p * yinv[:, None, None] % p  # (Y, X, S)
     i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
-    return np.unique(vals[..., i] * p + vals[..., j], return_counts=True)
+    return MultiplicityFn(*np.unique(vals[..., i] * p + vals[..., j], return_counts=True))
 
 
-def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) -> MultiplicityMap:
-    """The full sparse multiplicity map of the amplification substitution."""
+def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) -> MultiplicityFn:
+    """Multiplicities of (lambda, mu), as keys lambda * p + mu, over the
+    (s, t, x, y) with s != t in the set, x in the symmetric interval of the
+    radius and y in the prime window, where (s+x)/y = lambda, (t+x)/y = mu."""
     fld = s_set.field
     if 4 * params.y * params.z > x_radius:
         raise InadmissibleYZError(
             f"4YZ = {4 * params.y * params.z} exceeds X = {x_radius}"
         )
     window = prime_window(params, fld.p)
-    interval = symmetric_interval(fld, x_radius).elems
-    keys, counts = _fibre(fld, s_set.elems, interval, window)
-    return MultiplicityMap(fld, keys, counts, len(s_set), x_radius, tuple(window))
+    return _fibre(fld, s_set.elems, symmetric_interval(fld, x_radius).elems, window)
 
 
 def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
@@ -181,8 +156,7 @@ def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
         raise FieldMismatchError("sets live in different fields")
     if 0 in y_set.as_set():
         raise ZeroDenominatorError("denominator set contains 0")
-    _, counts = _fibre(s_set.field, s_set.elems, x_set.elems, y_set.elems)
-    return _dot(counts, counts)
+    return _fibre(s_set.field, s_set.elems, x_set.elems, y_set.elems).second_moment
 
 
 def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
@@ -232,8 +206,7 @@ def complete_product_sum(chi: Character, shifts) -> complex:
         e = exps[(lam + z) % p]
         valid &= e >= 0
         acc += e if i < r else -e
-    roots = chi.field.unit_roots()
-    return complex(roots[acc[valid] % n].sum())
+    return complex(chi.roots()[acc[valid] % n // (n // chi.order)].sum())
 
 
 def weil_applicable(chi: Character, shifts) -> bool:

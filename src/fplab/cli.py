@@ -13,6 +13,7 @@ per-suite totals to the summary, at the cost of that byte-stability.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -90,9 +91,12 @@ def _coerce(key, value):
             raise ConfigError(f"{key}: expected integers, got {value!r}")
     if key in _FLOATS:
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if not math.isfinite(number):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        return number
     if key in _BOOLS:
         try:
             return _BOOL_WORDS[str(value).lower()]

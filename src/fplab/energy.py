@@ -1,10 +1,11 @@
 """Exact additive energies and representation-function machinery.
 
-Every representation function has one form: the sorted distinct residues it
-takes (`values`) and how often it takes each (`counts`), as aligned int64
-arrays.  Counts whose total could reach 2^62 are Python ints instead, and
-every sum of products is computed in int64 only below the same guard, so all
-counts and energies are exact integers.  Floating point appears only in the
+Every representation function has one form, `MultiplicityFn`: the sorted
+distinct keys it takes (`values`) and how often it takes each (`counts`), as
+aligned int64 arrays.  Energies here, the amplification fibre in `charsums`
+and line spectra in `geometry` all use it.  Counts whose total could reach
+2^62 are Python ints instead, and every sum of products is computed in int64
+only below the same guard, so all counts and energies are exact integers.  Floating point appears only in the
 Fourier cross-check, which exists to bound the error of the orthogonality
 identity, not to produce counts.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldMismatchError
-from .field import PrimeField
 from .sets import FpSet
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
@@ -30,17 +30,28 @@ def _same_field(*sets):
 
 @dataclass(frozen=True, eq=False)
 class MultiplicityFn:
-    """Representation function: sorted distinct residues `values` and the
+    """Representation function: sorted distinct keys `values` and the
     positive `counts` of each, aligned arrays."""
 
-    field: PrimeField
-    kind: str  # "difference" | "sum"
     values: np.ndarray
     counts: np.ndarray
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+    @property
+    def second_moment(self) -> int:
+        return _dot(self.counts, self.counts)
+
+    def at(self, keys: np.ndarray) -> np.ndarray:
+        """The count at each key, 0 off the support (binary search)."""
+        i = np.searchsorted(self.values, keys)
+        hit = i < len(self.values)
+        hit[hit] = self.values[i[hit]] == keys[hit]
+        out = np.zeros(len(keys), dtype=self.counts.dtype)
+        out[hit] = self.counts[i[hit]]
+        return out
 
 
 def _residues(a: FpSet) -> np.ndarray:
@@ -77,16 +88,6 @@ def _convolve(p: int, first: np.ndarray, others):
     return values, counts
 
 
-def _counts_at(mf: MultiplicityFn, xs: np.ndarray) -> np.ndarray:
-    """mf at each residue of xs, 0 off its support (binary search)."""
-    i = np.searchsorted(mf.values, xs)
-    hit = i < len(mf.values)
-    hit[hit] = mf.values[i[hit]] == xs[hit]
-    out = np.zeros(len(xs), dtype=mf.counts.dtype)
-    out[hit] = mf.counts[i[hit]]
-    return out
-
-
 def _dot(*columns) -> int:
     """Exact sum over i of prod_j columns[j][i], for nonnegative count arrays.
 
@@ -108,13 +109,12 @@ def diff_multiplicity(a: FpSet) -> MultiplicityFn:
     """Counts of x as a difference u - v with u, v in the set."""
     p = a.field.p
     arr = _residues(a)
-    return MultiplicityFn(a.field, "difference", *_convolve(p, arr, [-arr % p]))
+    return MultiplicityFn(*_convolve(p, arr, [-arr % p]))
 
 
 def additive_energy(a: FpSet) -> int:
     """Number of quadruples with u1 + u2 = v1 + v2, as the second moment of r_-."""
-    counts = diff_multiplicity(a).counts
-    return _dot(counts, counts)
+    return diff_multiplicity(a).second_moment
 
 
 def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
@@ -123,7 +123,7 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     r = {s: diff_multiplicity(s) for s in dict.fromkeys((u, v, w))}
     # only the smallest support can contribute; look the others up on it
     base = min(r.values(), key=lambda m: len(m.values)).values
-    return _dot(*(_counts_at(r[s], base) for s in (u, v, w)))
+    return _dot(*(r[s].at(base) for s in (u, v, w)))
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
@@ -149,8 +149,7 @@ def sum_counts(sets) -> MultiplicityFn:
     """r(x) = number of tuples (u_1..u_k), u_i in sets[i], summing to x."""
     _same_field(*sets)
     arrays = [_residues(s) for s in sets]
-    values, counts = _convolve(sets[0].field.p, arrays[0], arrays[1:])
-    return MultiplicityFn(sets[0].field, "sum", values, counts)
+    return MultiplicityFn(*_convolve(sets[0].field.p, arrays[0], arrays[1:]))
 
 
 def t_k(sets) -> int:
@@ -162,8 +161,7 @@ def t_k(sets) -> int:
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one set")
-    counts = sum_counts(sets).counts
-    return _dot(counts, counts)
+    return sum_counts(sets).second_moment
 
 
 def t_k_fourier(sets) -> float:

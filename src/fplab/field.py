@@ -85,13 +85,12 @@ class PrimeField:
     workers.
     """
 
-    __slots__ = ("p", "g", "ind", "_unit_roots", "_additive_roots", "_inv")
+    __slots__ = ("p", "g", "ind", "_additive_roots", "_inv")
 
     def __init__(self, p: int, g: int, ind: np.ndarray):
         self.p = p
         self.g = g
         self.ind = ind
-        self._unit_roots = None
         self._additive_roots = None
         self._inv = None
 
@@ -104,26 +103,12 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of x mod p (x must be nonzero mod p)."""
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.inverses()[x])
-
     def inverses(self) -> np.ndarray:
         """inv[x] for x in [0, p-1] as a read-only int64 array, with inv[0] = 0;
         cached."""
         if self._inv is None:
             self._inv = _inverse_table(self.p, self.g)
         return self._inv
-
-    def unit_roots(self) -> np.ndarray:
-        """exp(2*pi*i*k/(p-1)) for k in [0, p-2]; cached."""
-        if self._unit_roots is None:
-            k = np.arange(self.p - 1)
-            self._unit_roots = np.exp(2j * np.pi * k / (self.p - 1))
-        return self._unit_roots
 
     def additive_roots(self) -> np.ndarray:
         """exp(2*pi*i*v/p) for v in [0, p-1]; cached."""
@@ -232,16 +217,19 @@ class Character:
             return 0j
         return cmath.exp(2j * cmath.pi * e / (self.field.p - 1))
 
-    def conjugate(self) -> "Character":
-        return Character(self.field, (self.field.p - 1 - self.m) % (self.field.p - 1))
+    def roots(self) -> np.ndarray:
+        """The order-many values of chi: exp(2*pi*i*e/(p-1)) for the exponents
+        e = k * step, k in [0, order), step = (p-1)/order.  Every exponent is a
+        multiple of step, so chi(x) = roots()[exponent(x) // step]."""
+        n = self.field.p - 1
+        return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
 
     def values(self) -> np.ndarray:
         """chi(x) for x in [0, p-1] as a complex array; cached."""
         if self._table is None:
-            p = self.field.p
-            roots = self.field.unit_roots()
-            tab = np.zeros(p, dtype=np.complex128)
-            tab[1:] = roots[(self.m * self.field.ind[1:]) % (p - 1)]
+            step = (self.field.p - 1) // self.order
+            tab = np.zeros(self.field.p, dtype=np.complex128)
+            tab[1:] = self.roots()[self.exponents()[1:] // step]
             self._table = tab
         return self._table
 

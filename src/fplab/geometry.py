@@ -1,18 +1,17 @@
 """Lines, line-multiplicity spectra and collinear triples in F_p^2;
 points, planes and incidence counts in F_p^3.
 
-Line keys are canonical tuples: ("s", a, b) for y = a*x + b and ("v", c)
-for x = c, which enumerates all p^2 + p lines exactly once.  A plane is a
-tuple (n1, n2, n3, c) for n.z = c with the first nonzero n_i scaled to 1.
+Line keys are integers: a*p + b for y = a*x + b and p^2 + c for x = c, which
+enumerates all p^2 + p lines exactly once.  A plane is a tuple
+(n1, n2, n3, c) for n.z = c with the first nonzero n_i scaled to 1.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
-from .energy import _dot
+from .energy import MultiplicityFn, _dot
 from .errors import (
     FieldMismatchError,
     PreconditionViolatedError,
@@ -28,60 +27,32 @@ GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scal
 # lines in F_p^2
 # ---------------------------------------------------------------------------
 
-class LineSpectrum:
-    """Map line -> multiplicity against A x A, restricted to hit lines.
+def line_spectrum(a: FpSet) -> MultiplicityFn:
+    """Multiplicity of every line against A x A, over the hit lines.
 
-    Multiplicities of unstored lines are zero; the mean multiplicity
-    (#A)^2 / p and the centered second moment are exact rationals.
-    """
-
-    __slots__ = ("field", "set_size", "counts")
-
-    def __init__(self, field, set_size, counts):
-        self.field = field
-        self.set_size = set_size
-        self.counts = counts
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def mean(self) -> Fraction:
-        return Fraction(self.set_size * self.set_size, self.p)
-
-    def total_lines(self) -> int:
-        return self.p * self.p + self.p
-
-    def zero_lines(self) -> int:
-        return self.total_lines() - len(self.counts)
-
-    def sum_iota(self) -> int:
-        return sum(self.counts.values())
-
-    def f_l2(self) -> Fraction:
-        """Exact sum of |f(line)|^2 over all lines, zero-hit lines included."""
-        m = self.mean()
-        acc = sum((Fraction(c) - m) ** 2 for c in self.counts.values())
-        return acc + self.zero_lines() * m * m
-
-
-def line_spectrum(a: FpSet) -> LineSpectrum:
-    """Multiplicity of every line against A x A.
-
-    Built by walking the p + 1 line keys through each point of A x A, so the
-    work is #A^2 * (p + 1) dictionary increments and never touches the full
-    p^3 point-line incidence relation.
+    Each point (x, y) of A x A lies on the p lines y = s*x + b, keyed
+    s*p + b, and on the vertical line x, keyed p^2 + x: one np.unique over
+    the #A^2 (p + 1) keys, never the full p^3 point-line incidence relation.
+    Keys stay below p^2 + p <= 2^41.
     """
     p = a.field.p
-    counts = {}
-    for x in a.elems:
-        vkey = ("v", x)
-        for y in a.elems:
-            counts[vkey] = counts.get(vkey, 0) + 1
-            for slope in range(p):
-                key = ("s", slope, (y - slope * x) % p)
-                counts[key] = counts.get(key, 0) + 1
-    return LineSpectrum(a.field, len(a), counts)
+    xs = np.asarray(a.elems, dtype=np.int64)
+    slopes = np.arange(p, dtype=np.int64)
+    intercepts = (xs[None, None, :] - slopes[:, None, None] * xs[None, :, None]) % p
+    slanted = slopes[:, None, None] * p + intercepts  # (slope, x, y)
+    vertical = np.repeat(p * p + xs, len(xs))
+    return MultiplicityFn(*np.unique(np.concatenate([slanted.ravel(), vertical]),
+                                     return_counts=True))
+
+
+def line_deviation_l2(a: FpSet) -> Fraction:
+    """Exact sum over all p^2 + p lines, zero-hit lines included, of
+    (iota(l) - m)^2 with m = #A^2 / p the mean multiplicity:
+    S_2 - 2 m sum_l iota(l) + (p^2 + p) m^2."""
+    p = a.field.p
+    spectrum = line_spectrum(a)
+    m = Fraction(len(a) ** 2, p)
+    return spectrum.second_moment - 2 * m * spectrum.total + (p * p + p) * m * m
 
 
 def pair_spectrum_identity(a: FpSet, b: FpSet):
@@ -91,8 +62,7 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
     p = a.field.p
     sa = line_spectrum(a)
     sb = line_spectrum(b)
-    small, big = (sa, sb) if len(sa.counts) <= len(sb.counts) else (sb, sa)
-    lhs = sum(c * big.counts.get(line, 0) for line, c in small.counts.items())
+    lhs = _dot(sa.counts, sb.at(sa.values))
     common = len(a.as_set() & b.as_set())
     rhs = (len(a) * len(b)) ** 2 + p * common * common
     return lhs, rhs
@@ -223,31 +193,38 @@ def gram_structure_check(p: int) -> int:
     return int(np.abs(gram - expected).max())
 
 
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise, the inverse of each nonzero x < p; the
+    squares stay below p^2 <= 2^40."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e > 0:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
 def max_collinear_points_3d(points, p: int) -> int:
-    """Largest number of the given 3D points on a single line."""
-    n = len(points)
-    if len({tuple(v % p for v in q) for q in points}) != n:
+    """Largest number of the given 3D points on a single line.
+
+    From each point i, the other points fall into classes by the direction
+    to them, scaled so its first nonzero coordinate is 1; a class is the rest
+    of one line through i, so the answer is 1 + the largest class.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 3) % p
+    n = len(pts)
+    if len(np.unique(pts, axis=0)) != n:
         raise ValueError("points must be distinct mod p")
     if n <= 1:
         return n
-    pair_counts = {}
-    for i in range(n):
-        qi = points[i]
-        for j in range(i + 1, n):
-            qj = points[j]
-            d = tuple((qj[k] - qi[k]) % p for k in range(3))
-            pivot = next(k for k in range(3) if d[k])
-            scale = pow(d[pivot], p - 2, p)
-            d = tuple(v * scale % p for v in d)
-            t = qi[pivot]
-            base = tuple((qi[k] - t * d[k]) % p for k in range(3))
-            key = (d, base)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    best = max(pair_counts.values())
-    m = (1 + isqrt(1 + 8 * best)) // 2
-    if m * (m - 1) // 2 != best:
-        raise RuntimeError(f"{best} point pairs on one line is not m(m-1)/2 for any m")
-    return m
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # ordered pairs i != j
+    d = (pts[j] - pts[i]) % p
+    pivot = d[np.arange(len(d)), (d != 0).argmax(axis=1)]
+    d = d * _inverse_mod(pivot, p)[:, None] % p
+    _, counts = np.unique(np.column_stack([i, d]), axis=0, return_counts=True)
+    return 1 + int(counts.max())
 
 
 @dataclass(frozen=True)

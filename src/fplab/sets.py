@@ -17,15 +17,15 @@ from .errors import (
 )
 from .field import PrimeField
 
-TAGS = ("interval", "subgroup", "poly_image", "primes", "random", "derived")
+TAGS = ("interval", "subgroup", "poly_image", "random", "derived")
 
 
 @dataclass(frozen=True, eq=False)
 class FpSet:
     """A finite subset of F_p: sorted residues plus a provenance tag.
 
-    meta carries constructor extras (polynomial fiber sizes, prime-reduction
-    collision counts); it is informational and excluded from equality.
+    meta carries constructor extras (polynomial fiber sizes); it is
+    informational and excluded from equality.
     """
 
     field: PrimeField
@@ -69,30 +69,6 @@ class FpSet:
 
     def as_set(self) -> frozenset:
         return frozenset(self.elems)
-
-    def translate(self, a: int) -> "FpSet":
-        """The shifted set {x + a mod p}."""
-        p = self.field.p
-        return from_elements(self.field, [(x + a) % p for x in self.elems])
-
-    def to_line(self) -> str:
-        """Serialize as `p n e1 e2 ... en` (one line, space separated)."""
-        return " ".join(map(str, [self.field.p, len(self.elems), *self.elems]))
-
-
-def from_line(line: str, cap: int = None) -> FpSet:
-    """Parse the `p n e1 ... en` line format; inverse of FpSet.to_line."""
-    from .field import DEFAULT_CAP, build_field
-
-    parts = line.split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed set line: {line!r}")
-    p, n = int(parts[0]), int(parts[1])
-    elems = [int(t) for t in parts[2:]]
-    if len(elems) != n:
-        raise ValueError(f"declared {n} elements, found {len(elems)}")
-    fld = build_field(p, cap if cap is not None else DEFAULT_CAP)
-    return from_elements(fld, elems)
 
 
 def from_elements(field: PrimeField, elems, tag: str = "derived", meta=None) -> FpSet:
@@ -183,15 +159,6 @@ def primes_upto(n: int) -> list:
             mark[d * d :: d] = bytearray(len(mark[d * d :: d]))
         d += 1
     return [i for i in range(2, n + 1) if mark[i]]
-
-
-def primes_set(field: PrimeField, bound: int) -> FpSet:
-    """Primes <= bound reduced mod p; collisions collapse and are counted."""
-    p = field.p
-    qs = primes_upto(bound)
-    residues = {q % p for q in qs}
-    meta = {"collisions": len(qs) - len(residues)}
-    return FpSet(field, tuple(sorted(residues)), "primes", meta)
 
 
 def random_set(field: PrimeField, n: int, seed: int) -> FpSet:

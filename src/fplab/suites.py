@@ -91,8 +91,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             for i in range(cfg["identity_trials"]):
                 rng = random.Random(subseed(seed, "line", p, i))
                 a = random_set(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
-                spectrum = geometry.line_spectrum(a)
-                lhs = spectrum.sum_iota()
+                lhs = geometry.line_spectrum(a).total
                 rhs = (p + 1) * len(a) ** 2
                 rows.append(
                     ReportRow(
@@ -148,14 +147,16 @@ def run_identity_suite(cfg, timer=None) -> list:
             s = random_set(fld, n, rng.randrange(2**31))
             params = charsums.AmplificationParams(y=rng.randint(1, radius // 4), z=1)
             m = charsums.amplification_map(s, radius, params)
+            window = charsums.prime_window(params, p)
+            # each (s, t, x, y) with s != t is counted once
+            expected = n * (n - 1) * (2 * radius + 1) * len(window)
             rows.append(
                 ReportRow(
                     "amp_total", p, f"n={n};X={radius};Y={params.y};trial={i}",
-                    m.total, m.expected_total(), None,
-                    "pass" if m.total == m.expected_total() else "fail",
+                    m.total, expected, None, "pass" if m.total == expected else "fail",
                 )
             )
-            yset = from_elements(fld, m.window)
+            yset = from_elements(fld, window)
             n_fast = charsums.count_n(s, symmetric_interval(fld, radius), yset)
             rows.append(
                 ReportRow(

@@ -254,16 +254,19 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
         assert total == sum(ms for (s, _), (ms,) in cells.items() if s == suite)
 
 
-@pytest.mark.parametrize("body, message", [
-    ("epsilon = abc\n", "epsilon: expected a number, got 'abc'"),
-    ("timings = maybe\n", "timings: expected true or false, got 'maybe'"),
-    (None, "missing.cfg: No such file or directory"),
-], ids=["epsilon", "timings", "missing_file"])
-def test_config_input_errors_exit_2(tmp_path, capsys, body, message):
+@pytest.mark.parametrize("body, flags, message", [
+    ("epsilon = abc\n", [], "epsilon: expected a number, got 'abc'"),
+    ("epsilon = nan\n", [], "epsilon: expected a finite number, got 'nan'"),
+    ("epsilon = inf\n", [], "epsilon: expected a finite number, got 'inf'"),
+    ("", ["--epsilon", "inf"], "epsilon: expected a finite number, got inf"),
+    ("timings = maybe\n", [], "timings: expected true or false, got 'maybe'"),
+    (None, [], "missing.cfg: No such file or directory"),
+], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file"])
+def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:
         cfg.write_text(body)
-    rc = main(["charsum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    rc = main(["charsum", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

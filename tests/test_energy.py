@@ -225,7 +225,7 @@ def test_translation_invariance_of_e3():
     ibar = symmetric_interval(fld, 5)
     base = e3(s, s, ibar)
     for a in (1, 17, 60):
-        shifted = s.translate(a)
+        shifted = from_elements(fld, [x + a for x in s.elems])
         assert e3(shifted, shifted, ibar) == base
 
 

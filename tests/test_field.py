@@ -75,15 +75,6 @@ def test_character_examples():
         character(f5, -1)
 
 
-def test_character_conjugate():
-    f7 = build_field(7)
-    chi = character(f7, 2)
-    bar = chi.conjugate()
-    assert bar.m == 4
-    for x in range(1, 7):
-        assert abs(bar(x) - chi(x).conjugate()) < 1e-12
-
-
 def test_quadratic_character_is_legendre():
     for p in (5, 7, 11, 13):
         fld = build_field(p)
@@ -142,19 +133,29 @@ def test_tables_are_read_only_int64(p):
     assert fld.ind[0] == -1 and fld.inverses()[0] == 0
     rng = random.Random(p)
     for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(20)]:
-        y = fld.inv(x)
-        assert type(y) is int and x * y % p == 1
+        assert x * int(fld.inverses()[x]) % p == 1
         assert pow(fld.g, int(fld.ind[x]), p) == x % p
         assert type(character(fld, 1).exponent(x)) is int
 
 
 def test_values_table_matches_pointwise():
+    # the table indexes the order-many roots; chi(x) evaluates e^(2 pi i e/(p-1))
     fld = build_field(31)
-    chi = character(fld, 5)
-    tab = chi.values()
-    assert tab[0] == 0
-    for x in range(1, 31):
-        assert abs(tab[x] - chi(x)) < 1e-12
+    for m in range(30):
+        chi = character(fld, m)
+        assert len(chi.roots()) == chi.order
+        tab = chi.values()
+        assert tab[0] == 0
+        for x in range(1, 31):
+            assert abs(tab[x] - chi(x)) < 1e-12
+    p = 1048573
+    quadratic = character(build_field(p), (p - 1) // 2)
+    tab = quadratic.values()
+    rng = random.Random(5)
+    for x in [0, 1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+        legendre = 0 if x == 0 else 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+        assert abs(tab[x] - quadratic(x)) < 1e-12
+        assert abs(tab[x] - legendre) < 1e-12
 
 
 def test_exponent_form():

@@ -3,8 +3,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from fplab.geometry import (
     collinear_triples_bruteforce,
     gram_structure_check,
     incidence_count,
+    line_deviation_l2,
     line_spectrum,
     max_collinear_points_3d,
     misha_residual_report,
@@ -48,11 +51,35 @@ def test_plane_census(p):
 # spectra
 # ---------------------------------------------------------------------------
 
+def _line_walk(a):
+    """Referee for line_spectrum: the dict walk of every point of A x A
+    through its p + 1 lines, keyed ("s", slope, intercept) for
+    y = slope * x + intercept and ("v", c) for x = c."""
+    p = a.field.p
+    counts = {}
+    for x in a.elems:
+        vkey = ("v", x)
+        for y in a.elems:
+            counts[vkey] = counts.get(vkey, 0) + 1
+            for slope in range(p):
+                key = ("s", slope, (y - slope * x) % p)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _encoded(p, walk):
+    """The referee's spectrum as sorted (keys, counts) lists, with the line
+    keys slope * p + intercept and p^2 + c."""
+    table = {(key[1] * p + key[2] if key[0] == "s" else p * p + key[1]): n
+             for key, n in walk.items()}
+    return sorted(table), [table[k] for k in sorted(table)]
+
+
 def test_spectrum_single_point():
     spec = line_spectrum(from_elements(build_field(3), [0]))
-    assert len(spec.counts) == 4
-    assert set(spec.counts.values()) == {1}
-    assert spec.zero_lines() == 12 - 4
+    # slopes 0, 1, 2 through the origin, then the vertical x = 0 at p^2
+    assert spec.values.tolist() == [0, 3, 6, 9]
+    assert spec.counts.tolist() == [1, 1, 1, 1]
 
 
 def test_spectrum_sum_identity_random():
@@ -61,16 +88,31 @@ def test_spectrum_sum_identity_random():
         fld = build_field(p)
         for _ in range(5):
             a = random_set(fld, rng.randint(1, min(p, 9)), rng.randrange(2**31))
-            spec = line_spectrum(a)
-            assert spec.sum_iota() == (p + 1) * len(a) ** 2
+            assert line_spectrum(a).total == (p + 1) * len(a) ** 2
 
 
 def test_spectrum_full_field():
     p = 5
     full = from_elements(build_field(p), range(p))
     spec = line_spectrum(full)
-    assert set(spec.counts.values()) == {p}
-    assert len(spec.counts) == p * p + p
+    assert set(spec.counts.tolist()) == {p}
+    assert spec.values.tolist() == list(range(p * p + p))
+
+
+@st.composite
+def _spectrum_sets(draw):
+    p = draw(st.sampled_from([3, 5, 13, 31]))
+    return from_elements(build_field(p), draw(st.lists(st.integers(0, p - 1), max_size=8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spectrum_sets())
+# near 2^13 the slope * x products and the p^2 + c vertical keys are large
+@example(from_elements(build_field(8191), [0, 1, 4095, 8189, 8190]))
+def test_spectrum_matches_line_walk(a):
+    spec = line_spectrum(a)
+    assert spec.values.dtype == np.int64
+    assert (spec.values.tolist(), spec.counts.tolist()) == _encoded(a.field.p, _line_walk(a))
 
 
 def test_pair_identity_examples():
@@ -94,14 +136,19 @@ def test_pair_identity_random():
 
 
 def test_centered_second_moment_bound():
-    # sum over all lines of f_A^2 <= p #A^2, in exact rationals
+    # sum over all lines of f_A^2 <= p #A^2, in exact rationals; the closed
+    # form equals the per-line sum over the referee's spectrum
     rng = random.Random(3)
     for p in (5, 13, 31):
         fld = build_field(p)
         for _ in range(4):
             a = random_set(fld, rng.randint(1, min(p, 9)), rng.randrange(2**31))
-            spec = line_spectrum(a)
-            assert spec.f_l2() <= Fraction(p * len(a) ** 2)
+            walk = _line_walk(a)
+            m = Fraction(len(a) ** 2, p)
+            per_line = sum((n - m) ** 2 for n in walk.values())
+            per_line += (p * p + p - len(walk)) * m * m
+            assert line_deviation_l2(a) == per_line
+            assert line_deviation_l2(a) <= Fraction(p * len(a) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +176,8 @@ def _cross_from_spectra(a, b, c):
     latter reduces, through the pair-spectrum identity for A against
     E = B cap C, to cardinality arithmetic.  O(n^2 p): oracle scale only."""
     p = a.field.p
-    sa, sb, sc = (line_spectrum(s).counts for s in (a, b, c))
-    joint = sum(n * sb.get(line, 0) * sc.get(line, 0) for line, n in sa.items())
+    sa, sb, sc = (line_spectrum(s) for s in (a, b, c))
+    joint = int((sa.counts * sb.at(sa.values) * sc.at(sa.values)).sum())
     na, nb, nc = len(a), len(b), len(c)
     i_abc = len(a.as_set() & b.as_set() & c.as_set())
     n_e = len(b.as_set() & c.as_set())
@@ -245,6 +292,32 @@ def test_gram_structure():
         gram_structure_check(4)
 
 
+def _max_collinear_pairs(points, p):
+    """Referee for max_collinear_points_3d: count the point pairs on each line,
+    keyed by (normalised direction, base point), and invert m(m-1)/2."""
+    n = len(points)
+    if len({tuple(v % p for v in q) for q in points}) != n:
+        raise ValueError("points must be distinct mod p")
+    if n <= 1:
+        return n
+    pair_counts = {}
+    for i in range(n):
+        qi = points[i]
+        for j in range(i + 1, n):
+            qj = points[j]
+            d = tuple((qj[k] - qi[k]) % p for k in range(3))
+            pivot = next(k for k in range(3) if d[k])
+            scale = pow(d[pivot], p - 2, p)
+            d = tuple(v * scale % p for v in d)
+            t = qi[pivot]
+            base = tuple((qi[k] - t * d[k]) % p for k in range(3))
+            pair_counts[(d, base)] = pair_counts.get((d, base), 0) + 1
+    best = max(pair_counts.values())
+    m = (1 + isqrt(1 + 8 * best)) // 2
+    assert m * (m - 1) // 2 == best
+    return m
+
+
 def test_max_collinear_3d():
     p = 5
     line_pts = [(t, 2 * t % p, 3 * t % p) for t in range(p)]
@@ -252,6 +325,32 @@ def test_max_collinear_3d():
     assert max_collinear_points_3d(line_pts[:2] + [(1, 1, 4)], p) == 2
     assert max_collinear_points_3d([(0, 0, 0)], p) == 1
     assert max_collinear_points_3d([], p) == 0
+
+
+@st.composite
+def _points_3d(draw):
+    # at p = 1048573 coordinates sit near 0 and near p - 1, so directions and
+    # the inverses that scale them reach ~p and their products ~2^40; a
+    # planted run base + t * step puts several points on one line
+    p = draw(st.sampled_from([2, 3, 5, 7, 1048573]))
+    if p < 100:
+        coord = st.integers(0, p - 1)
+    else:
+        coord = st.one_of(st.integers(0, 5), st.integers(p - 6, p - 1))
+    point = st.tuples(coord, coord, coord)
+    scattered = draw(st.lists(point, max_size=8))
+    base, step = draw(point), draw(point)
+    run = [tuple(b + t * d for b, d in zip(base, step)) for t in range(draw(st.integers(0, 6)))]
+    return list(dict.fromkeys(tuple(v % p for v in q) for q in run + scattered)), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points_3d())
+@example(([(0, 0, 0), (1048572, 1, 2), (1048571, 2, 4), (1048570, 3, 6), (5, 1048572, 1)],
+          1048573))
+def test_max_collinear_3d_matches_pair_referee(case):
+    points, p = case
+    assert max_collinear_points_3d(points, p) == _max_collinear_pairs(points, p)
 
 
 def test_max_collinear_3d_rejects_duplicates():
@@ -270,13 +369,6 @@ def test_max_collinear_3d_checks_survive_optimize():
         "    pass\n"
         "else:\n"
         "    raise SystemExit('duplicates accepted')\n"
-        "g.isqrt = lambda n: 0  # break the pair-count inversion\n"
-        "try:\n"
-        "    g.max_collinear_points_3d([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 5)\n"
-        "except RuntimeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('invariant check skipped')\n"
     )
     src = str(Path(fplab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -12,11 +12,8 @@ from fplab.errors import (
 from fplab.field import build_field
 from fplab.sets import (
     from_elements,
-    from_line,
     interval,
     poly_image,
-    primes_set,
-    primes_upto,
     random_set,
     subgroup,
     sumset,
@@ -81,15 +78,6 @@ def test_poly_image_fiber_total():
     img = poly_image([1, 2, 0, 3], a)
     assert sum(img.meta["fibers"].values()) == len(a)
     assert set(img.meta["fibers"]) == set(img.elems)
-
-
-def test_primes_set_examples():
-    assert primes_set(build_field(101), 10).elems == (2, 3, 5, 7)
-    assert primes_set(build_field(101), 1).elems == ()
-    assert primes_set(build_field(13), 12).elems == (2, 3, 5, 7, 11)
-    # collisions counted when the bound wraps past p
-    wrapped = primes_set(build_field(5), 13)
-    assert wrapped.meta["collisions"] == len(primes_upto(13)) - len(wrapped)
 
 
 def test_random_set_examples():
@@ -160,24 +148,6 @@ def test_ruzsa_property(p, seed, n):
     plus = len(sumset(a, a, "+"))
     minus = len(sumset(a, a, "-"))
     assert minus * len(a) <= plus * plus
-
-
-def test_line_serialization_round_trip():
-    fld = build_field(13)
-    a = random_set(fld, 5, seed=11)
-    line = a.to_line()
-    assert line.startswith("13 5 ")
-    back = from_line(line)
-    assert back == a
-    assert from_line("7 0").elems == ()
-    with pytest.raises(ValueError):
-        from_line("7 2 1")  # declared two elements, gave one
-
-
-def test_translate():
-    fld = build_field(11)
-    a = from_elements(fld, [1, 9, 10])
-    assert a.translate(2).elems == (0, 1, 3)
 
 
 @settings(max_examples=50, deadline=None)
