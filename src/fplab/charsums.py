@@ -58,14 +58,23 @@ def _check_supports(s_set: FpSet, x_set: FpSet, alpha, beta):
 
 
 def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
-    """sum_x beta_x chi(s + x) for every s, as a complex vector."""
+    """sum_x beta_x chi(s + x) for every s, as a complex vector.
+
+    chi is gathered at s + x for blocks of rows of S, at most p points each;
+    every row keeps its own np.dot, which a matrix product would not match
+    bit for bit.
+    """
     p = chi.field.p
-    tab = chi.values()
     xs = np.asarray(x_set.elems, dtype=np.int64)
+    ss = np.asarray(s_set.elems, dtype=np.int64)
     bv = beta.array(x_set.elems) if beta is not None else np.ones(len(xs))
-    out = np.empty(len(s_set.elems), dtype=np.complex128)
-    for i, s in enumerate(s_set.elems):
-        out[i] = np.dot(bv, tab[(s + xs) % p])
+    out = np.empty(len(ss), dtype=np.complex128)
+    rows = max(1, p // len(xs))
+    for lo in range(0, len(ss), rows):
+        pts = ss[lo:lo + rows, None] + xs[None, :]
+        pts -= p * (pts >= p)
+        for i, row in enumerate(chi.at(pts), lo):
+            out[i] = np.dot(bv, row)
     return out
 
 
@@ -123,15 +132,15 @@ def _fibre(fld: PrimeField, s_elems, x_elems, y_elems) -> MultiplicityFn:
     """Multiplicities of the keys lambda * p + mu over (s, t, x, y) with
     s != t, lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
 
-    Keys and the products (x + s) * y^-1 stay below p^2 <= 2^40, so int64 is
+    Keys and the products (x + s) * y^-1 stay below 2p^2 <= 2^41, so int64 is
     exact.  Equal keys are merged across all y at once, in O(#Y #X #S^2)
     memory.
     """
     p = fld.p
     ss = np.asarray(s_elems, dtype=np.int64)
     xs = np.asarray(x_elems, dtype=np.int64)
-    yinv = fld.inverses()[np.asarray(y_elems, dtype=np.int64)]
-    vals = (xs[:, None] + ss[None, :]) % p * yinv[:, None, None] % p  # (Y, X, S)
+    yinv = np.array([pow(y, p - 2, p) for y in y_elems], dtype=np.int64)
+    vals = (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p  # (Y, X, S)
     i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
     return MultiplicityFn(*np.unique(vals[..., i] * p + vals[..., j], return_counts=True))
 

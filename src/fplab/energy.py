@@ -20,6 +20,11 @@ from .sets import FpSet
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
+# A _convolve step sorts below p / _SORT_SHARE keys and scatters densely
+# otherwise.  Measured at p = 1048573, |S| from 8 to 256: the routes tie near
+# p / 6 keys; sorting is 2x faster at p / 16 and 2.5x slower at p / 2.
+_SORT_SHARE = 6
+
 
 def _same_field(*sets):
     p = sets[0].field.p
@@ -63,17 +68,21 @@ def _convolve(p: int, first: np.ndarray, others):
 
     first holds sorted distinct residues, each of others distinct residues.
     Each step against a set S runs on the current support: when the
-    len(support) * |S| key matrix has fewer than p entries it sorts the keys
-    and sums equal ones, otherwise it scatters the counts into one dense
-    length-p array, one shift per element of S.  Counts are int64 while their
+    len(support) * |S| key matrix has fewer than p / _SORT_SHARE entries it
+    sorts the keys and sums equal ones, otherwise it scatters the counts into
+    one dense length-p array, one shift per element of S.  A sum of two
+    residues is reduced by subtracting p * (sum >= p), which costs less than
+    % p and less than a boolean-mask subtract.  Counts are int64 while their
     total stays below the guard and Python ints past it.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
     values = first
     for s in others:
-        if len(values) * len(s) < p:
-            keys = ((values[:, None] + s[None, :]) % p).ravel()
+        if len(values) * len(s) * _SORT_SHARE < p:
+            keys = values[:, None] + s[None, :]
+            keys -= p * (keys >= p)
+            keys = keys.ravel()
             order = np.argsort(keys)
             keys = keys[order]
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -82,7 +91,9 @@ def _convolve(p: int, first: np.ndarray, others):
         else:
             dense = np.zeros(p, dtype=counts.dtype)
             for a in s.tolist():
-                dense[(values + a) % p] += counts
+                shifted = values + a
+                shifted -= p * (shifted >= p)
+                dense[shifted] += counts
             values = np.flatnonzero(dense)
             counts = dense[values]
     return values, counts

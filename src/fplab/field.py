@@ -79,20 +79,19 @@ class PrimeField:
     """Prime p, its least primitive root g, and the full discrete-log table.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
-    as a sentinel.  ind and the lazy inverse table are read-only int64 arrays,
-    so kernels index them directly; the scalar accessors return Python ints.
+    as a sentinel.  ind is a read-only int64 array, so kernels gather from it
+    at the points they use; the scalar accessors return Python ints.
     Instances are immutable after construction and safe to share across
     workers.
     """
 
-    __slots__ = ("p", "g", "ind", "_additive_roots", "_inv")
+    __slots__ = ("p", "g", "ind", "_additive_roots")
 
     def __init__(self, p: int, g: int, ind: np.ndarray):
         self.p = p
         self.g = g
         self.ind = ind
         self._additive_roots = None
-        self._inv = None
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -102,13 +101,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    def inverses(self) -> np.ndarray:
-        """inv[x] for x in [0, p-1] as a read-only int64 array, with inv[0] = 0;
-        cached."""
-        if self._inv is None:
-            self._inv = _inverse_table(self.p, self.g)
-        return self._inv
 
     def additive_roots(self) -> np.ndarray:
         """exp(2*pi*i*v/p) for v in [0, p-1]; cached."""
@@ -129,15 +121,6 @@ def _powers(p: int, g: int) -> np.ndarray:
     low = np.array([pow(g, i, p) for i in range(b)], dtype=np.int64)
     high = np.array([pow(g, b * j, p) for j in range(-(-n // b))], dtype=np.int64)
     return (high[:, None] * low[None, :] % p).ravel()[:n]
-
-
-def _inverse_table(p: int, g: int) -> np.ndarray:
-    # inv[g^k] = g^(p-1-k)
-    pw = _powers(p, g)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[pw] = pw[-np.arange(p - 1) % (p - 1)]
-    inv.flags.writeable = False
-    return inv
 
 
 @lru_cache(maxsize=None)
@@ -174,12 +157,11 @@ class Character:
     appear only when sums are evaluated.
     """
 
-    __slots__ = ("field", "m", "_table")
+    __slots__ = ("field", "m")
 
     def __init__(self, field: PrimeField, m: int):
         self.field = field
         self.m = m
-        self._table = None
 
     def __repr__(self):
         return f"Character(p={self.field.p}, m={self.m})"
@@ -224,14 +206,14 @@ class Character:
         n = self.field.p - 1
         return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
 
-    def values(self) -> np.ndarray:
-        """chi(x) for x in [0, p-1] as a complex array; cached."""
-        if self._table is None:
-            step = (self.field.p - 1) // self.order
-            tab = np.zeros(self.field.p, dtype=np.complex128)
-            tab[1:] = self.roots()[self.exponents()[1:] // step]
-            self._table = tab
-        return self._table
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
+        complex array of the same shape; gathers ind at those points only."""
+        n = self.field.p - 1
+        e = self.field.ind[xs]
+        out = self.roots()[self.m * e % n // (n // self.order)]
+        out[e < 0] = 0
+        return out
 
     def exponents(self) -> np.ndarray:
         """m * ind[x] mod (p-1) for all x, with -1 at x = 0."""

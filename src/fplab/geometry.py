@@ -75,17 +75,25 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
 def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
     # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time and
-    # O(#A #C + p) memory, one batch of (x, z) pairs per y.
+    # O(#A #C + p) memory, one batch of (x, z) pairs per y.  R is keyed by
+    # ind(l) = ind(x - z) - ind(y - z) mod (p - 1), with l = 0 in the spare
+    # key p - 1: a bijection of F_p onto [0, p - 1], so sum R^2 is unchanged.
+    # A difference d in (-p, 0) reads ind[d + p], as a numpy negative index.
     p = a.field.p
-    inv = a.field.inverses()
+    ind = a.field.ind
     xs = np.asarray(a.elems, dtype=np.int64)
     cs = np.asarray(c.elems, dtype=np.int64)
-    counts = np.zeros(p, dtype=np.int64)
+    lx = ind[xs[None, :] - cs[:, None]]  # (z, x), -1 where x = z
+    x_is_z = np.nonzero(lx < 0)
+    counts = np.zeros(p + 1, dtype=np.int64)  # key p collects the z = y row
     for y in b.elems:
-        zs = cs[cs != y]
-        keys = (xs[None, :] - zs[:, None]) * inv[(y - zs) % p][:, None] % p
+        ly = ind[y - cs]  # -1 where z = y
+        keys = lx - ly[:, None]
+        keys += (p - 1) * (keys < 0)
+        keys[x_is_z] = p - 1
+        keys[ly < 0] = p
         np.add.at(counts, keys.ravel(), 1)
-    r = counts[counts > 0]
+    r = counts[:p][counts[:p] > 0]
     return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
 
 

@@ -7,7 +7,9 @@ bit-exactly.
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     FieldMismatchError,
@@ -22,16 +24,11 @@ TAGS = ("interval", "subgroup", "poly_image", "random", "derived")
 
 @dataclass(frozen=True, eq=False)
 class FpSet:
-    """A finite subset of F_p: sorted residues plus a provenance tag.
-
-    meta carries constructor extras (polynomial fiber sizes); it is
-    informational and excluded from equality.
-    """
+    """A finite subset of F_p: sorted residues plus a provenance tag."""
 
     field: PrimeField
     elems: tuple
     tag: str = "derived"
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -71,11 +68,11 @@ class FpSet:
         return frozenset(self.elems)
 
 
-def from_elements(field: PrimeField, elems, tag: str = "derived", meta=None) -> FpSet:
+def from_elements(field: PrimeField, elems, tag: str = "derived") -> FpSet:
     """Normalize arbitrary residues into a sorted duplicate-free FpSet."""
     p = field.p
     reduced = sorted({x % p for x in elems})
-    return FpSet(field, tuple(reduced), tag, meta or {})
+    return FpSet(field, tuple(reduced), tag)
 
 
 def interval(field: PrimeField, a: int, length: int) -> FpSet:
@@ -118,19 +115,12 @@ def subgroup(field: PrimeField, order: int) -> FpSet:
     return FpSet(field, tuple(sorted(elems)), "subgroup")
 
 
-def poly_eval(coeffs, x: int, p: int) -> int:
-    """Evaluate sum(coeffs[i] * x^i) mod p by Horner's rule."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def poly_image(coeffs, domain: FpSet) -> FpSet:
-    """Image set {f(a) : a in domain} with fiber sizes in meta["fibers"].
+    """Image set {f(a) : a in domain}.
 
     coeffs lists the polynomial's coefficients from constant term upward;
-    degree must be at least 1 after reduction mod p.
+    degree must be at least 1 after reduction mod p.  One numpy Horner pass
+    evaluates f; its products stay below p^2 <= 2^40.
     """
     p = domain.field.p
     reduced = [c % p for c in coeffs]
@@ -138,13 +128,11 @@ def poly_image(coeffs, domain: FpSet) -> FpSet:
         reduced.pop()
     if len(reduced) < 2:
         raise ValueError("polynomial must have degree >= 1 mod p")
-    fibers = {}
-    for a in domain.elems:
-        v = poly_eval(reduced, a, p)
-        fibers[v] = fibers.get(v, 0) + 1
-    return FpSet(
-        domain.field, tuple(sorted(fibers)), "poly_image", {"fibers": fibers}
-    )
+    xs = np.asarray(domain.elems, dtype=np.int64)
+    acc = np.zeros_like(xs)
+    for c in reversed(reduced):
+        acc = (acc * xs + c) % p
+    return FpSet(domain.field, tuple(np.unique(acc).tolist()), "poly_image")
 
 
 def primes_upto(n: int) -> list:

@@ -448,8 +448,9 @@ def run_sweep(cfg, timer=None):
     family name to its FitResult, or to the reason its fit failed."""
     cells = _sweep_cells(cfg)
     tasks = [(family, p, cfg["seed"], cfg["epsilon"]) for family, p in cells]
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+    workers = min(cfg["workers"], len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
     else:
         results = [_run_cell(t) for t in tasks]

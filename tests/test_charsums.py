@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from fplab.charsums import (
     AmplificationParams,
     WeightVector,
+    _inner_sums,
     amplification_map,
     bilinear_sum,
     complete_product_sum,
@@ -50,6 +51,36 @@ def test_bilinear_examples():
     iv = from_elements(f5, [1, 2])
     zeros = sum(1 for a in s for x in iv if (a + x) % 5 == 0)
     assert abs(bilinear_sum(chi0, s, iv) - (len(s) * len(iv) - zeros)) < 1e-9
+
+
+@st.composite
+def _inner_sum_cases(draw):
+    # |X| > p/2 at small p gives blocks of one row; p = 31 with small X gives
+    # several multi-row blocks; 0 and p - 1 sit in S and X at every p
+    p = draw(st.sampled_from([3, 5, 13, 31, 1048573]))
+    fld = build_field(p)
+    chi = character(fld, draw(st.integers(0, p - 2)))
+    elems = st.one_of(st.just(0), st.integers(max(0, p - 3), p - 1), st.integers(0, p - 1))
+    s_set = from_elements(fld, draw(st.lists(elems, min_size=1, max_size=40)))
+    x_set = from_elements(fld, draw(st.lists(elems, min_size=1, max_size=40)))
+    beta = None
+    if draw(st.booleans()):
+        phases = st.floats(0, 2 * cmath.pi)
+        radii = st.floats(0, 1)
+        beta = WeightVector({x: draw(radii) * cmath.exp(1j * draw(phases)) for x in x_set})
+    return chi, s_set, x_set, beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_inner_sum_cases())
+def test_inner_sums_match_per_s_referee(case):
+    chi, s_set, x_set, beta = case
+    p = chi.field.p
+    got = _inner_sums(chi, s_set, x_set, beta)
+    assert got.shape == (len(s_set),)
+    for s, value in zip(s_set, got):
+        want = sum((1 if beta is None else beta[x]) * chi((s + x) % p) for x in x_set)
+        assert abs(value - want) < 1e-12 * len(x_set)
 
 
 def test_bilinear_trivial_bound_and_support():

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fplab import suites
 from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config
 from fplab.errors import ConfigError
 from fplab.report import ReportRow, count_failures, summarize, write_csv
@@ -173,6 +174,36 @@ def test_sweep_workers_agree(tmp_path):
     assert _read(out1 / "sweep.csv") == _read(out2 / "sweep.csv")
     summary = json.loads((out1 / "summary.json").read_text())
     assert set(summary["suites"]) >= {"sweep_tabc", "sweep_subgroup"}
+
+
+@pytest.mark.parametrize("flags, pools", [
+    (["--workers", "5000"], [6]),  # one prime: five families plus the poly cell
+    (["--workers", "5000", "--max-p", "50"], []),  # no cells: no pool at all
+    (["--workers", "2"], [2]),
+    ([], []),  # one worker runs the cells in-process
+])
+def test_sweep_pool_never_outnumbers_cells(tmp_path, monkeypatch, flags, pools):
+    # a pool forks all its workers up front, so its size must be capped at the
+    # cell count; the fake records the size and runs the cells in-process
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    cfg = _write_cfg(tmp_path, "sweep_primes = 61\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 0
+    assert made == pools
 
 
 def test_regions_command(tmp_path):

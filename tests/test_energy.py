@@ -277,10 +277,12 @@ def test_t_k_property(sets):
     assert sum_counts(sets).total == math.prod(len(s) for s in sets)
 
 
-@pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5))])
+@pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5)),
+                                      (1021, (3, 4, 2))])
 def test_t_k_both_steps(p, sizes):
-    # (101, ...): 3*4 and then |support|*2 stay below p, sorting steps only;
-    # (7, ...): every step reaches p, dense steps only; (31, ...) mixes both
+    # a step sorts below p / 6 keys: (1021, ...) sorts at every step; (7, ...)
+    # and (31, ...) scatter densely at every step; (101, ...) sorts 3*4 keys,
+    # then scatters
     fld = build_field(p)
     sets = [random_set(fld, n, seed=n + p) for n in sizes]
     assert t_k(sets) == _t_k_direct(sets)
@@ -300,6 +302,33 @@ def test_python_int_route_past_guard(sets, k):
         assert t_k(sets[:k]) == want_tk
         assert sum_counts(sets[:k]).counts.dtype == object
         assert _support(diff_multiplicity(sets[1])) == want_diff
+
+
+@st.composite
+def _convolve_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 13, 31, 1048573]))
+    elems = st.one_of(st.integers(0, 2), st.integers(max(0, p - 3), p - 1), st.integers(0, p - 1))
+    arrays = [np.array(sorted(set(draw(st.lists(elems, min_size=1, max_size=8)))), dtype=np.int64)
+              for _ in range(draw(st.integers(2, 4)))]
+    return p, arrays
+
+
+@settings(max_examples=60, deadline=None)
+@given(_convolve_inputs(), st.booleans())
+def test_convolve_routes_match_dict_referee(case, python_ints):
+    # the same input down the sorting route at every step, then down the
+    # dense route at every step; residues near p - 1 make every sum wrap
+    p, arrays = case
+    sums = Counter(sum(combo) % p for combo in itertools.product(*(a.tolist() for a in arrays)))
+    want = (sorted(sums), [sums[k] for k in sorted(sums)])
+    with pytest.MonkeyPatch.context() as m:
+        if python_ints:
+            m.setattr(energy, "_INT64_SAFE", 0)  # counts as Python ints, as past 2^62
+        for share in (0, p + 1):
+            m.setattr(energy, "_SORT_SHARE", share)
+            values, counts = energy._convolve(p, arrays[0], arrays[1:])
+            assert (values.tolist(), counts.tolist()) == want
+            assert counts.dtype == (object if python_ints else np.int64)
 
 
 def test_energies_near_cap_against_python_ints():

@@ -125,37 +125,56 @@ def test_orthogonality():
 @pytest.mark.parametrize("p", [3, 31, 1048573])
 def test_tables_are_read_only_int64(p):
     fld = build_field(p)
-    for table in (fld.ind, fld.inverses()):
-        assert table.dtype == np.int64 and table.shape == (p,)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[1] = 0
-    assert fld.ind[0] == -1 and fld.inverses()[0] == 0
+    assert fld.ind.dtype == np.int64 and fld.ind.shape == (p,)
+    assert not fld.ind.flags.writeable
+    with pytest.raises(ValueError):
+        fld.ind[1] = 0
+    assert fld.ind[0] == -1
     rng = random.Random(p)
     for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(20)]:
-        assert x * int(fld.inverses()[x]) % p == 1
         assert pow(fld.g, int(fld.ind[x]), p) == x % p
         assert type(character(fld, 1).exponent(x)) is int
 
 
 def test_values_table_matches_pointwise():
-    # the table indexes the order-many roots; chi(x) evaluates e^(2 pi i e/(p-1))
+    # at() indexes the order-many roots; chi(x) evaluates e^(2 pi i e/(p-1))
     fld = build_field(31)
     for m in range(30):
         chi = character(fld, m)
         assert len(chi.roots()) == chi.order
-        tab = chi.values()
+        tab = chi.at(np.arange(31))
         assert tab[0] == 0
         for x in range(1, 31):
             assert abs(tab[x] - chi(x)) < 1e-12
     p = 1048573
     quadratic = character(build_field(p), (p - 1) // 2)
-    tab = quadratic.values()
     rng = random.Random(5)
-    for x in [0, 1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+    xs = [0, 1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]
+    for x, value in zip(xs, quadratic.at(np.array(xs))):
         legendre = 0 if x == 0 else 1 if pow(x, (p - 1) // 2, p) == 1 else -1
-        assert abs(tab[x] - quadratic(x)) < 1e-12
-        assert abs(tab[x] - legendre) < 1e-12
+        assert abs(value - quadratic(x)) < 1e-12
+        assert abs(value - legendre) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 13, 31, 1048573]),
+    data=st.data(),
+)
+def test_character_at_property(p, data):
+    # every m at small p, m near 0 and p - 1 or random at 2^20; x = 0 and
+    # x near p - 1 drawn often; at() keeps the shape of its argument
+    chi = character(build_field(p), data.draw(st.one_of(
+        st.integers(0, min(3, p - 2)), st.integers(max(0, p - 5), p - 2), st.integers(0, p - 2))))
+    elems = st.one_of(st.just(0), st.integers(max(0, p - 3), p - 1), st.integers(0, p - 1))
+    shape = data.draw(st.sampled_from([(0,), (1,), (5,), (2, 3), (3, 1, 2)]))
+    xs = np.array(data.draw(st.lists(elems, min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape)))), dtype=np.int64)
+    got = chi.at(xs.reshape(shape))
+    assert got.shape == shape and got.dtype == np.complex128
+    for x, value in zip(xs.tolist(), got.ravel()):
+        assert abs(value - chi(x)) < 1e-12
+        assert (value == 0) == (x == 0)
 
 
 def test_exponent_form():

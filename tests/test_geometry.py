@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -243,6 +244,46 @@ def _big_field_set(*elems):
 def test_collinear_property(sets):
     a, b, c = sets
     assert collinear_triples(a, b, c) == collinear_triples_bruteforce(a, b, c)
+
+
+def _ratio_route_by_inverse(a, b, c):
+    """Referee for the discrete-log keys of collinear_triples: the ratio route
+    keyed by l = (x - z) * (y - z)^-1 itself, with Fermat inverses, and
+    sum R(l)^2 in Python ints.  O(#A #B #C), so sets can outgrow the brute
+    force."""
+    p = a.field.p
+    xs = np.asarray(a.elems, dtype=np.int64)
+    cs = np.asarray(c.elems, dtype=np.int64)
+    r = Counter()
+    for y in b.elems:
+        zs = cs[cs != y]
+        inv = np.array([pow(int(d), p - 2, p) for d in (y - zs) % p], dtype=np.int64)
+        r.update(((xs[None, :] - zs[:, None]) % p * inv[:, None] % p).ravel().tolist())
+    return sum(v * v for v in r.values())
+
+
+@st.composite
+def _ratio_sets(draw):
+    # elements at 0 and near p - 1 at every p; C's elements planted in A make
+    # x = z, the ratio 0 that has no discrete log
+    p = draw(st.sampled_from([3, 5, 13, 31, 1048573]))
+    elems = st.one_of(st.just(0), st.integers(max(0, p - 4), p - 1), st.integers(0, p - 1))
+    c = draw(st.lists(elems, min_size=1, max_size=20))
+    a = draw(st.lists(elems, max_size=20)) + draw(st.lists(st.sampled_from(c), min_size=1, max_size=4))
+    b = draw(st.lists(elems, min_size=1, max_size=20))
+    fld = build_field(p)
+    return [from_elements(fld, s) for s in (a, b, c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratio_sets())
+@example([
+    _big_field_set(0, 1, 1048571, 1048572),
+    _big_field_set(0, 2, 1048572),
+    _big_field_set(0, 1, 1048572),
+])
+def test_collinear_matches_inverse_ratio_route(sets):
+    assert collinear_triples(*sets) == _ratio_route_by_inverse(*sets)
 
 
 def test_collinear_oracle_full_size_corner():

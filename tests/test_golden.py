@@ -7,7 +7,9 @@ so and re-pin the digest in the same change.
 
 The default 200x200 region grid has no disagreement between the piecewise
 and raw subgroup regions, so it writes no `flag=disagree` row; the 82x82 grid
-writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.
+writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.  The cap
+sweep (`sweep_primes = 65521,262139,1048573`) pins the kernels at p near 2^20,
+where the int64 guards and the length-p routes are closest to their limits.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ GOLDEN = {
     "charsum": "60f7695ad7ec3ee43610360959746a39715e8f48c4fe52a58aa81c27d41791ad",
 }
 REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
+SWEEP_CAP = "2c2ff11879c45f87f5dd04fef3b0994cea84f324894551adc538e58bf9e216db"
 
 
 def _digest(out, command):
@@ -48,3 +51,11 @@ def test_regions_flag_row_digest(tmp_path):
              if "flag=disagree" in line]
     assert flags == ["region_agreement,0,flag=disagree;zeta=0.282716;xi=0.293210,,,,report,0"]
     assert _digest(out, "regions") == REGIONS_GRID_82
+
+
+def test_cap_sweep_digest(tmp_path):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("sweep_primes = 65521,262139,1048573\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _digest(out, "sweep") == SWEEP_CAP

@@ -65,19 +65,36 @@ def test_poly_image_examples():
     assert ident.elems == a.elems
     two = poly_image([0, 0, 1], from_elements(f7, [1, 6]))
     assert two.elems == (1,)
-    assert two.meta["fibers"] == {1: 2}
     with pytest.raises(ValueError):
         poly_image([3], a)  # constant
     with pytest.raises(ValueError):
         poly_image([0, 7], a)  # degree collapses mod 7
 
 
-def test_poly_image_fiber_total():
-    f31 = build_field(31)
-    a = random_set(f31, 20, seed=5)
-    img = poly_image([1, 2, 0, 3], a)
-    assert sum(img.meta["fibers"].values()) == len(a)
-    assert set(img.meta["fibers"]) == set(img.elems)
+def poly_eval(coeffs, x, p):
+    """Referee for poly_image: sum(coeffs[i] * x^i) mod p by a scalar Horner
+    loop in Python ints."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.sampled_from([5, 31, 1048573]),
+    data=st.data(),
+)
+def test_poly_image_matches_poly_eval(p, data):
+    # coefficients and domain points near p - 1 push every Horner product
+    # towards p^2 = 2^40 at p = 1048573
+    near = st.one_of(st.integers(0, 3), st.integers(p - 3, p - 1), st.integers(0, p - 1))
+    coeffs = data.draw(st.lists(near, min_size=2, max_size=5).filter(lambda c: c[-1] % p))
+    a = from_elements(build_field(p), data.draw(st.lists(near, max_size=30)))
+    img = poly_image(coeffs, a)
+    assert img.elems == tuple(sorted({poly_eval(coeffs, x, p) for x in a}))
+    assert all(type(v) is int for v in img.elems)
+    assert img.tag == "poly_image"
 
 
 def test_random_set_examples():
