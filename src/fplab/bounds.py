@@ -49,12 +49,21 @@ class ExponentPoint:
             )
 
 
+def _chang_threshold(zeta):
+    """Elementwise (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta), over
+    float64 zeta in (0, 1]; NaN where k = 1 makes 6k - 8 negative."""
+    z = np.asarray(zeta, dtype=np.float64)
+    k = np.floor(1 / z)
+    return np.where(k > 1, (3 * k - 2 - 4 * k * z) / (6 * k - 8), np.nan)
+
+
 def chang_region(pt: ExponentPoint) -> bool:
     """xi > (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta)."""
-    k = math.floor(1 / pt.zeta)
-    if 6 * k - 8 <= 0:
+    thr = float(_chang_threshold(pt.zeta))
+    if math.isnan(thr):
+        k = math.floor(1 / pt.zeta)
         raise DegenerateKError(f"k = {k} degenerates the threshold denominator")
-    return pt.xi > (3 * k - 2 - 4 * k * pt.zeta) / (6 * k - 8)
+    return pt.xi > thr
 
 
 def karatsuba_region(pt: ExponentPoint) -> bool:
@@ -114,6 +123,24 @@ def subgroup_region(pt: ExponentPoint) -> str:
     if subgroup_inside(pt.zeta, pt.xi):
         return "inside"
     return "out_of_domain" if subgroup_threshold(pt.zeta) is None else "outside"
+
+
+def region_marks(zeta, xi):
+    """Elementwise over broadcast float64 arrays in (0, 1]: the Chang,
+    Karatsuba and subgroup region-table marks, three string arrays of "T"
+    (inside), "F" (outside) or "-" (undefined).  Each mark is what the scalar
+    predicate says at that point: "-" where chang_region raises
+    DegenerateKError, and where subgroup_region raises DomainViolationError
+    or answers "out_of_domain"."""
+    z, x = np.broadcast_arrays(np.asarray(zeta, dtype=np.float64),
+                               np.asarray(xi, dtype=np.float64))
+    chang_thr = _chang_threshold(z)
+    chang = np.where(np.isnan(chang_thr), "-", np.where(x > chang_thr, "T", "F"))
+    karatsuba = np.where(x > (1 - z) / 2, "T", "F")
+    sub_thr = _threshold_array(z)
+    defined = (0 < z) & (z < 0.5) & (0 < x) & (x < 0.4) & ~np.isnan(sub_thr)
+    sub = np.where(defined, np.where(x > sub_thr, "T", "F"), "-")
+    return chang, karatsuba, sub
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .energy import MultiplicityFn
-from .field import Character, PrimeField
+from .field import _BLOCK, Character, PrimeField
 from .sets import FpSet, primes_upto, symmetric_interval
 
 _UNIT_SLACK = 1e-12
@@ -60,16 +60,16 @@ def _check_supports(s_set: FpSet, x_set: FpSet, alpha, beta):
 def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     """sum_x beta_x chi(s + x) for every s, as a complex vector.
 
-    chi is gathered at s + x for blocks of rows of S, at most p points each;
-    every row keeps its own np.dot, which a matrix product would not match
-    bit for bit.
+    chi is gathered at s + x for blocks of rows of S, at most _BLOCK points
+    each (one row when X alone is longer); every row keeps its own np.dot,
+    which a matrix product would not match bit for bit.
     """
     p = chi.field.p
     xs = np.asarray(x_set.elems, dtype=np.int64)
     ss = np.asarray(s_set.elems, dtype=np.int64)
     bv = beta.array(x_set.elems) if beta is not None else np.ones(len(xs))
     out = np.empty(len(ss), dtype=np.complex128)
-    rows = max(1, p // len(xs))
+    rows = max(1, _BLOCK // len(xs))
     for lo in range(0, len(ss), rows):
         pts = ss[lo:lo + rows, None] + xs[None, :]
         pts -= p * (pts >= p)

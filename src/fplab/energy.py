@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldMismatchError
+from .field import _BLOCK
 from .sets import FpSet
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
-# A _convolve step sorts below p / _SORT_SHARE keys and scatters densely
+# A _convolve step sorts below p / _SORT_SHARE keys and adds densely
 # otherwise.  Measured at p = 1048573, |S| from 8 to 256: the routes tie near
-# p / 6 keys; sorting is 2x faster at p / 16 and 2.5x slower at p / 2.
-_SORT_SHARE = 6
+# p / 7 keys; sorting is 1.8x faster at p / 16 and 2.3x slower at p / 2.
+_SORT_SHARE = 7
 
 
 def _same_field(*sets):
@@ -69,11 +70,12 @@ def _convolve(p: int, first: np.ndarray, others):
     first holds sorted distinct residues, each of others distinct residues.
     Each step against a set S runs on the current support: when the
     len(support) * |S| key matrix has fewer than p / _SORT_SHARE entries it
-    sorts the keys and sums equal ones, otherwise it scatters the counts into
-    one dense length-p array, one shift per element of S.  A sum of two
-    residues is reduced by subtracting p * (sum >= p), which costs less than
-    % p and less than a boolean-mask subtract.  Counts are int64 while their
-    total stays below the guard and Python ints past it.
+    sorts the keys and sums equal ones, otherwise it adds the counts into one
+    dense length-p array with one np.add.at per block of rows of S, each block
+    at most _BLOCK keys (one row when the support alone is longer).  A sum of
+    two residues is reduced by subtracting p * (sum >= p), which costs less
+    than % p and less than a boolean-mask subtract.  Counts are int64 while
+    their total stays below the guard and Python ints past it.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
@@ -90,10 +92,12 @@ def _convolve(p: int, first: np.ndarray, others):
             values = keys[starts]
         else:
             dense = np.zeros(p, dtype=counts.dtype)
-            for a in s.tolist():
-                shifted = values + a
-                shifted -= p * (shifted >= p)
-                dense[shifted] += counts
+            rows = max(1, _BLOCK // len(values))
+            weights = np.tile(counts, min(rows, len(s)))
+            for lo in range(0, len(s), rows):
+                keys = s[lo:lo + rows, None] + values[None, :]
+                keys -= p * (keys >= p)
+                np.add.at(dense, keys.ravel(), weights[:keys.size])
             values = np.flatnonzero(dense)
             counts = dense[values]
     return values, counts

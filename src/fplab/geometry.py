@@ -219,11 +219,14 @@ def max_collinear_points_3d(points, p: int) -> int:
 
     From each point i, the other points fall into classes by the direction
     to them, scaled so its first nonzero coordinate is 1; a class is the rest
-    of one line through i, so the answer is 1 + the largest class.
+    of one line through i, so the answer is 1 + the largest class.  Each
+    ordered pair gets one int64 key i * 2p^2 + (d0 p + d1) p + d2 for its
+    scaled direction d: d0 is 0 or 1, so the key is below n 2p^2 <= n 2^41.
     """
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 3) % p
     n = len(pts)
-    if len(np.unique(pts, axis=0)) != n:
+    cells = np.sort((pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2])  # below p^3 <= 2^60
+    if (cells[1:] == cells[:-1]).any():
         raise ValueError("points must be distinct mod p")
     if n <= 1:
         return n
@@ -231,7 +234,8 @@ def max_collinear_points_3d(points, p: int) -> int:
     d = (pts[j] - pts[i]) % p
     pivot = d[np.arange(len(d)), (d != 0).argmax(axis=1)]
     d = d * _inverse_mod(pivot, p)[:, None] % p
-    _, counts = np.unique(np.column_stack([i, d]), axis=0, return_counts=True)
+    keys = i * (2 * p * p) + (d[:, 0] * p + d[:, 1]) * p + d[:, 2]
+    _, counts = np.unique(keys, return_counts=True)
     return 1 + int(counts.max())
 
 

@@ -132,7 +132,7 @@ def poly_image(coeffs, domain: FpSet) -> FpSet:
     acc = np.zeros_like(xs)
     for c in reversed(reduced):
         acc = (acc * xs + c) % p
-    return FpSet(domain.field, tuple(np.unique(acc).tolist()), "poly_image")
+    return FpSet(domain.field, tuple(sorted(set(acc.tolist()))), "poly_image")
 
 
 def primes_upto(n: int) -> list:

@@ -18,8 +18,6 @@ import numpy as np
 
 from . import bounds, charsums, energy, geometry
 from .errors import (
-    DegenerateKError,
-    DomainViolationError,
     InsufficientDataError,
     LengthOutOfRangeError,
     PreconditionViolatedError,
@@ -450,8 +448,13 @@ def run_sweep(cfg, timer=None):
     tasks = [(family, p, cfg["seed"], cfg["epsilon"]) for family, p in cells]
     workers = min(cfg["workers"], len(tasks))  # a pool forks all its workers up front
     if workers > 1:
+        # largest p first, so no big cell starts last; results go back into
+        # task order, which the fits' record order depends on
+        order = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
+        results = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
+            for k, result in zip(order, pool.map(_run_cell, [tasks[k] for k in order])):
+                results[k] = result
     else:
         results = [_run_cell(t) for t in tasks]
     rows, fitrecords = [], []
@@ -554,26 +557,18 @@ def run_region_suite(cfg, timer=None) -> list:
             )
     with _block(timer, rows):
         m = cfg["region_table_grid"]
-        for i in range(m):
-            for j in range(m):
-                zeta = 0.02 + 0.96 * i / (m - 1)
-                xi = 0.02 + 0.96 * j / (m - 1)
-                pt = bounds.ExponentPoint(zeta, xi)
-                try:
-                    chang = "T" if bounds.chang_region(pt) else "F"
-                except (DegenerateKError, DomainViolationError):
-                    chang = "-"
-                kar = "T" if bounds.karatsuba_region(pt) else "F"
-                try:
-                    sub = {"inside": "T", "outside": "F", "out_of_domain": "-"}[
-                        bounds.subgroup_region(pt)
-                    ]
-                except (DegenerateKError, DomainViolationError):
-                    sub = "-"
+        # the i-th exponent is 0.02 + 0.96 * i / (m - 1), evaluated in that order
+        grid = 0.02 + 0.96 * np.arange(m, dtype=np.float64) / (m - 1)
+        marks = bounds.region_marks(grid[:, None], grid[None, :])
+        chang, kar, sub = (a.tolist() for a in marks)
+        exponents = grid.tolist()
+        for i, zeta in enumerate(exponents):
+            for j, xi in enumerate(exponents):
                 rows.append(
                     ReportRow(
                         "region_table", 0,
-                        f"zeta={zeta:.4f};xi={xi:.4f};chang={chang};karatsuba={kar};subgroup={sub}",
+                        f"zeta={zeta:.4f};xi={xi:.4f};chang={chang[i][j]};"
+                        f"karatsuba={kar[i][j]};subgroup={sub[i][j]}",
                         None, None, None, "report",
                     )
                 )

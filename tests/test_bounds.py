@@ -14,6 +14,7 @@ from fplab.bounds import (
     karatsuba_region,
     poly_energy_skeletons,
     poly_t_index,
+    region_marks,
     subgroup_agreement,
     subgroup_e3_skeletons,
     subgroup_inside,
@@ -218,6 +219,39 @@ def test_subgroup_region_pinned_breakpoints_and_lines():
 ))
 def test_subgroup_region_property(points):
     _check_against_referee(points)
+
+
+def _ref_chang_mark(z, x):
+    k = math.floor(1 / z)
+    if 6 * k - 8 <= 0:
+        return "-"
+    return "T" if x > (3 * k - 2 - 4 * k * z) / (6 * k - 8) else "F"
+
+
+def _subgroup_mark(z, x):
+    try:
+        return {"inside": "T", "outside": "F", "out_of_domain": "-"}[
+            subgroup_region(ExponentPoint(z, x))
+        ]
+    except DomainViolationError:
+        return "-"
+
+
+def test_region_marks_match_scalar_predicates():
+    # the default table's grid, the k = 1 / k = 2 edge at zeta = 1/2, the
+    # subgroup cut points and the 1/2 and 2/5 domain edges, and random points
+    rng = random.Random(11)
+    edges = [0.5, np.nextafter(0.5, 0), 1 / 3, 6 / 25, 10 / 31, 134 / 361, 0.4, 1.0]
+    zs = [0.02 + 0.96 * i / 23 for i in range(24)] + edges + [rng.uniform(1e-3, 1) for _ in range(30)]
+    xs = [0.02 + 0.96 * j / 23 for j in range(24)] + edges + [rng.uniform(1e-3, 1) for _ in range(30)]
+    chang, kar, sub = region_marks(np.array(zs)[:, None], np.array(xs)[None, :])
+    assert chang.shape == kar.shape == sub.shape == (len(zs), len(xs))
+    for i, z in enumerate(zs):
+        for j, x in enumerate(xs):
+            assert chang[i, j] == _ref_chang_mark(z, x)
+            assert kar[i, j] == ("T" if karatsuba_region(ExponentPoint(z, x)) else "F")
+            assert sub[i, j] == _subgroup_mark(z, x)
+    assert set(chang.ravel()) == set(sub.ravel()) == {"T", "F", "-"}
 
 
 def test_subgroup_classifiers_broadcast_and_reject_domain():

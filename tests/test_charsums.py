@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fplab import charsums
 from fplab.charsums import (
     AmplificationParams,
     WeightVector,
@@ -55,8 +56,9 @@ def test_bilinear_examples():
 
 @st.composite
 def _inner_sum_cases(draw):
-    # |X| > p/2 at small p gives blocks of one row; p = 31 with small X gives
-    # several multi-row blocks; 0 and p - 1 sit in S and X at every p
+    # a block of 1 point gives blocks of one row, 16 points over a small X
+    # several multi-row blocks with a short last one; 0 and p - 1 sit in S
+    # and X at every p
     p = draw(st.sampled_from([3, 5, 13, 31, 1048573]))
     fld = build_field(p)
     chi = character(fld, draw(st.integers(0, p - 2)))
@@ -68,15 +70,17 @@ def _inner_sum_cases(draw):
         phases = st.floats(0, 2 * cmath.pi)
         radii = st.floats(0, 1)
         beta = WeightVector({x: draw(radii) * cmath.exp(1j * draw(phases)) for x in x_set})
-    return chi, s_set, x_set, beta
+    return chi, s_set, x_set, beta, draw(st.sampled_from([1, 16, charsums._BLOCK]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_inner_sum_cases())
 def test_inner_sums_match_per_s_referee(case):
-    chi, s_set, x_set, beta = case
+    chi, s_set, x_set, beta, block = case
     p = chi.field.p
-    got = _inner_sums(chi, s_set, x_set, beta)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charsums, "_BLOCK", block)
+        got = _inner_sums(chi, s_set, x_set, beta)
     assert got.shape == (len(s_set),)
     for s, value in zip(s_set, got):
         want = sum((1 if beta is None else beta[x]) * chi((s + x) % p) for x in x_set)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fplab import suites
+import fplab
+from fplab import bounds, suites
 from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config
 from fplab.errors import ConfigError
 from fplab.report import ReportRow, count_failures, summarize, write_csv
@@ -172,8 +177,63 @@ def test_sweep_workers_agree(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
     assert _read(out1 / "sweep.csv") == _read(out2 / "sweep.csv")
+    assert _read(out1 / "summary.json") == _read(out2 / "summary.json")
     summary = json.loads((out1 / "summary.json").read_text())
     assert set(summary["suites"]) >= {"sweep_tabc", "sweep_subgroup"}
+
+
+def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkeypatch):
+    # polyfit's last bits can depend on record order, so the pool's results go
+    # back into task order before any fit sees them
+    submitted, fit_inputs = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            submitted.extend(p for _, p, *_ in tasks)
+            return map(fn, tasks)
+
+    real_fit = bounds.exponent_fit
+
+    def recording_fit(recs, quantity, driver):
+        fit_inputs.append((quantity, driver, list(recs)))
+        return real_fit(recs, quantity, driver)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bounds, "exponent_fit", recording_fit)
+    cfg = _write_cfg(tmp_path, "sweep_primes = 61,127,251\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    serial_fits, fit_inputs[:] = list(fit_inputs), []
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "pool"),
+                 "--workers", "2"]) == 0
+    assert submitted == sorted(submitted, reverse=True) and len(submitted) == 16
+    assert fit_inputs == serial_fits
+
+
+def test_sweep_leaves_numpy_ma_unimported(tmp_path):
+    # numpy 2.x imports numpy.ma (about 10 ms) the first time a bare
+    # np.unique or an np.unique(axis=...) runs; the default sweep runs neither
+    code = (
+        "import sys\n"
+        "from fplab.cli import main\n"
+        f"if main(['sweep', '--out', {str(tmp_path)!r}]) != 0:\n"
+        "    raise SystemExit('sweep failed')\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    raise SystemExit('numpy.ma imported')\n"
+    )
+    src = str(Path(fplab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("flags, pools", [

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fplab import energy
 from fplab.errors import FieldMismatchError
@@ -280,9 +280,9 @@ def test_t_k_property(sets):
 @pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5)),
                                       (1021, (3, 4, 2))])
 def test_t_k_both_steps(p, sizes):
-    # a step sorts below p / 6 keys: (1021, ...) sorts at every step; (7, ...)
-    # and (31, ...) scatter densely at every step; (101, ...) sorts 3*4 keys,
-    # then scatters
+    # a step sorts below p / 7 keys: (1021, ...) sorts at every step; (7, ...)
+    # and (31, ...) add densely at every step; (101, ...) sorts 3*4 keys,
+    # then adds densely
     fld = build_field(p)
     sets = [random_set(fld, n, seed=n + p) for n in sizes]
     assert t_k(sets) == _t_k_direct(sets)
@@ -314,14 +314,20 @@ def _convolve_inputs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_convolve_inputs(), st.booleans())
-def test_convolve_routes_match_dict_referee(case, python_ints):
+@given(_convolve_inputs(), st.booleans(), st.sampled_from([1, 5, energy._BLOCK]))
+@example((1048573, [np.array([0, 1048571, 1048572]), np.array([1, 2, 5, 1048570, 1048572])]),
+         False, 7)
+def test_convolve_routes_match_dict_referee(case, python_ints, block):
     # the same input down the sorting route at every step, then down the
-    # dense route at every step; residues near p - 1 make every sum wrap
+    # dense route at every step; residues near p - 1 make every sum wrap.
+    # A block of 1 key adds one row of S per np.add.at; 5 keys leave a short
+    # last block when a support of 1 or 2 gives blocks of 5 or 2 rows that
+    # do not divide |S|, as 7 keys over a support of 3 (2 rows) do for |S| = 5
     p, arrays = case
     sums = Counter(sum(combo) % p for combo in itertools.product(*(a.tolist() for a in arrays)))
     want = (sorted(sums), [sums[k] for k in sorted(sums)])
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_BLOCK", block)
         if python_ints:
             m.setattr(energy, "_INT64_SAFE", 0)  # counts as Python ints, as past 2^62
         for share in (0, p + 1):
@@ -329,6 +335,7 @@ def test_convolve_routes_match_dict_referee(case, python_ints):
             values, counts = energy._convolve(p, arrays[0], arrays[1:])
             assert (values.tolist(), counts.tolist()) == want
             assert counts.dtype == (object if python_ints else np.int64)
+
 
 
 def test_energies_near_cap_against_python_ints():

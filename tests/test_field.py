@@ -11,6 +11,7 @@ from fplab.errors import (
     TooLargeError,
     TooSmallError,
 )
+from fplab import field
 from fplab.field import build_field, character, is_prime, least_primitive_root
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -57,6 +58,27 @@ def test_index_round_trip(p):
     fld = build_field(p)
     for x in range(1, p):
         assert pow(fld.g, int(fld.ind[x]), p) == x
+
+
+@pytest.mark.parametrize("p, block", [(1048573, None), (65537, None), (65537, 1), (65537, 1000),
+                                      (8191, 5)])
+def test_index_table_built_in_blocks(p, block, monkeypatch):
+    # b = isqrt(p - 1) + 1 rows of powers, _BLOCK // b of them per block:
+    # 16 blocks at 1048573, 2 at 65537 (the last one row), one row each at
+    # block 1, 86 blocks at block 1000 (the last one row), and one row of 91
+    # per block at 8191 with block 5, smaller than a row
+    if block is not None:
+        monkeypatch.setattr(field, "_BLOCK", block)
+    fld = field._build_field_cached.__wrapped__(p)
+    p, g, ind = fld.p, fld.g, fld.ind
+    assert ind[0] == -1 and ind[1] == 0
+    assert np.array_equal(np.sort(ind[1:]), np.arange(p - 1))
+    # ind[g x] = ind[x] + 1 mod (p - 1) for every x, which with ind[1] = 0
+    # is g^ind[x] = x for every x
+    x = np.arange(1, p, dtype=np.int64)
+    assert np.array_equal(ind[g * x % p], (ind[x] + 1) % (p - 1))
+    if block is not None:
+        assert np.array_equal(ind, build_field(p).ind)
 
 
 def test_character_examples():

@@ -385,10 +385,21 @@ def _points_3d(draw):
     return list(dict.fromkeys(tuple(v % p for v in q) for q in run + scattered)), p
 
 
+# the misha cell's 40 points at the cap prime, drawn from the cube
+# [p - 8, p - 1]^3: differences wrap near p, the pair keys reach ~40 * 2p^2,
+# and the cube's grid lines put 4 of the points on one line
+_CAP = 1048573
+_NEAR_CAP = random.Random(5).sample(
+    [(_CAP - 1 - a, _CAP - 1 - b, _CAP - 1 - c) for a in range(8) for b in range(8) for c in range(8)],
+    40,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_points_3d())
 @example(([(0, 0, 0), (1048572, 1, 2), (1048571, 2, 4), (1048570, 3, 6), (5, 1048572, 1)],
           1048573))
+@example((_NEAR_CAP, _CAP))
 def test_max_collinear_3d_matches_pair_referee(case):
     points, p = case
     assert max_collinear_points_3d(points, p) == _max_collinear_pairs(points, p)
