@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    DegenerateKError,
     DomainViolationError,
     InsufficientDataError,
     PreconditionViolatedError,
@@ -35,40 +34,12 @@ _CUT2 = _float_cut(Fraction(10, 31), strict=True)
 _CUT3 = _float_cut(Fraction(134, 361), strict=True)
 
 
-@dataclass(frozen=True)
-class ExponentPoint:
-    """A pair of exponents: interval length X = p^zeta, set size p^xi."""
-
-    zeta: float
-    xi: float
-
-    def __post_init__(self):
-        if not (0 < self.zeta <= 1 and 0 < self.xi <= 1):
-            raise DomainViolationError(
-                f"exponents must lie in (0, 1], got zeta={self.zeta}, xi={self.xi}"
-            )
-
-
-def _chang_threshold(zeta):
+def chang_threshold(zeta):
     """Elementwise (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta), over
     float64 zeta in (0, 1]; NaN where k = 1 makes 6k - 8 negative."""
     z = np.asarray(zeta, dtype=np.float64)
     k = np.floor(1 / z)
     return np.where(k > 1, (3 * k - 2 - 4 * k * z) / (6 * k - 8), np.nan)
-
-
-def chang_region(pt: ExponentPoint) -> bool:
-    """xi > (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta)."""
-    thr = float(_chang_threshold(pt.zeta))
-    if math.isnan(thr):
-        k = math.floor(1 / pt.zeta)
-        raise DegenerateKError(f"k = {k} degenerates the threshold denominator")
-    return pt.xi > thr
-
-
-def karatsuba_region(pt: ExponentPoint) -> bool:
-    """xi > (1 - zeta) / 2."""
-    return pt.xi > (1 - pt.zeta) / 2
 
 
 def _threshold_array(z):
@@ -108,37 +79,21 @@ def subgroup_agreement(zeta, xi):
     return subgroup_inside(zeta, xi) == subgroup_inside_raw(zeta, xi)
 
 
-def subgroup_threshold(zeta: float):
-    """Piecewise xi-threshold for nontrivial subgroup sums; None below 6/25."""
-    thr = float(_threshold_array(np.float64(zeta)))
-    return None if math.isnan(thr) else thr
-
-
-def subgroup_region(pt: ExponentPoint) -> str:
-    """Classify against the piecewise subgroup threshold.
-
-    Returns "inside", "outside" or "out_of_domain" (zeta at or below 6/25,
-    where the threshold meets the xi < 2/5 ceiling and the region is empty).
-    """
-    if subgroup_inside(pt.zeta, pt.xi):
-        return "inside"
-    return "out_of_domain" if subgroup_threshold(pt.zeta) is None else "outside"
-
-
 def region_marks(zeta, xi):
     """Elementwise over broadcast float64 arrays in (0, 1]: the Chang,
     Karatsuba and subgroup region-table marks, three string arrays of "T"
-    (inside), "F" (outside) or "-" (undefined).  Each mark is what the scalar
-    predicate says at that point: "-" where chang_region raises
-    DegenerateKError, and where subgroup_region raises DomainViolationError
-    or answers "out_of_domain"."""
+    (xi strictly above the region's threshold), "F" (at or below it) or "-"
+    (undefined).  The thresholds are chang_threshold, (1 - zeta)/2 and the
+    piecewise subgroup threshold.  Chang is "-" where k = floor(1/zeta) = 1;
+    Karatsuba is never "-"; subgroup is "-" where zeta <= 6/25, zeta >= 1/2
+    or xi >= 2/5."""
     z, x = np.broadcast_arrays(np.asarray(zeta, dtype=np.float64),
                                np.asarray(xi, dtype=np.float64))
-    chang_thr = _chang_threshold(z)
+    chang_thr = chang_threshold(z)
     chang = np.where(np.isnan(chang_thr), "-", np.where(x > chang_thr, "T", "F"))
     karatsuba = np.where(x > (1 - z) / 2, "T", "F")
     sub_thr = _threshold_array(z)
-    defined = (0 < z) & (z < 0.5) & (0 < x) & (x < 0.4) & ~np.isnan(sub_thr)
+    defined = (0 < x) & (x < 0.4) & ~np.isnan(sub_thr)
     sub = np.where(defined, np.where(x > sub_thr, "T", "F"), "-")
     return chang, karatsuba, sub
 
@@ -147,7 +102,9 @@ def region_marks(zeta, xi):
 # skeleton evaluators
 # ---------------------------------------------------------------------------
 
-def _check_thm11(p: int, s: int, x: int, r: int):
+def check_thm11(p: int, s: int, x: int, r: int):
+    """Raise PreconditionViolatedError unless S, X, r >= 1, S^2 X <= p^2
+    and p^{1/r} <= X < p^{1/2}."""
     if s < 1 or x < 1 or r < 1:
         raise PreconditionViolatedError("need S, X, r >= 1")
     if s * s * x > p * p:
@@ -161,7 +118,7 @@ def _check_thm11(p: int, s: int, x: int, r: int):
 def thm11_rhs(p: int, s: int, x: int, r: int, e3_value, epsilon: float = 0.0) -> float:
     """Bound skeleton S X (E3 p^{(r+1)/r} / (S^4 X^3) + p^{(r+2)/r} / (S X^{5/2})
     + p^{(r+2)/r} / (S^2 X^2))^{1/4r} p^eps + S^{1/2} X."""
-    _check_thm11(p, s, x, r)
+    check_thm11(p, s, x, r)
     t1 = e3_value * p ** ((r + 1) / r) / (s**4 * x**3)
     t2 = p ** ((r + 2) / r) / (s * x**2.5)
     t3 = p ** ((r + 2) / r) / (s * s * x * x)
@@ -222,7 +179,6 @@ def poly_energy_skeletons(p: int, x: int, d: int):
 @dataclass(frozen=True)
 class FitResult:
     slope: float
-    intercept: float
     residual: float  # rms of log-log residuals
     n: int
 
@@ -250,4 +206,4 @@ def exponent_fit(rows, quantity: str, driver: str) -> FitResult:
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = slope * np.asarray(xs) + intercept
     residual = float(np.sqrt(np.mean((np.asarray(ys) - fitted) ** 2)))
-    return FitResult(float(slope), float(intercept), residual, len(xs))
+    return FitResult(float(slope), residual, len(xs))

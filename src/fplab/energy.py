@@ -182,9 +182,8 @@ def t_k(sets) -> int:
 def t_k_fourier(sets) -> float:
     """(1/p) * sum_lambda prod_j |sum_{v in S_j} e_p(lambda v)|^2."""
     _same_field(*sets)
-    fld = sets[0].field
-    p = fld.p
-    roots = fld.additive_roots()
+    p = sets[0].field.p
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
     lam = np.arange(p, dtype=np.int64)
     prod = np.ones(p, dtype=np.float64)
     for s in sets:

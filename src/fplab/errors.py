@@ -61,10 +61,6 @@ class ZeroDenominatorError(FplabError):
 
 # -- bound evaluators --------------------------------------------------------
 
-class DegenerateKError(FplabError):
-    pass
-
-
 class DomainViolationError(FplabError):
     pass
 

@@ -93,13 +93,12 @@ class PrimeField:
     workers.
     """
 
-    __slots__ = ("p", "g", "ind", "_additive_roots")
+    __slots__ = ("p", "g", "ind")
 
     def __init__(self, p: int, g: int, ind: np.ndarray):
         self.p = p
         self.g = g
         self.ind = ind
-        self._additive_roots = None
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -109,13 +108,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    def additive_roots(self) -> np.ndarray:
-        """exp(2*pi*i*v/p) for v in [0, p-1]; cached."""
-        if self._additive_roots is None:
-            v = np.arange(self.p)
-            self._additive_roots = np.exp(2j * np.pi * v / self.p)
-        return self._additive_roots
 
 
 @lru_cache(maxsize=None)

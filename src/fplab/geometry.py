@@ -244,7 +244,6 @@ class IncidenceReport:
     n_points: int
     n_planes: int
     k_collinear: int
-    incidences: int
     residual: Fraction
     skeleton: float
     ratio: float
@@ -255,9 +254,9 @@ def misha_residual_report(p: int, points, planes) -> IncidenceReport:
     only) with the skeleton sqrt(#Q) #Pi + k #Q."""
     if len(points) > len(planes):
         raise PreconditionViolatedError("need #points <= #planes")
-    count, residual = incidence_count(p, points, planes)
+    _, residual = incidence_count(p, points, planes)
     k = max_collinear_points_3d(points, p)
     q, pi = len(points), len(planes)
     skeleton = q**0.5 * pi + k * q
     ratio = float(abs(residual)) / skeleton if skeleton else 0.0
-    return IncidenceReport(q, pi, k, count, residual, skeleton, ratio)
+    return IncidenceReport(q, pi, k, residual, skeleton, ratio)

@@ -1,8 +1,7 @@
 """Constructors for every set species the harness uses, plus sumset algebra.
 
-Sets are immutable sorted residue tuples with a provenance tag.  Random sets
-use Mersenne Twister rejection sampling so a (p, n, seed) triple reproduces
-bit-exactly.
+Sets are immutable sorted residue tuples.  Random sets use Mersenne Twister
+rejection sampling so a (p, n, seed) triple reproduces bit-exactly.
 """
 
 import random
@@ -19,20 +18,12 @@ from .errors import (
 )
 from .field import PrimeField
 
-TAGS = ("interval", "subgroup", "poly_image", "random", "derived")
-
-
 @dataclass(frozen=True, eq=False)
 class FpSet:
-    """A finite subset of F_p: sorted residues plus a provenance tag."""
+    """A finite subset of F_p: sorted residues."""
 
     field: PrimeField
     elems: tuple
-    tag: str = "derived"
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
 
     def __len__(self):
         return len(self.elems)
@@ -58,21 +49,17 @@ class FpSet:
         body = ",".join(map(str, self.elems[:8]))
         if len(self.elems) > 8:
             body += ",..."
-        return f"FpSet(p={self.field.p}, {{{body}}}, tag={self.tag})"
-
-    @property
-    def p(self) -> int:
-        return self.field.p
+        return f"FpSet(p={self.field.p}, {{{body}}})"
 
     def as_set(self) -> frozenset:
         return frozenset(self.elems)
 
 
-def from_elements(field: PrimeField, elems, tag: str = "derived") -> FpSet:
+def from_elements(field: PrimeField, elems) -> FpSet:
     """Normalize arbitrary residues into a sorted duplicate-free FpSet."""
     p = field.p
     reduced = sorted({x % p for x in elems})
-    return FpSet(field, tuple(reduced), tag)
+    return FpSet(field, tuple(reduced))
 
 
 def interval(field: PrimeField, a: int, length: int) -> FpSet:
@@ -82,7 +69,7 @@ def interval(field: PrimeField, a: int, length: int) -> FpSet:
             f"interval length {length} not in [1, {field.p - 1}]"
         )
     p = field.p
-    return FpSet(field, tuple(sorted((a + i) % p for i in range(1, length + 1))), "interval")
+    return FpSet(field, tuple(sorted((a + i) % p for i in range(1, length + 1))))
 
 
 def symmetric_interval(field: PrimeField, radius: int) -> FpSet:
@@ -92,9 +79,7 @@ def symmetric_interval(field: PrimeField, radius: int) -> FpSet:
             f"radius {radius}: need 0 <= 2*radius+1 <= {field.p}"
         )
     p = field.p
-    return FpSet(
-        field, tuple(sorted(x % p for x in range(-radius, radius + 1))), "interval"
-    )
+    return FpSet(field, tuple(sorted(x % p for x in range(-radius, radius + 1))))
 
 
 def subgroup(field: PrimeField, order: int) -> FpSet:
@@ -112,7 +97,7 @@ def subgroup(field: PrimeField, order: int) -> FpSet:
     for _ in range(order):
         elems.append(acc)
         acc = acc * gen % p
-    return FpSet(field, tuple(sorted(elems)), "subgroup")
+    return FpSet(field, tuple(sorted(elems)))
 
 
 def poly_image(coeffs, domain: FpSet) -> FpSet:
@@ -132,7 +117,7 @@ def poly_image(coeffs, domain: FpSet) -> FpSet:
     acc = np.zeros_like(xs)
     for c in reversed(reduced):
         acc = (acc * xs + c) % p
-    return FpSet(domain.field, tuple(sorted(set(acc.tolist()))), "poly_image")
+    return FpSet(domain.field, tuple(sorted(set(acc.tolist()))))
 
 
 def primes_upto(n: int) -> list:
@@ -162,7 +147,7 @@ def random_set(field: PrimeField, n: int, seed: int) -> FpSet:
     chosen = set()
     while len(chosen) < n:
         chosen.add(rng.randrange(p))
-    return FpSet(field, tuple(sorted(chosen)), "random")
+    return FpSet(field, tuple(sorted(chosen)))
 
 
 def sumset(a: FpSet, b: FpSet, sign: str = "+") -> FpSet:
@@ -181,4 +166,4 @@ def sumset(a: FpSet, b: FpSet, sign: str = "+") -> FpSet:
         for x in a.elems:
             for y in b.elems:
                 out.add((x - y) % p)
-    return FpSet(a.field, tuple(sorted(out)), "derived")
+    return FpSet(a.field, tuple(sorted(out)))

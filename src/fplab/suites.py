@@ -404,7 +404,9 @@ def _cell_thm11(p, seed, epsilon):
     r = 3
     x_len = max(3, round(p**0.45))
     n_s = max(2, round(p**0.5))
-    if x_len**r < p or x_len * x_len >= p or n_s * n_s * x_len > p * p:
+    try:
+        bounds.check_thm11(p, n_s, x_len, r)
+    except PreconditionViolatedError:
         rows.append(ReportRow("sweep_thm11", p, f"S={n_s};X={x_len};reason=precondition",
                                None, None, None, "skip"))
         return rows, fits
@@ -491,14 +493,14 @@ def run_sweep(cfg, timer=None):
 
 def run_region_suite(cfg, timer=None) -> list:
     rows = []
-    eps = 1e-9
     with _block(timer, rows):
-        for name, fn, thr in (
-            ("chang_diag", bounds.chang_region, 7 / 22),
-            ("karatsuba_diag", bounds.karatsuba_region, 1 / 3),
-        ):
-            above = fn(bounds.ExponentPoint(thr + eps, thr + eps))
-            below = fn(bounds.ExponentPoint(thr - eps, thr - eps))
+        # each threshold on the diagonal zeta = xi, just above and just below
+        diag = np.array([7 / 22 + 1e-9, 7 / 22 - 1e-9, 1 / 3 + 1e-9, 1 / 3 - 1e-9,
+                         2 / 7 + 1e-6, 2 / 7 - 1e-6])
+        chang, kar, sub = (m.tolist() for m in bounds.region_marks(diag, diag))
+        for name, marks, thr in (("chang_diag", chang[0:2], 7 / 22),
+                                 ("karatsuba_diag", kar[2:4], 1 / 3)):
+            above, below = (mark == "T" for mark in marks)
             rows.append(
                 ReportRow(
                     "region_boundary", 0, f"which={name};thr={thr:.9f}",
@@ -506,9 +508,8 @@ def run_region_suite(cfg, timer=None) -> list:
                     "pass" if above and not below else "fail",
                 )
             )
-        thr = 2 / 7
-        inside = bounds.subgroup_region(bounds.ExponentPoint(thr + 1e-6, thr + 1e-6))
-        outside = bounds.subgroup_region(bounds.ExponentPoint(thr - 1e-6, thr - 1e-6))
+        words = {"T": "inside", "F": "outside", "-": "out_of_domain"}
+        inside, outside = words[sub[4]], words[sub[5]]
         rows.append(
             ReportRow(
                 "region_boundary", 0, "which=subgroup_diag;thr=2/7",
@@ -518,15 +519,9 @@ def run_region_suite(cfg, timer=None) -> list:
         )
     with _block(timer, rows):
         # Karatsuba strictly dominates Chang on the open window (1/4, 2/7)
-        wins = 0
         samples = 64
-        for i in range(samples):
-            z = 0.25 + (2 / 7 - 0.25) * (i + 1) / (samples + 1)
-            k = int(1 / z)
-            chang_thr = (3 * k - 2 - 4 * k * z) / (6 * k - 8)
-            kar_thr = (1 - z) / 2
-            if kar_thr < chang_thr:
-                wins += 1
+        z = 0.25 + (2 / 7 - 0.25) * np.arange(1, samples + 1) / (samples + 1)
+        wins = int(np.count_nonzero((1 - z) / 2 < bounds.chang_threshold(z)))
         rows.append(
             ReportRow(
                 "region_window", 0, f"window=(1/4,2/7);samples={samples}",

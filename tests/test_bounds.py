@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fplab.bounds import (
-    ExponentPoint,
     _float_cut,
-    chang_region,
+    _threshold_array,
     exponent_fit,
-    karatsuba_region,
     poly_energy_skeletons,
     poly_t_index,
     region_marks,
@@ -19,14 +17,11 @@ from fplab.bounds import (
     subgroup_e3_skeletons,
     subgroup_inside,
     subgroup_inside_raw,
-    subgroup_region,
-    subgroup_threshold,
     tabc_skeletons,
     thm11_rhs,
 )
 from fplab.energy import additive_energy, e3, t_k
 from fplab.errors import (
-    DegenerateKError,
     DomainViolationError,
     InsufficientDataError,
     PreconditionViolatedError,
@@ -38,19 +33,24 @@ from fplab.suites import run_region_suite
 EPS = 1e-9
 
 
+def _diagonal_marks(which, *zetas):
+    """The marks of one region at the diagonal points zeta = xi."""
+    diag = np.array(zetas)
+    return region_marks(diag, diag)[which].tolist()
+
+
 def test_chang_region():
-    assert chang_region(ExponentPoint(7 / 22 + EPS, 7 / 22 + EPS))
-    assert not chang_region(ExponentPoint(7 / 22 - EPS, 7 / 22 - EPS))
-    with pytest.raises(DegenerateKError):
-        chang_region(ExponentPoint(0.9, 0.5))
+    assert _diagonal_marks(0, 7 / 22 + EPS, 7 / 22 - EPS) == ["T", "F"]
+    # k = floor(1/zeta) = 1 degenerates the threshold denominator
+    assert region_marks(0.9, 0.5)[0] == "-"
     # direct evaluation at (0.26, 0.4): k = 3, threshold (7 - 12*0.26)/10
-    assert chang_region(ExponentPoint(0.26, 0.4)) == (0.4 > (7 - 12 * 0.26) / 10)
+    assert region_marks(0.26, 0.4)[0] == ("T" if 0.4 > (7 - 12 * 0.26) / 10 else "F")
 
 
 def test_karatsuba_region():
-    assert karatsuba_region(ExponentPoint(1 / 3 + EPS, 1 / 3 + EPS))
-    assert not karatsuba_region(ExponentPoint(1 / 3 - EPS, 1 / 3 - EPS))
-    assert karatsuba_region(ExponentPoint(1.0, 0.01))
+    assert _diagonal_marks(1, 1 / 3 + EPS, 1 / 3 - EPS) == ["T", "F"]
+    # defined where both others are not: zeta >= 1/2 and k = 1
+    assert [m.item() for m in region_marks(1.0, 0.01)] == ["-", "T", "-"]
 
 
 def test_karatsuba_beats_chang_on_window():
@@ -64,25 +64,24 @@ def test_karatsuba_beats_chang_on_window():
 
 
 def test_subgroup_region_examples():
-    assert subgroup_region(ExponentPoint(2 / 7 + 1e-6, 2 / 7 + 1e-6)) == "inside"
-    assert subgroup_region(ExponentPoint(2 / 7 - 1e-6, 2 / 7 - 1e-6)) == "outside"
-    assert subgroup_region(ExponentPoint(0.23, 0.3)) == "out_of_domain"
-    with pytest.raises(DomainViolationError):
-        subgroup_region(ExponentPoint(0.6, 0.3))
-    with pytest.raises(DomainViolationError):
-        subgroup_region(ExponentPoint(0.3, 0.45))
+    assert _diagonal_marks(2, 2 / 7 + 1e-6, 2 / 7 - 1e-6) == ["T", "F"]
+    # undefined at zeta <= 6/25, zeta >= 1/2 and xi >= 2/5
+    zeta, xi = np.array([0.23, 0.6, 0.3]), np.array([0.3, 0.3, 0.45])
+    assert region_marks(zeta, xi)[2].tolist() == ["-", "-", "-"]
+
+
+def _threshold(z):
+    return float(_threshold_array(np.float64(z)))
 
 
 def test_subgroup_threshold_continuity():
     for z in (10 / 31, 134 / 361):
-        left = subgroup_threshold(z - 1e-12)
-        right = subgroup_threshold(z + 1e-12)
-        assert abs(left - right) < 1e-9
+        assert abs(_threshold(z - 1e-12) - _threshold(z + 1e-12)) < 1e-9
     # spot values on each piece
-    assert abs(subgroup_threshold(0.25) - (1 - 2.5 * 0.25)) < 1e-12
-    assert abs(subgroup_threshold(0.35) - (6 - 9 * 0.35) / 16) < 1e-12
-    assert abs(subgroup_threshold(0.45) - (20 - 40 * 0.45) / 31) < 1e-12
-    assert subgroup_threshold(0.2) is None
+    assert abs(_threshold(0.25) - (1 - 2.5 * 0.25)) < 1e-12
+    assert abs(_threshold(0.35) - (6 - 9 * 0.35) / 16) < 1e-12
+    assert abs(_threshold(0.45) - (20 - 40 * 0.45) / 31) < 1e-12
+    assert math.isnan(_threshold(0.2))
 
 
 def test_subgroup_region_matches_raw_conditions():
@@ -143,14 +142,24 @@ def _outcome(fn, *args):
         return DomainViolationError
 
 
+def _ref_subgroup_mark(z, x):
+    """The region-table mark: "-" where the referee is out of its domain."""
+    return {"inside": "T", "outside": "F"}.get(_outcome(_ref_region, z, x), "-")
+
+
 def _check_against_referee(points):
-    """Each point alone (0-d arrays for the classifiers), then the array
-    classifiers on the in-domain points as one batch."""
+    """Each point alone (0-d arrays for the classifiers), then the subgroup
+    marks on all points and the array classifiers on the in-domain points as
+    one batch each."""
     for z, x in points:
-        assert subgroup_threshold(z) == _ref_threshold(z)
-        assert _outcome(subgroup_region, ExponentPoint(z, x)) == _outcome(_ref_region, z, x)
+        ref = _ref_threshold(z)
+        assert math.isnan(_threshold(z)) if ref is None else _threshold(z) == ref
+        assert region_marks(z, x)[2] == _ref_subgroup_mark(z, x)
         assert _outcome(subgroup_inside_raw, z, x) == _outcome(_ref_raw, z, x)
         assert _outcome(subgroup_agreement, z, x) == _outcome(_ref_agree, z, x)
+    zs = np.array([z for z, _ in points], dtype=np.float64)
+    xs = np.array([x for _, x in points], dtype=np.float64)
+    assert region_marks(zs, xs)[2].tolist() == [_ref_subgroup_mark(z, x) for z, x in points]
     batch = [(z, x) for z, x in points if z < 0.5 and x < 0.4]
     zs = np.array([z for z, _ in batch], dtype=np.float64)
     xs = np.array([x for _, x in batch], dtype=np.float64)
@@ -228,15 +237,6 @@ def _ref_chang_mark(z, x):
     return "T" if x > (3 * k - 2 - 4 * k * z) / (6 * k - 8) else "F"
 
 
-def _subgroup_mark(z, x):
-    try:
-        return {"inside": "T", "outside": "F", "out_of_domain": "-"}[
-            subgroup_region(ExponentPoint(z, x))
-        ]
-    except DomainViolationError:
-        return "-"
-
-
 def test_region_marks_match_scalar_predicates():
     # the default table's grid, the k = 1 / k = 2 edge at zeta = 1/2, the
     # subgroup cut points and the 1/2 and 2/5 domain edges, and random points
@@ -249,8 +249,8 @@ def test_region_marks_match_scalar_predicates():
     for i, z in enumerate(zs):
         for j, x in enumerate(xs):
             assert chang[i, j] == _ref_chang_mark(z, x)
-            assert kar[i, j] == ("T" if karatsuba_region(ExponentPoint(z, x)) else "F")
-            assert sub[i, j] == _subgroup_mark(z, x)
+            assert kar[i, j] == ("T" if x > (1 - z) / 2 else "F")
+            assert sub[i, j] == _ref_subgroup_mark(z, x)
     assert set(chang.ravel()) == set(sub.ravel()) == {"T", "F", "-"}
 
 
@@ -380,9 +380,3 @@ def test_exponent_fit():
     with pytest.raises(InsufficientDataError):
         exponent_fit(narrow, "q", "x")
 
-
-def test_exponent_point_validation():
-    with pytest.raises(DomainViolationError):
-        ExponentPoint(0.0, 0.5)
-    with pytest.raises(DomainViolationError):
-        ExponentPoint(0.5, 1.5)

@@ -434,7 +434,7 @@ def test_misha_report():
     rep = misha_residual_report(2, points, all_planes(2))
     assert rep.residual == 0 and rep.ratio == 0.0
     single = misha_residual_report(3, [(0, 1, 2)], all_planes(3))
-    assert single.incidences == 13
+    assert incidence_count(3, [(0, 1, 2)], all_planes(3))[0] == 13
     assert single.residual == Fraction(13) - Fraction(39, 3)
     with pytest.raises(PreconditionViolatedError):
         misha_residual_report(3, [(0, 0, 0), (0, 0, 1)], [(0, 0, 1, 0)])

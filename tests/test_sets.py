@@ -94,7 +94,6 @@ def test_poly_image_matches_poly_eval(p, data):
     img = poly_image(coeffs, a)
     assert img.elems == tuple(sorted({poly_eval(coeffs, x, p) for x in a}))
     assert all(type(v) is int for v in img.elems)
-    assert img.tag == "poly_image"
 
 
 def test_random_set_examples():

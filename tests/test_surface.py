@@ -4,10 +4,13 @@ A public top-level function or class counts as reached when its name is
 loaded (as an `ast.Name` or an `ast.Attribute`) somewhere in `src/fplab`
 outside its own body, or when `tests/test_acceptance.py` loads it.  A public
 method of a top-level class counts only through `ast.Attribute` loads
-(`obj.method`), so a local variable or a function that shares its name does
-not reach it.  Being exported in `fplab.__all__` reaches nothing by itself.
-Attribute matching is by bare name, so a shared attribute name can still hide
-a dead method, but never flags a live one.
+(`obj.method`) outside the method's body, so a local variable or a function
+that shares its name does not reach it.  A public field of a top-level
+dataclass counts only through `ast.Attribute` loads outside its class's body,
+so the class reading its own field (`self.field` in `__repr__`) does not
+reach it either.  Being exported in `fplab.__all__` reaches nothing by
+itself.  Attribute matching is by bare name, so a shared attribute name can
+still hide a dead method or field, but never flags a live one.
 """
 
 import ast
@@ -32,17 +35,29 @@ def _loads(tree):
             yield True, node.attr, node.lineno
 
 
+def _is_dataclass(node):
+    return any(
+        getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
 def _definitions(tree):
-    """(qualified name, bare name, is_method, node) for public top-level
-    functions and classes and the public methods of top-level classes."""
+    """(qualified name, bare name, attribute-only, scope) for public top-level
+    functions and classes, the public methods of top-level classes and the
+    public fields of top-level dataclasses; loads inside scope do not count."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
             continue
         yield node.name, node.name, False, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and _public(item.name):
-                    yield f"{node.name}.{item.name}", item.name, True, item
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and _public(item.name):
+                yield f"{node.name}.{item.name}", item.name, True, item
+            elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                  and _public(item.target.id) and _is_dataclass(node)):
+                yield f"{node.name}.{item.target.id}", item.target.id, True, node
 
 
 def unreached():
@@ -51,13 +66,13 @@ def unreached():
     from_acceptance = list(_loads(ast.parse(ACCEPTANCE.read_text())))
     dead = []
     for mod, tree in trees.items():
-        for qualname, name, is_method, node in _definitions(tree):
-            if any(loaded == name and (attr or not is_method)
+        for qualname, name, attr_only, scope in _definitions(tree):
+            if any(loaded == name and (attr or not attr_only)
                    for attr, loaded, _ in from_acceptance):
                 continue
-            lines = range(node.lineno, node.end_lineno + 1)
+            lines = range(scope.lineno, scope.end_lineno + 1)
             if any(
-                loaded == name and (attr or not is_method) and (other != mod or line not in lines)
+                loaded == name and (attr or not attr_only) and (other != mod or line not in lines)
                 for other, found in loads.items()
                 for attr, loaded, line in found
             ):
