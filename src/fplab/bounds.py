@@ -36,10 +36,17 @@ _CUT3 = _float_cut(Fraction(134, 361), strict=True)
 
 def chang_threshold(zeta):
     """Elementwise (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta), over
-    float64 zeta in (0, 1]; NaN where k = 1 makes 6k - 8 negative."""
+    float64 zeta in (0, 1]; NaN where k = 1 makes 6k - 8 negative.
+
+    Where zeta <= 2^-53, so k >= 2^53, it is divided through by k, with 1/k
+    taken as zeta (they differ by less than one part in 2^53): 1/zeta
+    overflows for subnormal zeta and 6k near zeta = 1e-308.
+    """
     z = np.asarray(zeta, dtype=np.float64)
-    k = np.floor(1 / z)
-    return np.where(k > 1, (3 * k - 2 - 4 * k * z) / (6 * k - 8), np.nan)
+    tiny = z <= 2.0**-53
+    k = np.floor(1 / np.where(tiny, 1.0, z))
+    full = np.where(k > 1, (3 * k - 2 - 4 * k * z) / (6 * k - 8), np.nan)
+    return np.where(tiny, (3 - 6 * z) / (6 - 8 * z), full)
 
 
 def _threshold_array(z):

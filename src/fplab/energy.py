@@ -142,21 +142,21 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
-    """Literal six-loop enumeration of the e3 equation; oracle only."""
+    """Literal enumeration of the e3 equation over all sextuples; oracle only.
+
+    The differences u1 - u2, v1 - v2 and w1 - w2 mod p are compared for every
+    (u1, u2, v1, v2, w1, w2), for a block of (u1, u2) pairs at a time, at
+    most _BLOCK sextuples (one pair when a pair alone has more).
+    """
     _same_field(u, v, w)
     p = u.field.p
+    du, dv, dw = (((arr[:, None] - arr[None, :]) % p).ravel()
+                  for arr in map(_residues, (u, v, w)))
+    rows = max(1, _BLOCK // max(1, len(dv) * len(dw)))
     count = 0
-    for u1 in u.elems:
-        for u2 in u.elems:
-            d = (u1 - u2) % p
-            for v1 in v.elems:
-                for v2 in v.elems:
-                    if (v1 - v2) % p != d:
-                        continue
-                    for w1 in w.elems:
-                        for w2 in w.elems:
-                            if (w1 - w2) % p == d:
-                                count += 1
+    for lo in range(0, len(du), rows):
+        d = du[lo:lo + rows, None, None]
+        count += np.count_nonzero((d == dv[None, :, None]) & (d == dw[None, None, :]))
     return count
 
 

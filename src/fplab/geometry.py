@@ -11,13 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import MultiplicityFn, _dot
+from .energy import MultiplicityFn, _dot, _same_field
 from .errors import (
     FieldMismatchError,
     PreconditionViolatedError,
     TooLargeError,
 )
-from .field import is_prime
+from .field import _BLOCK, is_prime
 from .sets import FpSet
 
 GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scale
@@ -110,25 +110,28 @@ def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
 
 
 def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
-    """Literal enumeration of all sextuples; oracle for collinear_triples."""
+    """Literal enumeration of all sextuples; oracle for collinear_triples.
+
+    Over every (a1, a2, b1, b2, c1, c2) with b1 != c1 and b2 != c2 it compares
+    (a1 - c1)(b2 - c2) with (a2 - c2)(b1 - c1) mod p; the products stay below
+    p^2 <= 2^40.  The comparisons are made for a block of (b1, c1) pairs at a
+    time, at most _BLOCK sextuples (one pair when a pair alone has more).
+    """
+    _same_field(a, b, c)
     p = a.field.p
+    xs = np.asarray(a.elems, dtype=np.int64)
+    bs = np.asarray(b.elems, dtype=np.int64)
+    cs = np.asarray(c.elems, dtype=np.int64)
+    ib, ic = np.nonzero(bs[:, None] != cs[None, :])  # the (b, c) pairs with b != c
+    k = bs[ib] - cs[ic]
+    a_minus_c = xs[None, :] - cs[ic, None]  # (pair, a)
+    rows = max(1, _BLOCK // max(1, len(k) * len(xs) ** 2))
     count = 0
-    ae, be, ce = a.elems, b.elems, c.elems
-    for b1 in be:
-        for c1 in ce:
-            if b1 == c1:
-                continue
-            k1 = (b1 - c1) % p
-            for b2 in be:
-                for c2 in ce:
-                    if b2 == c2:
-                        continue
-                    k2 = (b2 - c2) % p
-                    for a1 in ae:
-                        lhs = (a1 - c1) * k2 % p
-                        for a2 in ae:
-                            if lhs == (a2 - c2) * k1 % p:
-                                count += 1
+    for lo in range(0, len(k), rows):
+        # (pair 1, pair 2, a1, a2): (a1 - c1) k2 against (a2 - c2) k1
+        lhs = a_minus_c[lo:lo + rows, None, :, None] * k[None, :, None, None] % p
+        rhs = a_minus_c[None, :, None, :] * k[lo:lo + rows, None, None, None] % p
+        count += np.count_nonzero(lhs == rhs)
     return count
 
 

@@ -231,10 +231,13 @@ def test_subgroup_region_property(points):
 
 
 def _ref_chang_mark(z, x):
+    """The Chang mark in exact rationals: k = floor(1/zeta) and the threshold
+    (3k - 2 - 4k zeta) / (6k - 8) from the doubles' exact values."""
+    z = Fraction(z)
     k = math.floor(1 / z)
     if 6 * k - 8 <= 0:
         return "-"
-    return "T" if x > (3 * k - 2 - 4 * k * z) / (6 * k - 8) else "F"
+    return "T" if Fraction(x) > (3 * k - 2 - 4 * k * z) / (6 * k - 8) else "F"
 
 
 def test_region_marks_match_scalar_predicates():
@@ -252,6 +255,17 @@ def test_region_marks_match_scalar_predicates():
             assert kar[i, j] == ("T" if x > (1 - z) / 2 else "F")
             assert sub[i, j] == _ref_subgroup_mark(z, x)
     assert set(chang.ravel()) == set(sub.ravel()) == {"T", "F", "-"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_chang_marks_at_tiny_zeta():
+    # 1/zeta overflows at the least subnormal, 6k near 1e-308; the threshold
+    # sits within 2^-53 below 1/2 there, so the xi avoid that last ulp
+    zs = np.array([5e-324, 1e-308, 2.0**-60])[:, None]
+    xs = np.array([1e-3, 0.3, 0.4999, 0.5001, 1.0])[None, :]
+    chang = region_marks(zs, xs)[0]
+    assert chang.tolist() == [[_ref_chang_mark(z, x) for x in xs[0]] for z in zs[:, 0]]
+    assert set(chang.ravel()) == {"T", "F"}
 
 
 def test_subgroup_classifiers_broadcast_and_reject_domain():

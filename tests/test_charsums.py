@@ -22,6 +22,7 @@ from fplab.charsums import (
 )
 from fplab.energy import e3
 from fplab.errors import (
+    FieldMismatchError,
     InadmissibleYZError,
     SupportMismatchError,
     ZeroDenominatorError,
@@ -212,6 +213,9 @@ def test_count_n_edges():
     assert count_n(single, xset, yset) == 0
     with pytest.raises(ZeroDenominatorError):
         count_n(single, xset, from_elements(fld, [0, 2]))
+    for fn in (count_n, count_n_bruteforce):
+        with pytest.raises(FieldMismatchError):
+            fn(single, xset, from_elements(build_field(37), [2]))
     rng = random.Random(4)
     for _ in range(5):
         s = random_set(fld, rng.randint(2, 5), rng.randrange(2**31))
@@ -249,6 +253,55 @@ def _big_field_set(*elems):
 def test_count_n_property(sets):
     s, xset, yset = sets
     assert count_n(s, xset, yset) == count_n_bruteforce(s, xset, yset)
+
+
+def _count_n_loop(s_set, x_set, y_set):
+    """Referee for count_n_bruteforce: every pair of (s, t, x, y) tuples with
+    s != t, in two nested Python loops."""
+    p = s_set.field.p
+    tuples = [(s, t, x, y) for s in s_set for t in s_set if s != t
+              for x in x_set for y in y_set]
+    count = 0
+    for s1, t1, x1, y1 in tuples:
+        a1 = (x1 + s1) % p
+        b1 = (x1 + t1) % p
+        for s2, t2, x2, y2 in tuples:
+            if a1 * y2 % p == (x2 + s2) * y1 % p and b1 * y2 % p == (x2 + t2) * y1 % p:
+                count += 1
+    return count
+
+
+@st.composite
+def _count_n_referee_sets(draw):
+    # at p = 1048573 elements sit near 0 and p - 1, where (x + s) y approaches
+    # p^2 ~ 2^40; Y = {y, 2y} makes (x + s)/y = (x' + s')/(2y) collide across
+    # y; a singleton S has no s != t and counts 0
+    p = draw(st.sampled_from([3, 5, 31, 1048573]))
+    fld = build_field(p)
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    s = draw(st.lists(elems, min_size=1, max_size=4))
+    x = draw(st.lists(elems, min_size=1, max_size=4))
+    y = draw(st.integers(1, p - 1))
+    ys = [y, 2 * y] if draw(st.booleans()) else [y]
+    return tuple(from_elements(fld, e) for e in (s, x, ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_count_n_referee_sets(), st.sampled_from([1, 1 << 40]))
+# S = {0, c, 2c}, X = {x, 2x}, Y = {y, 2y}: the tuples (0, c, x, y) and
+# (0, 2c, 2x, 2y) solve the system, and 2x + 2c wraps past p, so
+# (x + c) 2y - ((2x + 2c) mod p) y is p y ~ 2^38, not 0: products that
+# wrapped in int32 miss such solutions
+@example((_big_field_set(0, 524000, 1048000), _big_field_set(300, 600),
+          _big_field_set(262143, 524286)), 1)
+# 6 tuples, so 2 * 6 product entries a first tuple: a block of 48 takes 4
+# first tuples, then 2
+@example((_big_field_set(0, 1, 1048572), _big_field_set(1048571), _big_field_set(1048572)), 48)
+def test_count_n_bruteforce_matches_loop_referee(sets, block):
+    # a block of 1 pair takes one first tuple at a time, 2^40 all of them
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charsums, "_BLOCK", block)
+        assert count_n_bruteforce(*sets) == _count_n_loop(*sets)
 
 
 # ---------------------------------------------------------------------------

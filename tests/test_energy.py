@@ -97,8 +97,10 @@ def test_e3_against_bruteforce():
             mk = lambda: random_set(fld, rng.randint(1, 6), rng.randrange(2**31))
             u, v, w = mk(), mk(), mk()
             assert e3(u, v, w) == e3_bruteforce(u, v, w)
-    with pytest.raises(FieldMismatchError):
-        e3(z3 := from_elements(build_field(3), [1]), z3, from_elements(build_field(5), [1]))
+    z3, z5 = from_elements(build_field(3), [1]), from_elements(build_field(5), [1])
+    for fn in (e3, e3_bruteforce):
+        with pytest.raises(FieldMismatchError):
+            fn(z3, z3, z5)
 
 
 def test_t_k_examples():
@@ -266,6 +268,49 @@ def test_additive_energy_property(sets):
 @given(_fields_and_sets(count=3, max_size=5))
 def test_e3_property(sets):
     assert e3(*sets) == e3_bruteforce(*sets)
+
+
+def _e3_loop(u, v, w):
+    """Referee for e3_bruteforce: the six nested Python loops over
+    (u1, u2, v1, v2, w1, w2)."""
+    p = u.field.p
+    count = 0
+    for u1 in u:
+        for u2 in u:
+            d = (u1 - u2) % p
+            for v1 in v:
+                for v2 in v:
+                    if (v1 - v2) % p == d:
+                        count += sum((w1 - w2) % p == d for w1 in w for w2 in w)
+    return count
+
+
+@st.composite
+def _e3_referee_sets(draw):
+    # at p = 1048573 elements sit near 0 and p - 1, so differences wrap;
+    # singleton sets are drawn at every p
+    p = draw(st.sampled_from([3, 5, 31, 1048573]))
+    fld = build_field(p)
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    return [from_elements(fld, draw(st.lists(elems, min_size=1,
+                                             max_size=draw(st.sampled_from([1, 5])))))
+            for _ in range(3)]
+
+
+def _big_field_set(*elems):
+    return from_elements(build_field(1048573), elems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_e3_referee_sets(), st.sampled_from([1, 1 << 40]))
+# 3^2 (u1, u2) pairs of 2^2 sextuples each: a block of 10 takes 2 pairs at a
+# time, then 1
+@example([_big_field_set(0, 1, 1048572), _big_field_set(0, 1048572), _big_field_set(1)], 10)
+def test_e3_bruteforce_matches_loop_referee(sets, block):
+    # a block of 1 sextuple takes one (u1, u2) pair at a time, 2^40 all of them
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_BLOCK", block)
+        assert e3_bruteforce(*sets) == _e3_loop(*sets)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fplab
-from fplab.errors import PreconditionViolatedError, TooLargeError
+from fplab import geometry
+from fplab.errors import (
+    FieldMismatchError,
+    PreconditionViolatedError,
+    TooLargeError,
+)
 from fplab.field import build_field
 from fplab.geometry import (
     all_planes,
@@ -167,6 +172,9 @@ def test_collinear_examples():
     full = from_elements(f3, [0, 1, 2])
     brute = collinear_triples_bruteforce(full, full, full)
     assert collinear_triples(full, full, full) == brute == 108
+    for fn in (collinear_triples, collinear_triples_bruteforce):
+        with pytest.raises(FieldMismatchError):
+            fn(a, a, full)
 
 
 def _cross_from_spectra(a, b, c):
@@ -292,6 +300,55 @@ def test_collinear_oracle_full_size_corner():
     b = random_set(fld, 8, seed=5)
     c = random_set(fld, 8, seed=6)
     assert collinear_triples(a, b, c) == collinear_triples_bruteforce(a, b, c)
+
+
+def _collinear_loop(a, b, c):
+    """Referee for collinear_triples_bruteforce: the six nested Python loops
+    over (b1, c1, b2, c2, a1, a2), in Python ints."""
+    p = a.field.p
+    count = 0
+    for b1 in b:
+        for c1 in c:
+            if b1 == c1:
+                continue
+            k1 = (b1 - c1) % p
+            for b2 in b:
+                for c2 in c:
+                    if b2 == c2:
+                        continue
+                    k2 = (b2 - c2) % p
+                    for a1 in a:
+                        lhs = (a1 - c1) * k2 % p
+                        count += sum(lhs == (a2 - c2) * k1 % p for a2 in a)
+    return count
+
+
+@st.composite
+def _referee_sets(draw):
+    # at p = 1048573 elements sit near 0 and p - 1, where (a - c)(b - c)
+    # approaches p^2 ~ 2^40; singletons and B = C = {x}, where every pair has
+    # b = c and the count is 0, are drawn at every p
+    p = draw(st.sampled_from([3, 5, 31, 1048573]))
+    fld = build_field(p)
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    a, b, c = (draw(st.lists(elems, min_size=1, max_size=draw(st.sampled_from([1, 5]))))
+               for _ in range(3))
+    if draw(st.booleans()):
+        b = c = c[:1]
+    return [from_elements(fld, s) for s in (a, b, c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_referee_sets(), st.sampled_from([1, 1 << 40]))
+# B = C = {x}: every pair has b = c, so the count is 0
+@example([_big_field_set(0, 1, 1048572), _big_field_set(1048572), _big_field_set(1048572)], 1)
+# 3 (b, c) pairs of 2^2 sextuples each: a block of 25 takes 2 pairs, then 1
+@example([_big_field_set(0, 1048572), _big_field_set(0, 1, 1048572), _big_field_set(1048571)], 25)
+def test_collinear_bruteforce_matches_loop_referee(sets, block):
+    # a block of 1 sextuple takes one (b1, c1) pair at a time, 2^40 all of them
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_BLOCK", block)
+        assert collinear_triples_bruteforce(*sets) == _collinear_loop(*sets)
 
 
 def test_collinear_range_bounds():

@@ -11,6 +11,9 @@ so the class reading its own field (`self.field` in `__repr__`) does not
 reach it either.  Being exported in `fplab.__all__` reaches nothing by
 itself.  Attribute matching is by bare name, so a shared attribute name can
 still hide a dead method or field, but never flags a live one.
+
+The brute-force oracles are also checked to load no name of the production
+routes they referee.
 """
 
 import ast
@@ -84,3 +87,29 @@ def unreached():
 def test_every_public_definition_is_reached():
     dead = unreached()
     assert not dead, f"reached by no command or acceptance criterion: {', '.join(dead)}"
+
+
+# Names of the production routes, and of the tables and library calls they
+# count with, that an oracle must not load: a referee that reached one would
+# be a copy of what it checks.
+PRODUCTION_NAMES = {
+    "ind", "unique", "pow", "_inverse_mod", "_convolve", "diff_multiplicity",
+    "MultiplicityFn", "_fibre", "_triple_cross_from_ratios", "line_spectrum",
+}
+REFEREES = {
+    "geometry": "collinear_triples_bruteforce",
+    "charsums": "count_n_bruteforce",
+    "energy": "e3_bruteforce",
+}
+
+
+def test_bruteforce_referees_load_no_production_route():
+    found = {}
+    for mod, name in REFEREES.items():
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                found[name] = sorted({loaded for _, loaded, _ in _loads(node)} & PRODUCTION_NAMES)
+    assert set(found) == set(REFEREES.values())
+    leaks = {name: names for name, names in found.items() if names}
+    assert not leaks, f"oracles load production-route names: {leaks}"
