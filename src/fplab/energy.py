@@ -5,9 +5,11 @@ distinct keys it takes (`values`) and how often it takes each (`counts`), as
 aligned int64 arrays.  Energies here, the amplification fibre in `charsums`
 and line spectra in `geometry` all use it.  Counts whose total could reach
 2^62 are Python ints instead, and every sum of products is computed in int64
-only below the same guard, so all counts and energies are exact integers.  Floating point appears only in the
-Fourier cross-check, which exists to bound the error of the orthogonality
-identity, not to produce counts.
+only below the same guard, so all counts and energies are exact integers.
+Dense length-p accumulators are int32 while the total they count stays below
+2^31, 4 bytes per residue.  Floating point appears only in the Fourier
+cross-check, which exists to bound the error of the orthogonality identity,
+not to produce counts.
 """
 
 import math
@@ -64,8 +66,9 @@ def _residues(a: FpSet) -> np.ndarray:
     return np.asarray(a.elems, dtype=np.int64)
 
 
-def _convolve(p: int, first: np.ndarray, others):
-    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...
+def _convolve(p: int, first: np.ndarray, others, at=None):
+    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...,
+    or, given sorted keys `at`, only the counts at those keys.
 
     first holds sorted distinct residues, each of others distinct residues.
     Each step against a set S runs on the current support: when the
@@ -75,12 +78,15 @@ def _convolve(p: int, first: np.ndarray, others):
     at most _BLOCK keys (one row when the support alone is longer).  A sum of
     two residues is reduced by subtracting p * (sum >= p), which costs less
     than % p and less than a boolean-mask subtract.  Counts are int64 while
-    their total stays below the guard and Python ints past it.
+    their total stays below the guard and Python ints past it; the dense
+    array is int32 while the total is below 2^31, and its weights take its
+    exact dtype, which np.add.at needs to stay fast.  With `at`, a last dense
+    step is read at those keys only, never reduced to its support.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
     values = first
-    for s in others:
+    for step, s in enumerate(others, 1):
         if len(values) * len(s) * _SORT_SHARE < p:
             keys = values[:, None] + s[None, :]
             keys -= p * (keys >= p)
@@ -91,15 +97,19 @@ def _convolve(p: int, first: np.ndarray, others):
             counts = np.add.reduceat(np.repeat(counts, len(s))[order], starts)
             values = keys[starts]
         else:
-            dense = np.zeros(p, dtype=counts.dtype)
+            dense = np.zeros(p, dtype=np.int32 if total < 1 << 31 else counts.dtype)
             rows = max(1, _BLOCK // len(values))
-            weights = np.tile(counts, min(rows, len(s)))
+            weights = np.tile(counts.astype(dense.dtype, copy=False), min(rows, len(s)))
             for lo in range(0, len(s), rows):
                 keys = s[lo:lo + rows, None] + values[None, :]
                 keys -= p * (keys >= p)
                 np.add.at(dense, keys.ravel(), weights[:keys.size])
+            if at is not None and step == len(others):
+                return dense[at].astype(counts.dtype, copy=False)
             values = np.flatnonzero(dense)
-            counts = dense[values]
+            counts = dense[values].astype(counts.dtype, copy=False)
+    if at is not None:
+        return MultiplicityFn(values, counts).at(at)
     return values, counts
 
 
@@ -132,13 +142,37 @@ def additive_energy(a: FpSet) -> int:
     return diff_multiplicity(a).second_moment
 
 
+def _difference_bound(a: FpSet) -> int:
+    """An upper bound on #(A - A): min(p, n(n - 1) + 1, 2L - 1), where L is
+    the length of the shortest cyclic arc holding A (p less the largest gap
+    between cyclically consecutive elements, plus one).  Exact for intervals
+    and symmetric intervals."""
+    arr = _residues(a)
+    n = len(arr)
+    if not n:
+        return 0
+    p = a.field.p
+    arc = p - int(np.diff(arr, append=arr[0] + p).max()) + 1
+    return min(p, n * (n - 1) + 1, 2 * arc - 1)
+
+
 def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
-    """Number of sextuples with u1 - u2 = v1 - v2 = w1 - w2."""
+    """Number of sextuples with u1 - u2 = v1 - v2 = w1 - w2.
+
+    A difference counts only where all three sets take it, so the sum runs
+    over the support of the distinct set with the least _difference_bound:
+    that set's r_- is built, and each other set's is counted at those keys
+    only.
+    """
     _same_field(u, v, w)
-    r = {s: diff_multiplicity(s) for s in dict.fromkeys((u, v, w))}
-    # only the smallest support can contribute; look the others up on it
-    base = min(r.values(), key=lambda m: len(m.values)).values
-    return _dot(*(r[s].at(base) for s in (u, v, w)))
+    p = u.field.p
+    first, *rest = sorted(dict.fromkeys((u, v, w)), key=_difference_bound)
+    base = diff_multiplicity(first)
+    r = {first: base.counts}
+    for s in rest:
+        arr = _residues(s)
+        r[s] = _convolve(p, arr, [-arr % p], at=base.values)
+    return _dot(*(r[s] for s in (u, v, w)))
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:

@@ -1,9 +1,11 @@
 """Prime-field substrate: primality, primitive roots, discrete-log tables, characters.
 
 Everything downstream counts exactly in integers.  A field carries a full
-index table (discrete logs to the least primitive root), so multiplicative
-characters are evaluated as integer exponents and converted to unit-circle
-complex numbers only when a sum is actually accumulated.
+int32 index table (discrete logs to the least primitive root, 4 bytes per
+residue), so multiplicative characters are evaluated as integer exponents and
+converted to unit-circle complex numbers only when a sum is actually
+accumulated.  Gathered logs are widened to int64 before any product: m * ind
+reaches p^2.
 """
 
 import cmath
@@ -87,8 +89,9 @@ class PrimeField:
     """Prime p, its least primitive root g, and the full discrete-log table.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
-    as a sentinel.  ind is a read-only int64 array, so kernels gather from it
-    at the points they use; the scalar accessors return Python ints.
+    as a sentinel.  ind is a read-only int32 array (p < 2^31), so kernels
+    gather from it at the points they use and widen what they gathered to
+    int64 before multiplying; the scalar accessors return Python ints.
     Instances are immutable after construction and safe to share across
     workers.
     """
@@ -120,14 +123,14 @@ def _build_field_cached(p: int) -> PrimeField:
     b = math.isqrt(n) + 1
     low = np.array([pow(g, i, p) for i in range(b)], dtype=np.int64)
     high = np.array([pow(g, b * j, p) for j in range(-(-n // b))], dtype=np.int64)
-    ind = np.full(p, -1, dtype=np.int64)
+    ind = np.full(p, -1, dtype=np.int32)
     rows = max(1, _BLOCK // b)
     for j in range(0, len(high), rows):
         block = high[j:j + rows, None] * low[None, :]
         block %= p
         k = j * b
         size = min(block.size, n - k)
-        ind[block.ravel()[:size]] = np.arange(k, k + size)
+        ind[block.ravel()[:size]] = np.arange(k, k + size, dtype=np.int32)
     ind.flags.writeable = False
     return PrimeField(p, g, ind)
 
@@ -211,14 +214,18 @@ class Character:
         complex array of the same shape; gathers ind at those points only."""
         n = self.field.p - 1
         e = self.field.ind[xs]
-        out = self.roots()[self.m * e % n // (n // self.order)]
+        k = np.multiply(e, self.m, dtype=np.int64)  # m * ind reaches p^2
+        k %= n
+        k //= n // self.order
+        out = self.roots()[k]
         out[e < 0] = 0
         return out
 
     def exponents(self) -> np.ndarray:
         """m * ind[x] mod (p-1) for all x, with -1 at x = 0."""
         p = self.field.p
-        out = (self.m * self.field.ind) % (p - 1)
+        out = np.multiply(self.field.ind, self.m, dtype=np.int64)  # m * ind reaches p^2
+        out %= p - 1
         out[0] = -1
         return out
 

@@ -74,26 +74,29 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
 
 def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
-    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time and
-    # O(#A #C + p) memory, one batch of (x, z) pairs per y.  R is keyed by
-    # ind(l) = ind(x - z) - ind(y - z) mod (p - 1), with l = 0 in the spare
-    # key p - 1: a bijection of F_p onto [0, p - 1], so sum R^2 is unchanged.
-    # A difference d in (-p, 0) reads ind[d + p], as a numpy negative index.
+    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time, one batch of
+    # (x, z) pairs per y.  R is keyed by ind(l) = ind(x - z) - ind(y - z)
+    # mod (p - 1), with l = 0 in the spare key p - 1: a bijection of F_p onto
+    # [0, p - 1], so sum R^2 is unchanged.  A difference d in (-p, 0) reads
+    # ind[d + p], as a numpy negative index.  Memory is the #A #C int32 key
+    # batch plus one count per key, 4 bytes each while #A #B #C < 2^31 bounds
+    # every R(l); np.add.at is only fast when its weight has the counts' dtype.
     p = a.field.p
     ind = a.field.ind
     xs = np.asarray(a.elems, dtype=np.int64)
     cs = np.asarray(c.elems, dtype=np.int64)
     lx = ind[xs[None, :] - cs[:, None]]  # (z, x), -1 where x = z
     x_is_z = np.nonzero(lx < 0)
-    counts = np.zeros(p + 1, dtype=np.int64)  # key p collects the z = y row
+    one = np.int32(1) if len(a) * len(b) * len(c) < 1 << 31 else np.int64(1)
+    counts = np.zeros(p + 1, dtype=one.dtype)  # key p collects the z = y row
     for y in b.elems:
         ly = ind[y - cs]  # -1 where z = y
         keys = lx - ly[:, None]
         keys += (p - 1) * (keys < 0)
         keys[x_is_z] = p - 1
         keys[ly < 0] = p
-        np.add.at(counts, keys.ravel(), 1)
-    r = counts[:p][counts[:p] > 0]
+        np.add.at(counts, keys.ravel(), one)
+    r = counts[:p][counts[:p] > 0].astype(np.int64)
     return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
 
 
@@ -224,12 +227,13 @@ def max_collinear_points_3d(points, p: int) -> int:
     to them, scaled so its first nonzero coordinate is 1; a class is the rest
     of one line through i, so the answer is 1 + the largest class.  Each
     ordered pair gets one int64 key i * 2p^2 + (d0 p + d1) p + d2 for its
-    scaled direction d: d0 is 0 or 1, so the key is below n 2p^2 <= n 2^41.
+    scaled direction d: d0 is 0 or 1, so the key is below n 2p^2, which is
+    n 2^49 at p < 2^24.
     """
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 3) % p
     n = len(pts)
-    cells = np.sort((pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2])  # below p^3 <= 2^60
-    if (cells[1:] == cells[:-1]).any():
+    cells = pts[np.lexsort(pts.T)]  # rows, not a p^3 key: that wraps past p = 2^21
+    if (cells[1:] == cells[:-1]).all(axis=1).any():
         raise ValueError("points must be distinct mod p")
     if n <= 1:
         return n

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -380,7 +381,44 @@ def test_convolve_routes_match_dict_referee(case, python_ints, block):
             values, counts = energy._convolve(p, arrays[0], arrays[1:])
             assert (values.tolist(), counts.tolist()) == want
             assert counts.dtype == (object if python_ints else np.int64)
+            # read at keys on and off the support, without building it
+            at = np.array(sorted({0, 1, p - 1} | set(want[0][::2])), dtype=np.int64)
+            got = energy._convolve(p, arrays[0], arrays[1:], at=at)
+            assert got.tolist() == [sums[k] for k in at.tolist()]
+            assert got.dtype == counts.dtype
 
+
+def _sums_by_steps(p, arrays):
+    """Referee for _convolve at totals too large to enumerate: the counts of
+    each sum mod p, convolved one set at a time over dicts of Python ints."""
+    counts = Counter({x: 1 for x in arrays[0]})
+    for s in arrays[1:]:
+        step = Counter()
+        for k, c in counts.items():
+            for x in s:
+                step[(k + x) % p] += c
+        counts = step
+    return sorted(counts), [counts[k] for k in sorted(counts)]
+
+
+@pytest.mark.parametrize("p, sizes", [
+    (331, (2, 3, 3, 7, 11, 31, 151, 331)),  # total 2^31 - 2: int32 accumulator
+    (331, (256, 256, 256, 128)),  # total 2^31: int64 accumulator
+    (3, (3,) * 21),  # total 3^21: counts near 3.5e9 overflow int32
+])
+def test_convolve_accumulator_at_2_31(p, sizes):
+    # the dense accumulator is int32 only while the total stays below 2^31,
+    # so no count can wrap; the returned counts are int64 either way
+    arrays = [np.arange(n, dtype=np.int64) * (p // n) for n in sizes]
+    want = _sums_by_steps(p, [a.tolist() for a in arrays])
+    with pytest.MonkeyPatch.context() as m:
+        for share in (0, p + 1):  # every step sorted, then every step dense
+            m.setattr(energy, "_SORT_SHARE", share)
+            values, counts = energy._convolve(p, arrays[0], arrays[1:])
+            assert (values.tolist(), counts.tolist()) == want
+            assert counts.dtype == np.int64
+    if math.prod(sizes) > 1 << 32:
+        assert max(want[1]) >= 1 << 31  # an int32 accumulator would wrap here
 
 
 def test_energies_near_cap_against_python_ints():
@@ -417,3 +455,91 @@ def test_t_k_past_int64():
     want = sum(c * c for c in r)
     assert want >= 1 << 63
     assert t_k([interval(fld, 0, n)] * 4) == want
+
+
+# ---------------------------------------------------------------------------
+# e3 counted on one set's difference support
+# ---------------------------------------------------------------------------
+
+def _e3_by_least_support(u, v, w):
+    """Referee for e3: every set's r_- built in full as a MultiplicityFn and
+    looked up on the least support."""
+    r = {s: diff_multiplicity(s) for s in dict.fromkeys((u, v, w))}
+    base = min(r.values(), key=lambda m: len(m.values)).values
+    return sum(int(a) * int(b) * int(c) for a, b, c in zip(*(r[s].at(base) for s in (u, v, w))))
+
+
+@st.composite
+def _difference_sets(draw, fld):
+    # intervals that wrap past p - 1, symmetric intervals, singletons and
+    # scattered sets with elements near 0 and p - 1
+    p = fld.p
+    kind = draw(st.sampled_from(["interval", "symmetric", "singleton", "scattered"]))
+    if kind == "interval":
+        start = draw(st.one_of(st.integers(p - 8, p - 1), st.integers(0, p - 1)))
+        return interval(fld, start, draw(st.integers(1, min(p - 1, 40))))
+    if kind == "symmetric":
+        return symmetric_interval(fld, draw(st.integers(0, min((p - 1) // 2, 20))))
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    size = 1 if kind == "singleton" else draw(st.integers(1, 12))
+    return from_elements(fld, draw(st.lists(elems, min_size=size, max_size=size)))
+
+
+@st.composite
+def _e3_triples(draw):
+    # patterns u = v = w and two equal sets; an interval and its translate
+    # tie on the bound, and the stable sort keeps them in (u, v, w) order
+    fld = build_field(draw(st.sampled_from([5, 31, 101, 1048573])))
+    u, v, w = (draw(_difference_sets(fld)) for _ in range(3))
+    pattern = draw(st.sampled_from(["uvw", "uuu", "uuw", "uvu", "uvv", "tie"]))
+    if pattern == "tie":
+        length = draw(st.integers(1, min(fld.p - 1, 30)))
+        u, v = (interval(fld, draw(st.integers(0, fld.p - 1)), length) for _ in range(2))
+        return [u, v, w]
+    return [{"u": u, "v": v, "w": w}[c] for c in pattern]
+
+
+def _thm11_shape():
+    # |S| = p^0.5 random, X = p^0.45: the sweep's e3(S, S, Ibar) at 2^20
+    fld = build_field(1048573)
+    s = random_set(fld, 1024, seed=7)
+    return [s, s, symmetric_interval(fld, 512)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_e3_triples())
+@example(_thm11_shape())
+def test_e3_matches_least_support_referee(sets):
+    assert e3(*sets) == _e3_by_least_support(*sets)
+    if max(map(len, sets)) <= 8:
+        assert e3(*sets) == e3_bruteforce(*sets)
+
+
+def _is_cyclic_interval(a):
+    p, n = a.field.p, len(a)
+    return any({(x + k) % p for k in range(n)} == set(a.elems) for x in a.elems)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 31, 101, 1048573]).flatmap(
+    lambda p: _difference_sets(build_field(p))))
+def test_difference_bound_holds(a):
+    support = len(diff_multiplicity(a).values)
+    assert energy._difference_bound(a) >= support
+    if _is_cyclic_interval(a):  # intervals, wrapping or symmetric, and singletons
+        assert energy._difference_bound(a) == support
+
+
+def test_e3_memory_budget():
+    # at the thm11 shape the interval's 2,049 differences are the base; the
+    # random set's ~660k differences are read at those keys from one int32
+    # dense step, never reduced to sorted arrays
+    sets = _thm11_shape()
+    tracemalloc.start()
+    try:
+        got = e3(*sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _e3_by_least_support(*sets)
+    assert peak <= 8e6

@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,9 +146,9 @@ def test_orthogonality():
 
 
 @pytest.mark.parametrize("p", [3, 31, 1048573])
-def test_tables_are_read_only_int64(p):
+def test_tables_are_read_only_int32(p):
     fld = build_field(p)
-    assert fld.ind.dtype == np.int64 and fld.ind.shape == (p,)
+    assert fld.ind.dtype == np.int32 and fld.ind.shape == (p,)
     assert not fld.ind.flags.writeable
     with pytest.raises(ValueError):
         fld.ind[1] = 0
@@ -210,3 +211,37 @@ def test_exponent_form():
     assert exps[0] == -1
     for x in range(1, 11):
         assert exps[x] == chi.exponent(x)
+
+
+@pytest.mark.parametrize("m", [1, (1048573 - 1) // 2, 1048573 - 2])
+def test_character_widens_int32_logs(m):
+    # m * ind reaches (p - 2)^2 ~ 2^40: a product taken in int32 wraps, so
+    # each accessor must widen the gathered logs first; the referee is
+    # chi(g^k) = exp(2 pi i m k / (p - 1)) from pow(g, k, p)
+    p = 1048573
+    fld = build_field(p)
+    chi = character(fld, m)
+    rng = random.Random(m)
+    ks = [0, 1, 2, p - 3, p - 2] + [rng.randrange(p - 1) for _ in range(40)]
+    xs = np.array([0] + [pow(fld.g, k, p) for k in ks], dtype=np.int64)
+    want = [-1] + [m * k % (p - 1) for k in ks]
+    assert [chi.exponent(int(x)) for x in xs] == want
+    assert chi.exponents()[xs].tolist() == want
+    assert chi.exponents().dtype == np.int64
+    at = chi.at(xs)
+    assert at[0] == 0
+    for value, e in zip(at[1:], want[1:]):
+        assert abs(value - cmath.exp(2j * cmath.pi * e / (p - 1))) < 1e-9
+
+
+def test_build_field_memory_budget():
+    # the int32 ind table is 4 bytes per residue (4.2 MB at 2^20); an int64
+    # table alone would be 8.4 MB
+    p = 1048573
+    tracemalloc.start()
+    try:
+        field._build_field_cached.__wrapped__(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -33,7 +34,8 @@ from fplab.geometry import (
     pair_spectrum_identity,
     plane_contains,
 )
-from fplab.sets import from_elements, random_set
+from fplab.sets import from_elements, interval, random_set
+from fplab.suites import subseed
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +296,36 @@ def test_collinear_matches_inverse_ratio_route(sets):
     assert collinear_triples(*sets) == _ratio_route_by_inverse(*sets)
 
 
+def test_collinear_counts_past_int32_squares():
+    # A = B = C, an interval of 216 residues wrapping past p - 1 at 2^20:
+    # R(1) counts x = y with z != y, 216 * 215 > 46341 of them, so R(1)^2
+    # passes 2^31 and the int32 counts must be widened before they are squared
+    a = interval(build_field(1048573), 1048573 - 108, 216)
+    assert a.elems[0] == 0 and a.elems[-1] == 1048572
+    assert collinear_triples(a, a, a) == _ratio_route_by_inverse(a, a, a)
+
+
+def test_collinear_memory_budget():
+    # the tabc cell's three trials at 2^20 and seed 1000: one int32 count per
+    # ratio key (4.2 MB) is the only length-p array
+    p = 1048573
+    fld = build_field(p)
+    target = round(p**0.3)
+    trials = []
+    for i in range(3):
+        rng = random.Random(subseed(1000, "sw_tabc", p, i))
+        trials.append([random_set(fld, rng.randint(target // 2, target), rng.randrange(2**31))
+                       for _ in range(3)])
+    for sets in trials:
+        tracemalloc.start()
+        try:
+            collinear_triples(*sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
 def test_collinear_oracle_full_size_corner():
     fld = build_field(31)
     a = random_set(fld, 8, seed=4)
@@ -467,6 +499,16 @@ def test_max_collinear_3d_rejects_duplicates():
         max_collinear_points_3d([(1, 2, 3), (1, 2, 3), (0, 0, 1)], 5)
     with pytest.raises(ValueError):  # equal mod p
         max_collinear_points_3d([(0, 0, 0), (5, 0, 0), (0, 0, 1)], 5)
+
+
+def test_max_collinear_3d_distinct_past_2_21():
+    # (x p + y) p + z wraps in int64 past p = 2^21: at p = 16777213 these two
+    # distinct points had equal keys and were rejected as duplicates
+    p = 16777213
+    points = [(0, 0, 0), (65536, 393216, 589824)]
+    assert max_collinear_points_3d(points, p) == _max_collinear_pairs(points, p) == 2
+    with pytest.raises(ValueError):
+        max_collinear_points_3d(points + [(65536 + p, 393216, 589824 - p)], p)
 
 
 def test_max_collinear_3d_checks_survive_optimize():
