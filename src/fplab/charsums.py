@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     EmptyPrimeWindowError,
-    FieldMismatchError,
     InadmissibleYZError,
     SupportMismatchError,
     ZeroDenominatorError,
@@ -49,8 +48,7 @@ class WeightVector:
 
 
 def _check_supports(s_set: FpSet, x_set: FpSet, alpha, beta):
-    if s_set.field.p != x_set.field.p:
-        raise FieldMismatchError("weight sum across two different fields")
+    _same_field(s_set, x_set)
     if alpha is not None and not alpha.covers(s_set.elems):
         raise SupportMismatchError("alpha does not cover the outer set")
     if beta is not None and not beta.covers(x_set.elems):
@@ -161,8 +159,7 @@ def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) 
 def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     """Solutions of (x1+s1)/y1 = (x2+s2)/y2 and (x1+t1)/y1 = (x2+t2)/y2
     with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration."""
-    if s_set.field.p != x_set.field.p or s_set.field.p != y_set.field.p:
-        raise FieldMismatchError("sets live in different fields")
+    _same_field(s_set, x_set, y_set)
     if 0 in y_set.as_set():
         raise ZeroDenominatorError("denominator set contains 0")
     return _fibre(s_set.field, s_set.elems, x_set.elems, y_set.elems).second_moment

@@ -117,10 +117,9 @@ def resolve_config(args, dropped=None) -> dict:
     if args.config:
         for key, value in parse_config_file(args.config).items():
             cfg[key] = _coerce(key, value)
-    for key in ("seed", "workers", "epsilon", "max_p", "out", "timings", "charsum_p",
-                "charsum_m", "charsum_n", "charsum_x", "charsum_r", "charsum_subgroup"):
-        value = getattr(args, key, None)
-        if value is not None and value is not False:  # an unset --timings is False
+    # each flag's dest is its config key; an unset --timings is False
+    for key, value in vars(args).items():
+        if key in DEFAULTS and value is not None and value is not False:
             cfg[key] = _coerce(key, value)
     for key in _INT_LISTS:
         for p in cfg[key]:

@@ -12,11 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .energy import MultiplicityFn, _dot, _same_field
-from .errors import (
-    FieldMismatchError,
-    PreconditionViolatedError,
-    TooLargeError,
-)
+from .errors import PreconditionViolatedError, TooLargeError
 from .field import _BLOCK, is_prime
 from .sets import FpSet
 
@@ -57,8 +53,7 @@ def line_deviation_l2(a: FpSet) -> Fraction:
 
 def pair_spectrum_identity(a: FpSet, b: FpSet):
     """Both sides of  sum_l iota_A(l) iota_B(l) = (#A #B)^2 + p #(A^2 cap B^2)."""
-    if a.field.p != b.field.p:
-        raise FieldMismatchError(f"p = {a.field.p} vs p = {b.field.p}")
+    _same_field(a, b)
     p = a.field.p
     sa = line_spectrum(a)
     sb = line_spectrum(b)
@@ -107,8 +102,7 @@ def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
     Counted exactly through the ratio fibration T = sum_l R(l)^2, where R(l)
     is the number of (x, y, z) in A x B x C with x - z = l (y - z), y != z.
     """
-    if not (a.field.p == b.field.p == c.field.p):
-        raise FieldMismatchError("sets live in different fields")
+    _same_field(a, b, c)
     return _triple_cross_from_ratios(a, b, c)
 
 

@@ -4,7 +4,9 @@ and exponent-region tables.
 A suite is a pure function from a resolved configuration to a list of
 ReportRow.  Randomness is derived per row from (seed, suite, p, index) so
 suites reproduce regardless of execution order; sweep cells may run in a
-process pool and are re-sorted before emission.
+process pool and are re-sorted before emission.  The sweep plan is the
+`_FAMILIES` table: each family's cell runner, the primes its cells run at,
+and the slope fits that read its records.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +79,12 @@ def _block(timer, rows):
     return timer.block(rows) if timer else nullcontext()
 
 
+def _agree(suite, p, params, measured, expected) -> ReportRow:
+    """An equality verdict: the row passes exactly when measured == expected."""
+    return ReportRow(suite, p, params, measured, expected, None,
+                     "pass" if measured == expected else "fail")
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
@@ -91,12 +100,7 @@ def run_identity_suite(cfg, timer=None) -> list:
                 a = random_set(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
                 lhs = geometry.line_spectrum(a).total
                 rhs = (p + 1) * len(a) ** 2
-                rows.append(
-                    ReportRow(
-                        "line_identity", p, f"n={len(a)};trial={i}", lhs, rhs,
-                        None, "pass" if lhs == rhs else "fail",
-                    )
-                )
+                rows.append(_agree("line_identity", p, f"n={len(a)};trial={i}", lhs, rhs))
         with _block(timer, rows):
             if p <= 31:
                 for i in range(cfg["identity_trials"]):
@@ -104,12 +108,8 @@ def run_identity_suite(cfg, timer=None) -> list:
                     a = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
                     b = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
                     lhs, rhs = geometry.pair_spectrum_identity(a, b)
-                    rows.append(
-                        ReportRow(
-                            "pair_identity", p, f"nA={len(a)};nB={len(b)};trial={i}",
-                            lhs, rhs, None, "pass" if lhs == rhs else "fail",
-                        )
-                    )
+                    rows.append(_agree("pair_identity", p,
+                                       f"nA={len(a)};nB={len(b)};trial={i}", lhs, rhs))
         with _block(timer, rows):
             for i in range(2):
                 rng = random.Random(subseed(seed, "tkf", p, i))
@@ -129,11 +129,7 @@ def run_identity_suite(cfg, timer=None) -> list:
                 )
     with _block(timer, rows):
         for p in (2, 3, 5):
-            dev = geometry.gram_structure_check(p)
-            rows.append(
-                ReportRow("gram_structure", p, "full", dev, 0, None,
-                          "pass" if dev == 0 else "fail")
-            )
+            rows.append(_agree("gram_structure", p, "full", geometry.gram_structure_check(p), 0))
     with _block(timer, rows):
         amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61]
         for i in range(cfg["amp_trials"]):
@@ -148,21 +144,11 @@ def run_identity_suite(cfg, timer=None) -> list:
             window = charsums.prime_window(params, p)
             # each (s, t, x, y) with s != t is counted once
             expected = n * (n - 1) * (2 * radius + 1) * len(window)
-            rows.append(
-                ReportRow(
-                    "amp_total", p, f"n={n};X={radius};Y={params.y};trial={i}",
-                    m.total, expected, None, "pass" if m.total == expected else "fail",
-                )
-            )
+            base = f"n={n};X={radius};Y={params.y};trial={i}"
+            rows.append(_agree("amp_total", p, base, m.total, expected))
             yset = from_elements(fld, window)
             n_fast = charsums.count_n(s, symmetric_interval(fld, radius), yset)
-            rows.append(
-                ReportRow(
-                    "amp_second_moment", p, f"n={n};X={radius};Y={params.y};trial={i}",
-                    m.second_moment, n_fast, None,
-                    "pass" if m.second_moment == n_fast else "fail",
-                )
-            )
+            rows.append(_agree("amp_second_moment", p, base, m.second_moment, n_fast))
     return rows
 
 
@@ -199,13 +185,9 @@ def run_oracle_suite(cfg, timer=None) -> list:
                 a, b, c = mk(), mk(), mk()
                 fast = geometry.collinear_triples(a, b, c)
                 brute = geometry.collinear_triples_bruteforce(a, b, c)
-                rows.append(
-                    ReportRow(
-                        "collinear_oracle", p,
-                        f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}",
-                        fast, brute, None, "pass" if fast == brute else "fail",
-                    )
-                )
+                rows.append(_agree("collinear_oracle", p,
+                                   f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}",
+                                   fast, brute))
         with _block(timer, rows):
             for i in range(cfg["oracle_trials"] // 2):
                 rng = random.Random(subseed(seed, "e3o", p, i))
@@ -215,12 +197,9 @@ def run_oracle_suite(cfg, timer=None) -> list:
                 u, v, w = mk(), mk(), mk()
                 fast = energy.e3(u, v, w)
                 brute = energy.e3_bruteforce(u, v, w)
-                rows.append(
-                    ReportRow(
-                        "e3_oracle", p, f"nU={len(u)};nV={len(v)};nW={len(w)};trial={i}",
-                        fast, brute, None, "pass" if fast == brute else "fail",
-                    )
-                )
+                rows.append(_agree("e3_oracle", p,
+                                   f"nU={len(u)};nV={len(v)};nW={len(w)};trial={i}",
+                                   fast, brute))
     with _block(timer, rows):
         for i in range(cfg["oracle_trials"] // 2):
             rng = random.Random(subseed(seed, "cno", i))
@@ -233,31 +212,14 @@ def run_oracle_suite(cfg, timer=None) -> list:
             yset = from_elements(fld, ys)
             fast = charsums.count_n(s, xset, yset)
             brute = charsums.count_n_bruteforce(s, xset, yset)
-            rows.append(
-                ReportRow(
-                    "count_n_oracle", p, f"nS={len(s)};X={radius};nY={len(ys)};trial={i}",
-                    fast, brute, None, "pass" if fast == brute else "fail",
-                )
-            )
+            rows.append(_agree("count_n_oracle", p,
+                               f"nS={len(s)};X={radius};nY={len(ys)};trial={i}", fast, brute))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # sweep suite
 # ---------------------------------------------------------------------------
-
-def _sweep_cells(cfg) -> list:
-    cells = []
-    for p in cfg["sweep_primes"]:
-        cells.append(("tabc", p))
-        cells.append(("nsxy", p))
-        cells.append(("subgroup", p))
-        cells.append(("thm11", p))
-        cells.append(("misha", p))
-    if cfg["sweep_primes"]:
-        cells.append(("poly", max(cfg["sweep_primes"])))
-    return cells
-
 
 def _cell_tabc(p, seed, epsilon):
     fld = build_field(p)
@@ -426,28 +388,51 @@ def _cell_thm11(p, seed, epsilon):
     return rows, fits
 
 
-_CELL_RUNNERS = {
-    "tabc": _cell_tabc,
-    "nsxy": _cell_nsxy,
-    "subgroup": _cell_subgroup,
-    "poly": _cell_poly,
-    "thm11": _cell_thm11,
-    "misha": _cell_misha,
+def _every_prime(cfg):
+    return cfg["sweep_primes"]
+
+
+def _largest_prime(cfg):
+    return [max(cfg["sweep_primes"])] if cfg["sweep_primes"] else []
+
+
+class _Family(NamedTuple):
+    runner: Callable  # (p, seed, epsilon) -> (rows, fit records)
+    primes: Callable  # cfg -> the primes its cells run at
+    fits: tuple = ()  # (fit name, quantity, driver, cfg -> primes whose records it reads)
+
+
+# The sweep plan.  Cells run p-major in sweep_primes order, families in table
+# order; pool tie-breaks and each fit's record order follow that order.
+_FAMILIES = {
+    "tabc": _Family(_cell_tabc, _every_prime),
+    "nsxy": _Family(_cell_nsxy, _every_prime),
+    # T-dependence only reads cleanly at a single p
+    "subgroup": _Family(_cell_subgroup, _every_prime,
+                        (("subgroup_e3", "measured", "T", _largest_prime),)),
+    "thm11": _Family(_cell_thm11, _every_prime,
+                     (("thm11_ratio", "ratio", "p", _every_prime),)),
+    "misha": _Family(_cell_misha, _every_prime),
+    "poly": _Family(_cell_poly, _largest_prime, tuple(
+        (name, "measured", "X", _largest_prime)
+        for name in ("poly_e2_d2", "poly_e2_d3", "poly_t3_d2", "poly_t3_d3"))),
 }
 
 
 def _run_cell(args):
     family, p, seed, epsilon = args
     t0 = time.perf_counter()
-    rows, fits = _CELL_RUNNERS[family](p, seed, epsilon)
+    rows, fits = _FAMILIES[family].runner(p, seed, epsilon)
     return rows, fits, _ms_since(t0)
 
 
 def run_sweep(cfg, timer=None):
-    """Run all sweep families; returns (rows, fits) with fits mapping each
-    family name to its FitResult, or to the reason its fit failed."""
-    cells = _sweep_cells(cfg)
-    tasks = [(family, p, cfg["seed"], cfg["epsilon"]) for family, p in cells]
+    """Run every cell of _FAMILIES; returns (rows, fits) with fits mapping
+    each fit name to its FitResult, or to the reason the fit failed."""
+    primes = cfg["sweep_primes"]
+    tasks = [(family, p, cfg["seed"], cfg["epsilon"])
+             for family, spec in _FAMILIES.items() for p in spec.primes(cfg)]
+    tasks.sort(key=lambda task: primes.index(task[1]))
     workers = min(cfg["workers"], len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         # largest p first, so no big cell starts last; results go back into
@@ -467,23 +452,14 @@ def run_sweep(cfg, timer=None):
         fitrecords.extend(f)
     rows.sort(key=lambda row: (row.suite, row.p, row.params))
     fits = {}
-    for family, quantity, driver in (
-        ("poly_e2_d2", "measured", "X"),
-        ("poly_e2_d3", "measured", "X"),
-        ("poly_t3_d2", "measured", "X"),
-        ("poly_t3_d3", "measured", "X"),
-        ("subgroup_e3", "measured", "T"),
-        ("thm11_ratio", "ratio", "p"),
-    ):
-        recs = [r for r in fitrecords if r["family"] == family]
-        if family == "subgroup_e3" and recs:
-            # T-dependence only reads cleanly at a single p
-            top = max(r["p"] for r in recs)
-            recs = [r for r in recs if r["p"] == top]
-        try:
-            fits[family] = bounds.exponent_fit(recs, quantity, driver)
-        except InsufficientDataError as exc:
-            fits[family] = str(exc)
+    for spec in _FAMILIES.values():
+        for name, quantity, driver, read_primes in spec.fits:
+            read = read_primes(cfg)
+            recs = [r for r in fitrecords if r["family"] == name and r["p"] in read]
+            try:
+                fits[name] = bounds.exponent_fit(recs, quantity, driver)
+            except InsufficientDataError as exc:
+                fits[name] = str(exc)
     return rows, fits
 
 
@@ -522,12 +498,8 @@ def run_region_suite(cfg, timer=None) -> list:
         samples = 64
         z = 0.25 + (2 / 7 - 0.25) * np.arange(1, samples + 1) / (samples + 1)
         wins = int(np.count_nonzero((1 - z) / 2 < bounds.chang_threshold(z)))
-        rows.append(
-            ReportRow(
-                "region_window", 0, f"window=(1/4,2/7);samples={samples}",
-                wins, samples, None, "pass" if wins == samples else "fail",
-            )
-        )
+        rows.append(_agree("region_window", 0, f"window=(1/4,2/7);samples={samples}",
+                           wins, samples))
     with _block(timer, rows):
         n = cfg["region_check_grid"]
         # zeta varies down the rows and xi across the columns, so nonzero()

@@ -53,6 +53,8 @@ def test_bilinear_examples():
     iv = from_elements(f5, [1, 2])
     zeros = sum(1 for a in s for x in iv if (a + x) % 5 == 0)
     assert abs(bilinear_sum(chi0, s, iv) - (len(s) * len(iv) - zeros)) < 1e-9
+    with pytest.raises(FieldMismatchError):
+        bilinear_sum(chi, s, from_elements(build_field(7), [1, 2]))
 
 
 @st.composite
@@ -111,6 +113,8 @@ def test_modulus_examples_and_optimality():
     f5 = build_field(5)
     chi = character(f5, 2)
     assert abs(modulus_sum(chi, from_elements(f5, [1]), from_elements(f5, [1, 2])) - 2) < 1e-9
+    with pytest.raises(FieldMismatchError):
+        modulus_sum(chi, from_elements(f5, [1]), from_elements(build_field(7), [1, 2]))
     # single inner point, unit weights: counts nonvanishing arguments
     fld = build_field(13)
     chi13 = character(fld, 4)

@@ -58,6 +58,24 @@ def test_config_rejects_bad_values(tmp_path):
             resolve_config(_Args(config=str(cfg_file)))
 
 
+def test_every_flag_overrides_its_key(tmp_path):
+    # each flag at a value other than its default; resolve_config must carry
+    # every one of them into resolved.cfg
+    out = tmp_path / "o"
+    flags = {"--seed": "5", "--workers": "2", "--epsilon": "0.25", "--max-p": "1000",
+             "--out": str(out), "--p": "61", "--m": "30", "--set-size": "5",
+             "--x-len": "7", "--r": "2", "--subgroup-order": "12"}
+    argv = ["charsum", "--timings"] + [t for pair in flags.items() for t in pair]
+    assert main(argv) == 0
+    lines = (out / "resolved.cfg").read_text().splitlines()
+    resolved = dict(line.split(" = ", 1) for line in lines)
+    want = {"seed": "5", "workers": "2", "epsilon": "0.25", "max_p": "1000", "out": str(out),
+            "timings": "True", "charsum_p": "61", "charsum_m": "30", "charsum_n": "5",
+            "charsum_x": "7", "charsum_r": "2", "charsum_subgroup": "12"}
+    assert all(str(DEFAULTS[key]) != value for key, value in want.items())
+    assert {key: resolved[key] for key in want} == want
+
+
 def test_max_p_filters_primes():
     cfg = resolve_config(_Args(max_p=7))
     assert cfg["primes"] == [p for p in DEFAULTS["primes"] if p <= 7]
@@ -217,6 +235,27 @@ def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkey
                  "--workers", "2"]) == 0
     assert submitted == sorted(submitted, reverse=True) and len(submitted) == 16
     assert fit_inputs == serial_fits
+
+
+@pytest.mark.parametrize("sweep_primes", [DEFAULTS["sweep_primes"], [65521, 262139, 1048573]],
+                         ids=["default", "cap"])
+def test_every_fit_record_names_a_fit_spec(monkeypatch, sweep_primes):
+    # run_sweep reads fit records by name, so a record named after no spec in
+    # _FAMILIES would be dropped without a word
+    records = []
+    run_cell = suites._run_cell
+
+    def recording_run_cell(task):
+        rows, fits, ms = run_cell(task)
+        records.extend(fits)
+        return rows, fits, ms
+
+    monkeypatch.setattr(suites, "_run_cell", recording_run_cell)
+    rows, fits = suites.run_sweep({**DEFAULTS, "sweep_primes": sweep_primes})
+    specs = {fit[0] for family in suites._FAMILIES.values() for fit in family.fits}
+    assert {rec["family"] for rec in records} == specs
+    summary = summarize(rows, fits)
+    assert set(summary["slopes"]) | set(summary.get("failed_fits", {})) == specs
 
 
 def test_sweep_leaves_numpy_ma_unimported(tmp_path):

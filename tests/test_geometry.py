@@ -130,6 +130,8 @@ def test_pair_identity_examples():
     full = from_elements(f3, [0, 1, 2])
     lhs, rhs = pair_spectrum_identity(full, full)
     assert lhs == rhs == 3**4 + 3**3
+    with pytest.raises(FieldMismatchError):
+        pair_spectrum_identity(z, from_elements(build_field(5), [0]))
 
 
 def test_pair_identity_random():
