@@ -19,9 +19,9 @@ from .errors import (
     SupportMismatchError,
     ZeroDenominatorError,
 )
-from .energy import MultiplicityFn, _same_field
+from .energy import MultiplicityFn
 from .field import _BLOCK, Character, PrimeField
-from .sets import FpSet, primes_upto, symmetric_interval
+from .sets import FpSet, _same_field, primes_upto, symmetric_interval
 
 _UNIT_SLACK = 1e-12
 

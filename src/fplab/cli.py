@@ -53,11 +53,24 @@ DEFAULTS = {
     "charsum_subgroup": 0,
 }
 
-_INT_LISTS = ("primes", "sweep_primes")
-_FLOATS = ("epsilon",)
-_BOOLS = ("timings",)
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+
+# command: (help, runner).  A runner takes (cfg, timer) and returns (rows,
+# fits).  Each lambda looks its suite up in this module when it runs, so a
+# wrapper rebound over that name (as perfbench/tracer.py does) is the one called.
+COMMANDS = {
+    "identities": ("exact identity suite (lines, Gram, amplification, Fourier)",
+                   lambda cfg, timer: run_identity_suite(cfg, timer)),
+    "oracles": ("fast-path vs brute-force equality suite",
+                lambda cfg, timer: run_oracle_suite(cfg, timer)),
+    "sweep": ("bound-skeleton sweep with fitted slopes",
+              lambda cfg, timer: run_sweep(cfg, timer)),
+    "regions": ("exponent-region table and threshold checks",
+                lambda cfg, timer: run_region_suite(cfg, timer)),
+    "charsum": ("single bilinear character-sum evaluation",
+                lambda cfg, timer: run_charsum(cfg, timer)),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -79,9 +92,11 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key, value):
+    """Parse value as the type of the key's default."""
     if key not in DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _INT_LISTS:
+    kind = type(DEFAULTS[key])
+    if kind is list:
         if isinstance(value, list):
             return value
         items = [t for t in str(value).replace(",", " ").split() if t]
@@ -89,7 +104,7 @@ def _coerce(key, value):
             return [int(t) for t in items]
         except ValueError:
             raise ConfigError(f"{key}: expected integers, got {value!r}")
-    if key in _FLOATS:
+    if kind is float:
         try:
             number = float(value)
         except ValueError:
@@ -97,12 +112,12 @@ def _coerce(key, value):
         if not math.isfinite(number):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return number
-    if key in _BOOLS:
+    if kind is bool:
         try:
             return _BOOL_WORDS[str(value).lower()]
         except KeyError:
             raise ConfigError(f"{key}: expected true or false, got {value!r}")
-    if key == "out":
+    if kind is str:
         return str(value)
     try:
         return int(value)
@@ -121,17 +136,21 @@ def resolve_config(args, dropped=None) -> dict:
     for key, value in vars(args).items():
         if key in DEFAULTS and value is not None and value is not False:
             cfg[key] = _coerce(key, value)
-    for key in _INT_LISTS:
+    for key in ("primes", "sweep_primes"):
         for p in cfg[key]:
             if not is_prime(p):
                 raise ConfigError(f"{key}: {p} is not prime")
             if p < 3:
                 raise ConfigError(f"{key}: {p} is below 3 (p = 2 is not supported)")
+            if cfg[key].count(p) > 1:
+                raise ConfigError(f"{key}: {p} is repeated")
         above = [p for p in cfg[key] if p > cfg["max_p"]]
         if above and dropped is not None:
             dropped[key] = above
         cfg[key] = [p for p in cfg[key] if p <= cfg["max_p"]]
-    for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2)):
+    for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2),
+                       ("charsum_n", 1), ("charsum_x", 1), ("oracle_max_size", 1),
+                       ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")
     return cfg
@@ -144,20 +163,6 @@ def write_resolved_config(cfg, path):
             if isinstance(value, list):
                 value = ",".join(map(str, value))
             fh.write(f"{key} = {value}\n")
-
-
-def _dispatch(command, cfg, timer):
-    if command == "identities":
-        return run_identity_suite(cfg, timer), {}
-    if command == "oracles":
-        return run_oracle_suite(cfg, timer), {}
-    if command == "sweep":
-        return run_sweep(cfg, timer)
-    if command == "regions":
-        return run_region_suite(cfg, timer), {}
-    if command == "charsum":
-        return run_charsum(cfg, timer), {}
-    raise ConfigError(f"unknown command {command!r}")
 
 
 def _add_common(sp):
@@ -179,13 +184,7 @@ def main(argv=None) -> int:
         description="exact-counting suites, oracles and bound sweeps over prime fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("identities", "exact identity suite (lines, Gram, amplification, Fourier)"),
-        ("oracles", "fast-path vs brute-force equality suite"),
-        ("sweep", "bound-skeleton sweep with fitted slopes"),
-        ("regions", "exponent-region table and threshold checks"),
-        ("charsum", "single bilinear character-sum evaluation"),
-    ):
+    for name, (doc, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=doc)
         _add_common(sp)
         if name == "charsum":
@@ -205,7 +204,7 @@ def main(argv=None) -> int:
     timer = BlockTimer() if cfg["timings"] else None
     t0 = time.perf_counter()
     try:
-        rows, fits = _dispatch(args.command, cfg, timer)
+        rows, fits = COMMANDS[args.command][1](cfg, timer)
     except FplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatchError
 from .field import _BLOCK
-from .sets import FpSet
+from .sets import FpSet, _same_field
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
@@ -27,13 +26,6 @@ _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 # otherwise.  Measured at p = 1048573, |S| from 8 to 256: the routes tie near
 # p / 7 keys; sorting is 1.8x faster at p / 16 and 2.3x slower at p / 2.
 _SORT_SHARE = 7
-
-
-def _same_field(*sets):
-    p = sets[0].field.p
-    for s in sets[1:]:
-        if s.field.p != p:
-            raise FieldMismatchError(f"p = {p} vs p = {s.field.p}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import MultiplicityFn, _dot, _same_field
+from .energy import MultiplicityFn, _dot
 from .errors import PreconditionViolatedError, TooLargeError
 from .field import _BLOCK, is_prime
-from .sets import FpSet
+from .sets import FpSet, _same_field
 
 GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scale
 
@@ -247,7 +247,6 @@ class IncidenceReport:
     k_collinear: int
     residual: Fraction
     skeleton: float
-    ratio: float
 
 
 def misha_residual_report(p: int, points, planes) -> IncidenceReport:
@@ -259,5 +258,4 @@ def misha_residual_report(p: int, points, planes) -> IncidenceReport:
     k = max_collinear_points_3d(points, p)
     q, pi = len(points), len(planes)
     skeleton = q**0.5 * pi + k * q
-    ratio = float(abs(residual)) / skeleton if skeleton else 0.0
-    return IncidenceReport(q, pi, k, residual, skeleton, ratio)
+    return IncidenceReport(q, pi, k, residual, skeleton)

@@ -55,6 +55,13 @@ class FpSet:
         return frozenset(self.elems)
 
 
+def _same_field(*sets):
+    p = sets[0].field.p
+    for s in sets[1:]:
+        if s.field.p != p:
+            raise FieldMismatchError(f"p = {p} vs p = {s.field.p}")
+
+
 def from_elements(field: PrimeField, elems) -> FpSet:
     """Normalize arbitrary residues into a sorted duplicate-free FpSet."""
     p = field.p
@@ -152,8 +159,7 @@ def random_set(field: PrimeField, n: int, seed: int) -> FpSet:
 
 def sumset(a: FpSet, b: FpSet, sign: str = "+") -> FpSet:
     """{x + y} or {x - y} mod p over all pairs."""
-    if a.field.p != b.field.p:
-        raise FieldMismatchError(f"p = {a.field.p} vs p = {b.field.p}")
+    _same_field(a, b)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     p = a.field.p

@@ -1,8 +1,9 @@
 """Suite runners: exact-identity checks, oracle equalities, bound sweeps,
 and exponent-region tables.
 
-A suite is a pure function from a resolved configuration to a list of
-ReportRow.  Randomness is derived per row from (seed, suite, p, index) so
+A suite is a pure function from a resolved configuration to (rows, fits): a
+list of ReportRow and the slope fits by name, {} for every suite but the
+sweep.  Randomness is derived per row from (seed, suite, p, index) so
 suites reproduce regardless of execution order; sweep cells may run in a
 process pool and are re-sorted before emission.  The sweep plan is the
 `_FAMILIES` table: each family's cell runner, the primes its cells run at,
@@ -85,11 +86,26 @@ def _agree(suite, p, params, measured, expected) -> ReportRow:
                      "pass" if measured == expected else "fail")
 
 
+def _ratio(suite, p, params, measured, skeleton) -> ReportRow:
+    """A report-only row: measured against its bound skeleton."""
+    return ReportRow(suite, p, params, measured, skeleton, measured / skeleton, "report")
+
+
+def _skip(suite, p, params) -> ReportRow:
+    """An instance that was not run; params end in its reason."""
+    return ReportRow(suite, p, params, None, None, None, "skip")
+
+
+def _draw(fld, rng, lo, hi):
+    """A random set whose size and seed are the next two draws of rng."""
+    return random_set(fld, rng.randint(lo, hi), rng.randrange(2**31))
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
 
-def run_identity_suite(cfg, timer=None) -> list:
+def run_identity_suite(cfg, timer=None):
     rows = []
     seed = cfg["seed"]
     for p in cfg["primes"]:
@@ -97,7 +113,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             fld = build_field(p)
             for i in range(cfg["identity_trials"]):
                 rng = random.Random(subseed(seed, "line", p, i))
-                a = random_set(fld, rng.randint(1, min(p, 10)), rng.randrange(2**31))
+                a = _draw(fld, rng, 1, min(p, 10))
                 lhs = geometry.line_spectrum(a).total
                 rhs = (p + 1) * len(a) ** 2
                 rows.append(_agree("line_identity", p, f"n={len(a)};trial={i}", lhs, rhs))
@@ -105,8 +121,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             if p <= 31:
                 for i in range(cfg["identity_trials"]):
                     rng = random.Random(subseed(seed, "pair", p, i))
-                    a = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
-                    b = random_set(fld, rng.randint(1, min(p, 8)), rng.randrange(2**31))
+                    a, b = _draw(fld, rng, 1, min(p, 8)), _draw(fld, rng, 1, min(p, 8))
                     lhs, rhs = geometry.pair_spectrum_identity(a, b)
                     rows.append(_agree("pair_identity", p,
                                        f"nA={len(a)};nB={len(b)};trial={i}", lhs, rhs))
@@ -114,10 +129,7 @@ def run_identity_suite(cfg, timer=None) -> list:
             for i in range(2):
                 rng = random.Random(subseed(seed, "tkf", p, i))
                 nsets = rng.randint(2, 3)
-                sets_ = [
-                    random_set(fld, rng.randint(1, min(p, 6)), rng.randrange(2**31))
-                    for _ in range(nsets)
-                ]
+                sets_ = [_draw(fld, rng, 1, min(p, 6)) for _ in range(nsets)]
                 exact = energy.t_k(sets_)
                 resid = energy.t_k_fourier_check(sets_)
                 ok = resid < 1e-6 * max(exact, 1)
@@ -149,52 +161,41 @@ def run_identity_suite(cfg, timer=None) -> list:
             yset = from_elements(fld, window)
             n_fast = charsums.count_n(s, symmetric_interval(fld, radius), yset)
             rows.append(_agree("amp_second_moment", p, base, m.second_moment, n_fast))
-    return rows
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
 # oracle suite
 # ---------------------------------------------------------------------------
 
-def run_oracle_suite(cfg, timer=None) -> list:
+def run_oracle_suite(cfg, timer=None):
     rows = []
     seed = cfg["seed"]
     size_cap = cfg["oracle_max_size"]
     primes = [p for p in cfg["primes"] if p >= 5]
     for p in primes:
         with _block(timer, rows):
-            if p > ORACLE_PRIME_CAP:
-                rows.append(
-                    ReportRow("collinear_oracle", p, f"requested_p={p};reason=TooLarge",
-                              None, None, None, "skip")
-                )
-                continue
             fld = build_field(p)
-            for i in range(cfg["oracle_trials"]):
+            trials = range(cfg["oracle_trials"])
+            if p > ORACLE_PRIME_CAP:
+                rows.append(_skip("collinear_oracle", p, f"requested_p={p};reason=TooLarge"))
+                trials = ()
+            elif size_cap > ORACLE_SIZE_CAP and trials:
+                rows.append(_skip("collinear_oracle", p,
+                                  f"requested_size={size_cap};reason=TooLarge"))
+                trials = ()
+            for i in trials:
                 rng = random.Random(subseed(seed, "tri", p, i))
-                if size_cap > ORACLE_SIZE_CAP:
-                    rows.append(
-                        ReportRow("collinear_oracle", p,
-                                  f"requested_size={size_cap};reason=TooLarge",
-                                  None, None, None, "skip")
-                    )
-                    break
-                mk = lambda: random_set(
-                    fld, rng.randint(1, min(p, size_cap)), rng.randrange(2**31)
-                )
-                a, b, c = mk(), mk(), mk()
+                a, b, c = (_draw(fld, rng, 1, min(p, size_cap)) for _ in range(3))
                 fast = geometry.collinear_triples(a, b, c)
                 brute = geometry.collinear_triples_bruteforce(a, b, c)
                 rows.append(_agree("collinear_oracle", p,
                                    f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}",
                                    fast, brute))
-        with _block(timer, rows):
+        with _block(timer, rows):  # the referee's cost is bounded by ORACLE_SIZE_CAP, not p
             for i in range(cfg["oracle_trials"] // 2):
                 rng = random.Random(subseed(seed, "e3o", p, i))
-                mk = lambda: random_set(
-                    fld, rng.randint(1, min(p, ORACLE_SIZE_CAP)), rng.randrange(2**31)
-                )
-                u, v, w = mk(), mk(), mk()
+                u, v, w = (_draw(fld, rng, 1, min(p, ORACLE_SIZE_CAP)) for _ in range(3))
                 fast = energy.e3(u, v, w)
                 brute = energy.e3_bruteforce(u, v, w)
                 rows.append(_agree("e3_oracle", p,
@@ -205,7 +206,7 @@ def run_oracle_suite(cfg, timer=None) -> list:
             rng = random.Random(subseed(seed, "cno", i))
             p = rng.choice([q for q in primes if q <= 61] or [31])
             fld = build_field(p)
-            s = random_set(fld, rng.randint(2, min(p - 1, AMP_SIZE_CAP)), rng.randrange(2**31))
+            s = _draw(fld, rng, 2, min(p - 1, AMP_SIZE_CAP))
             radius = rng.randint(2, min(AMP_RADIUS_CAP, (p - 1) // 2))
             xset = symmetric_interval(fld, radius)
             ys = [q for q in (2, 3, 5, 7) if q < p][: rng.randint(1, 2)]
@@ -214,7 +215,7 @@ def run_oracle_suite(cfg, timer=None) -> list:
             brute = charsums.count_n_bruteforce(s, xset, yset)
             rows.append(_agree("count_n_oracle", p,
                                f"nS={len(s)};X={radius};nY={len(ys)};trial={i}", fast, brute))
-    return rows
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +228,14 @@ def _cell_tabc(p, seed, epsilon):
     target = max(2, round(p**0.3))
     for i in range(3):
         rng = random.Random(subseed(seed, "sw_tabc", p, i))
-        mk = lambda: random_set(
-            fld, rng.randint(max(1, target // 2), target), rng.randrange(2**31)
-        )
-        a, b, c = mk(), mk(), mk()
+        a, b, c = (_draw(fld, rng, max(1, target // 2), target) for _ in range(3))
         t = geometry.collinear_triples(a, b, c)
         abc = len(a) * len(b) * len(c)
         dev = float(abs(Fraction(t) - Fraction(abc * abc, p)))
         skels = bounds.tabc_skeletons(p, len(a), len(b), len(c))[:3]
         base = f"nA={len(a)};nB={len(b)};nC={len(c)};trial={i}"
         for name, skel in zip(("flat_p", "three_halves", "seven_sixths"), skels):
-            rows.append(
-                ReportRow(
-                    "sweep_tabc", p, f"{base};skel={name}",
-                    dev, skel, dev / skel if skel else None, "report",
-                )
-            )
+            rows.append(_ratio("sweep_tabc", p, f"{base};skel={name}", dev, skel))
     return rows, fits
 
 
@@ -260,12 +253,8 @@ def _cell_misha(p, seed, epsilon):
             continue
         planes.add(geometry.normalize_plane(*normal, rng.randrange(p), p))
     rep = geometry.misha_residual_report(p, sorted(points), sorted(planes))
-    rows.append(
-        ReportRow(
-            "sweep_misha", p, f"Q={rep.n_points};Pi={rep.n_planes};k={rep.k_collinear}",
-            float(abs(rep.residual)), rep.skeleton, rep.ratio, "report",
-        )
-    )
+    params = f"Q={rep.n_points};Pi={rep.n_planes};k={rep.k_collinear}"
+    rows.append(_ratio("sweep_misha", p, params, float(abs(rep.residual)), rep.skeleton))
     return rows, fits
 
 
@@ -277,26 +266,20 @@ def _cell_nsxy(p, seed, epsilon):
     x_len = min(max(4, round(p**0.4)), 48)
     y_bound = min(16, max(3, round(p**0.25)))
     if x_len * x_len > p or nS * nS * x_len > p * p:
-        rows.append(ReportRow("sweep_nsxy", p, f"nS={nS};X={x_len};reason=precondition",
-                               None, None, None, "skip"))
+        rows.append(_skip("sweep_nsxy", p, f"nS={nS};X={x_len};reason=precondition"))
         return rows, fits
     s = random_set(fld, nS, rng.randrange(2**31))
     xset = interval(fld, 0, x_len)
     ys = [q for q in primes_upto(y_bound) if q < p]
     if not ys:
-        rows.append(ReportRow("sweep_nsxy", p, f"Y={y_bound};reason=empty_window",
-                               None, None, None, "skip"))
+        rows.append(_skip("sweep_nsxy", p, f"Y={y_bound};reason=empty_window"))
         return rows, fits
     yset = from_elements(fld, ys)
     measured = charsums.count_n(s, xset, yset)
     e3v = energy.e3(s, s, xset)
     skeleton = y_bound * e3v + nS**3 * x_len**1.5 + nS**2 * x_len**2
-    rows.append(
-        ReportRow(
-            "sweep_nsxy", p, f"nS={nS};X={x_len};Ybound={y_bound}",
-            measured, skeleton, measured / skeleton, "report",
-        )
-    )
+    rows.append(_ratio("sweep_nsxy", p, f"nS={nS};X={x_len};Ybound={y_bound}",
+                       measured, skeleton))
     return rows, fits
 
 
@@ -309,6 +292,9 @@ def _cell_subgroup(p, seed, epsilon):
         step = (len(divisors) - 1) / 7
         divisors = sorted({divisors[round(i * step)] for i in range(8)})
     x_len = max(3, round(p**0.3))
+    if x_len >= p:
+        rows.append(_skip("sweep_subgroup", p, f"X={x_len};reason=precondition"))
+        return rows, fits
     for t in divisors:
         g = subgroup(fld, t)
         iv = interval(fld, 0, x_len)
@@ -316,12 +302,7 @@ def _cell_subgroup(p, seed, epsilon):
         s1, s2, flagged = bounds.subgroup_e3_skeletons(p, t, x_len)
         base = f"T={t};X={x_len}" + (";flag=T_above_p25" if flagged else "")
         for name, skel in (("energy_49_20", s1), ("coset_sum", s2)):
-            rows.append(
-                ReportRow(
-                    "sweep_subgroup", p, f"{base};skel={name}",
-                    measured, skel, measured / skel, "report",
-                )
-            )
+            rows.append(_ratio("sweep_subgroup", p, f"{base};skel={name}", measured, skel))
         fits.append({"family": "subgroup_e3", "p": p, "T": t, "measured": measured})
     return rows, fits
 
@@ -338,24 +319,10 @@ def _cell_poly(p, seed, epsilon):
             e2 = energy.additive_energy(img)
             tk = energy.t_k([img] * k)
             t_skel, e_skel = bounds.poly_energy_skeletons(p, x_len, d)
-            rows.append(
-                ReportRow(
-                    "sweep_poly", p, f"d={d};X={x_len};stat=E2",
-                    e2, e_skel, e2 / e_skel, "report",
-                )
-            )
-            rows.append(
-                ReportRow(
-                    "sweep_poly", p, f"d={d};X={x_len};stat=T{k}",
-                    tk, t_skel, tk / t_skel, "report",
-                )
-            )
-            fits.append(
-                {"family": f"poly_e2_d{d}", "p": p, "X": x_len, "measured": e2}
-            )
-            fits.append(
-                {"family": f"poly_t{k}_d{d}", "p": p, "X": x_len, "measured": tk}
-            )
+            rows.append(_ratio("sweep_poly", p, f"d={d};X={x_len};stat=E2", e2, e_skel))
+            rows.append(_ratio("sweep_poly", p, f"d={d};X={x_len};stat=T{k}", tk, t_skel))
+            fits.append({"family": f"poly_e2_d{d}", "p": p, "X": x_len, "measured": e2})
+            fits.append({"family": f"poly_t{k}_d{d}", "p": p, "X": x_len, "measured": tk})
     return rows, fits
 
 
@@ -369,8 +336,7 @@ def _cell_thm11(p, seed, epsilon):
     try:
         bounds.check_thm11(p, n_s, x_len, r)
     except PreconditionViolatedError:
-        rows.append(ReportRow("sweep_thm11", p, f"S={n_s};X={x_len};reason=precondition",
-                               None, None, None, "skip"))
+        rows.append(_skip("sweep_thm11", p, f"S={n_s};X={x_len};reason=precondition"))
         return rows, fits
     s = random_set(fld, n_s, rng.randrange(2**31))
     chi = character(fld, (p - 1) // 2)
@@ -378,12 +344,7 @@ def _cell_thm11(p, seed, epsilon):
     w = abs(charsums.bilinear_sum(chi, s, iv))
     e3v = energy.e3(s, s, symmetric_interval(fld, x_len))
     rhs = bounds.thm11_rhs(p, n_s, x_len, r, e3v, epsilon)
-    rows.append(
-        ReportRow(
-            "sweep_thm11", p, f"S={n_s};X={x_len};r={r};chi=quadratic",
-            w, rhs, w / rhs, "report",
-        )
-    )
+    rows.append(_ratio("sweep_thm11", p, f"S={n_s};X={x_len};r={r};chi=quadratic", w, rhs))
     fits.append({"family": "thm11_ratio", "p": p, "ratio": w / rhs})
     return rows, fits
 
@@ -467,7 +428,7 @@ def run_sweep(cfg, timer=None):
 # regions suite
 # ---------------------------------------------------------------------------
 
-def run_region_suite(cfg, timer=None) -> list:
+def run_region_suite(cfg, timer=None):
     rows = []
     with _block(timer, rows):
         # each threshold on the diagonal zeta = xi, just above and just below
@@ -539,14 +500,14 @@ def run_region_suite(cfg, timer=None) -> list:
                         None, None, None, "report",
                     )
                 )
-    return rows
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
 # single charsum evaluation
 # ---------------------------------------------------------------------------
 
-def run_charsum(cfg, timer=None) -> list:
+def run_charsum(cfg, timer=None):
     t0 = time.perf_counter()
     p = cfg["charsum_p"]
     fld = build_field(p, cfg["max_p"])
@@ -560,34 +521,15 @@ def run_charsum(cfg, timer=None) -> list:
         s = random_set(fld, cfg["charsum_n"], subseed(cfg["seed"], "charsum", p))
     w = abs(charsums.bilinear_sum(chi, s, iv))
     mod = charsums.modulus_sum(chi, s, iv)
-    rows = [
-        ReportRow(
-            "charsum", p, f"m={m};nS={len(s)};X={x_len};stat=W",
-            w, len(s) * x_len, w / (len(s) * x_len), "report",
-        ),
-        ReportRow(
-            "charsum", p, f"m={m};nS={len(s)};X={x_len};stat=modulus",
-            mod, len(s) * x_len, mod / (len(s) * x_len), "report",
-        ),
-    ]
-    r = cfg["charsum_r"]
+    base, r = f"m={m};nS={len(s)};X={x_len}", cfg["charsum_r"]
+    rows = [_ratio("charsum", p, f"{base};stat=W", w, len(s) * x_len),
+            _ratio("charsum", p, f"{base};stat=modulus", mod, len(s) * x_len)]
     try:
         e3v = energy.e3(s, s, symmetric_interval(fld, x_len))
         rhs = bounds.thm11_rhs(p, len(s), x_len, r, e3v, cfg["epsilon"])
-        rows.append(
-            ReportRow(
-                "charsum", p, f"m={m};nS={len(s)};X={x_len};r={r};stat=rhs",
-                w, rhs, w / rhs, "report",
-            )
-        )
+        rows.append(_ratio("charsum", p, f"{base};r={r};stat=rhs", w, rhs))
     except (LengthOutOfRangeError, PreconditionViolatedError) as exc:
-        rows.append(
-            ReportRow(
-                "charsum", p,
-                f"m={m};nS={len(s)};X={x_len};r={r};reason={type(exc).__name__}",
-                None, None, None, "skip",
-            )
-        )
+        rows.append(_skip("charsum", p, f"{base};r={r};reason={type(exc).__name__}"))
     if timer:
         timer.record(rows, _ms_since(t0))
-    return rows
+    return rows, {}

@@ -230,7 +230,7 @@ def test_criterion_09_region_predicates():
     disagreements = int((~bounds.subgroup_agreement(zeta, xi)).sum())
     if disagreements:
         # disagreement is not a failure if the report flags it
-        rows = run_region_suite({"region_check_grid": 200, "region_table_grid": 2})
+        rows, _ = run_region_suite({"region_check_grid": 200, "region_table_grid": 2})
         flagged = [r for r in rows if "flag=disagree" in r.params]
         ok = ok and len(flagged) > 0
         print(f"criterion 09 note: {disagreements} grid disagreements, flagged")

@@ -293,7 +293,7 @@ def test_region_agreement_grid_matches_referee(n):
             xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
             if not _ref_agree(zeta, xi):
                 expected.append(f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}")
-    rows = run_region_suite({"region_check_grid": n, "region_table_grid": 2})
+    rows, _ = run_region_suite({"region_check_grid": n, "region_table_grid": 2})
     head, *flags = [r for r in rows if r.suite == "region_agreement"]
     assert head.params == f"grid={n}x{n}"
     assert (head.measured, head.skeleton) == (len(expected), n * n)

@@ -10,7 +10,7 @@ import pytest
 
 import fplab
 from fplab import bounds, suites
-from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config
+from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config, write_resolved_config
 from fplab.errors import ConfigError
 from fplab.report import ReportRow, count_failures, summarize, write_csv
 
@@ -150,6 +150,36 @@ def test_config_rejects_two(tmp_path, key):
         resolve_config(_Args(config=cfg))
 
 
+@pytest.mark.parametrize("key", ["primes", "sweep_primes"])
+def test_config_rejects_repeated_prime(tmp_path, key):
+    cfg = _write_cfg(tmp_path, f"{key} = 61,61,127\n")
+    with pytest.raises(ConfigError, match=f"{key}: 61 is repeated"):
+        resolve_config(_Args(config=cfg))
+
+
+def test_resolved_config_round_trips(tmp_path):
+    off = {"primes": [7, 11], "sweep_primes": [61], "seed": 5, "workers": 2, "epsilon": 0.25,
+           "max_p": 1000, "out": "elsewhere", "identity_trials": 3, "amp_trials": 2,
+           "oracle_trials": 4, "oracle_max_size": 5, "region_check_grid": 10,
+           "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
+           "charsum_n": 5, "charsum_x": 7, "charsum_r": 2, "charsum_subgroup": 12}
+    assert off.keys() == DEFAULTS.keys()
+    assert all(off[key] != DEFAULTS[key] for key in DEFAULTS)
+    path = tmp_path / "resolved.cfg"
+    for cfg in (resolve_config(_Args()), resolve_config(_Args(**off))):
+        write_resolved_config(cfg, path)
+        assert resolve_config(_Args(config=str(path))) == cfg
+    assert cfg == off
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if line.strip() and not line.startswith("#")]
+    assert sorted(keys) == sorted(DEFAULTS)
+
+
 def test_oracles_reproducible_and_skips(tmp_path):
     cfg = _write_cfg(
         tmp_path, "primes = 7,37\noracle_trials = 4\n"
@@ -160,6 +190,9 @@ def test_oracles_reproducible_and_skips(tmp_path):
     assert _read(out1 / "oracles.csv") == _read(out2 / "oracles.csv")
     text = (out1 / "oracles.csv").read_text()
     assert ",skip," in text  # p = 37 exceeds the oracle prime cap
+    # the e3 referee's cost does not grow with p, so it runs at p = 37 too
+    assert [line.split(",")[-2] for line in text.splitlines()
+            if line.startswith("e3_oracle,37,")] == ["pass", "pass"]
     cfg_big = _write_cfg(tmp_path, "primes = 7\noracle_trials = 2\noracle_max_size = 12\n")
     out3 = tmp_path / "o3"
     assert main(["oracles", "--config", cfg_big, "--out", str(out3)]) == 0
@@ -173,6 +206,16 @@ def test_sweep_max_p_50_reports_dropped_primes(tmp_path):
     assert summary["dropped_primes"] == {"sweep_primes": DEFAULTS["sweep_primes"]}
     assert summary["slopes"] == {}
     assert set(summary["failed_fits"].values()) == {"need >= 4 usable rows, have 0"}
+
+
+def test_sweep_at_p3_skips_the_subgroup_cell(tmp_path):
+    # X = 3 is no interval length in F_3
+    out = tmp_path / "s"
+    cfg = _write_cfg(tmp_path, "sweep_primes = 3\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("sweep_subgroup")] == [
+        "sweep_subgroup,3,X=3;reason=precondition,,,,skip,0"]
 
 
 def test_sweep_reports_failed_fits(tmp_path):
@@ -391,7 +434,15 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("", ["--epsilon", "inf"], "epsilon: expected a finite number, got inf"),
     ("timings = maybe\n", [], "timings: expected true or false, got 'maybe'"),
     (None, [], "missing.cfg: No such file or directory"),
-], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file"])
+    ("", ["--set-size", "0"], "charsum_n: need >= 1, got 0"),
+    ("charsum_x = 0\n", [], "charsum_x: need >= 1, got 0"),
+    ("oracle_max_size = 0\n", [], "oracle_max_size: need >= 1, got 0"),
+    ("identity_trials = -1\n", [], "identity_trials: need >= 0, got -1"),
+    ("amp_trials = -1\n", [], "amp_trials: need >= 0, got -1"),
+    ("oracle_trials = -1\n", [], "oracle_trials: need >= 0, got -1"),
+], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
+        "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
+        "oracle_trials"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:
