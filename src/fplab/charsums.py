@@ -126,21 +126,43 @@ def prime_window(params: AmplificationParams, p: int) -> list:
     return [q % p for q in qs]
 
 
-def _fibre(fld: PrimeField, s_elems, x_elems, y_elems) -> MultiplicityFn:
+def _fibre_parts(fld: PrimeField, s_elems, x_elems, y_elems):
     """Multiplicities of the keys lambda * p + mu over (s, t, x, y) with
     s != t, lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
 
-    Keys and the products (x + s) * y^-1 stay below 2p^2 <= 2^41, so int64 is
-    exact.  Equal keys are merged across all y at once, in O(#Y #X #S^2)
-    memory.
+    Yields one MultiplicityFn per chunk of lambda, in increasing lambda, so
+    the chunks concatenate to the whole fibre, sorted.  The (y, x, s) entries
+    are sorted by lambda and cut only where lambda changes, so no key spans
+    two chunks.  Each entry pairs with the #S - 1 values t != s, and a chunk
+    holds at most _BLOCK / 4 keys unless one lambda alone has more; memory is
+    O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys and
+    the products (x + s) * y^-1 stay below 2p^2 <= 2^41, so int64 is exact.
     """
     p = fld.p
     ss = np.asarray(s_elems, dtype=np.int64)
+    if len(ss) < 2:
+        return
     xs = np.asarray(x_elems, dtype=np.int64)
     yinv = np.array([pow(y, p - 2, p) for y in y_elems], dtype=np.int64)
-    vals = (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p  # (Y, X, S)
-    i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
-    return MultiplicityFn(*np.unique(vals[..., i] * p + vals[..., j], return_counts=True))
+    vals = ((xs[:, None] + ss[None, :]) * yinv[:, None, None] % p).reshape(-1, len(ss))
+    order = np.argsort(vals, axis=None)
+    lam = vals.ravel()[order]
+    # the offsets where a run of equal lambda starts, and the end
+    bounds = np.flatnonzero(np.diff(lam, prepend=-1, append=p))
+    # _BLOCK / 4 = 2^14 keys a chunk: at the 8191 sweep cell (106k keys) and
+    # at 5.7M keys, chunks of 2^13 to 2^15 keys ran equally fast within noise
+    # and 2^16 no faster, while the tracemalloc peak grows with the chunk
+    # (0.7 and 3.6 MB at 2^13, 1.2 and 3.9 MB at 2^14, 3.4 and 7.1 MB at 2^16)
+    per_chunk = max(1, (_BLOCK >> 2) // (len(ss) - 1))
+    ts = np.arange(len(ss))
+    i = 0
+    while i < len(bounds) - 1:
+        # the last run start within per_chunk entries, or the next one
+        j = max(i + 1, np.searchsorted(bounds, bounds[i] + per_chunk, side="right") - 1)
+        row, col = np.divmod(order[bounds[i]:bounds[j]], len(ss))  # (y, x) row and s
+        keys = lam[bounds[i]:bounds[j], None] * p + vals[row]
+        yield MultiplicityFn(*np.unique(keys[ts != col[:, None]], return_counts=True))
+        i = j
 
 
 def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) -> MultiplicityFn:
@@ -153,16 +175,22 @@ def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) 
             f"4YZ = {4 * params.y * params.z} exceeds X = {x_radius}"
         )
     window = prime_window(params, fld.p)
-    return _fibre(fld, s_set.elems, symmetric_interval(fld, x_radius).elems, window)
+    values, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for part in _fibre_parts(fld, s_set.elems, symmetric_interval(fld, x_radius).elems, window):
+        values.append(part.values)
+        counts.append(part.counts)
+    return MultiplicityFn(np.concatenate(values), np.concatenate(counts))
 
 
 def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     """Solutions of (x1+s1)/y1 = (x2+s2)/y2 and (x1+t1)/y1 = (x2+t2)/y2
-    with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration."""
+    with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration:
+    the sum of nu(lambda, mu)^2, one lambda chunk at a time."""
     _same_field(s_set, x_set, y_set)
     if 0 in y_set.as_set():
         raise ZeroDenominatorError("denominator set contains 0")
-    return _fibre(s_set.field, s_set.elems, x_set.elems, y_set.elems).second_moment
+    return sum(part.second_moment
+               for part in _fibre_parts(s_set.field, s_set.elems, x_set.elems, y_set.elems))
 
 
 def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:

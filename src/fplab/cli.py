@@ -125,6 +125,13 @@ def _coerce(key, value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
+def _check_prime(key, p):
+    if not is_prime(p):
+        raise ConfigError(f"{key}: {p} is not prime")
+    if p < 3:
+        raise ConfigError(f"{key}: {p} is below 3 (p = 2 is not supported)")
+
+
 def resolve_config(args, dropped=None) -> dict:
     """Defaults, then the config file, then flags.  Primes above max_p are
     removed; a `dropped` dict receives them as {key: [p, ...]}."""
@@ -138,21 +145,33 @@ def resolve_config(args, dropped=None) -> dict:
             cfg[key] = _coerce(key, value)
     for key in ("primes", "sweep_primes"):
         for p in cfg[key]:
-            if not is_prime(p):
-                raise ConfigError(f"{key}: {p} is not prime")
-            if p < 3:
-                raise ConfigError(f"{key}: {p} is below 3 (p = 2 is not supported)")
+            _check_prime(key, p)
             if cfg[key].count(p) > 1:
                 raise ConfigError(f"{key}: {p} is repeated")
         above = [p for p in cfg[key] if p > cfg["max_p"]]
         if above and dropped is not None:
             dropped[key] = above
         cfg[key] = [p for p in cfg[key] if p <= cfg["max_p"]]
+    p = cfg["charsum_p"]
+    _check_prime("charsum_p", p)
+    # a default charsum_p above a small max_p concerns only `fplab charsum`
+    if args.command == "charsum" and p > cfg["max_p"]:
+        raise ConfigError(f"charsum_p: {p} is above max_p = {cfg['max_p']}")
     for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2),
                        ("charsum_n", 1), ("charsum_x", 1), ("oracle_max_size", 1),
-                       ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0)):
+                       ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0),
+                       ("charsum_m", 0), ("charsum_subgroup", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")
+    for key, most in (("charsum_m", p - 2), ("charsum_n", p), ("charsum_x", p - 1)):
+        if cfg[key] > most:
+            raise ConfigError(f"{key}: need <= {most} at charsum_p = {p}, got {cfg[key]}")
+    order = cfg["charsum_subgroup"]
+    if order and (p - 1) % order:
+        raise ConfigError(f"charsum_subgroup: {order} does not divide charsum_p - 1 = {p - 1}")
+    # parse_config_file cuts lines at '#', so resolved.cfg could not hold it
+    if "#" in cfg["out"]:
+        raise ConfigError(f"out: {cfg['out']!r} holds '#', which a config file cannot")
     return cfg
 
 

@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fplab.field import build_field, character
 from fplab.sets import (
     from_elements,
     interval,
+    primes_upto,
     random_set,
     symmetric_interval,
 )
@@ -306,6 +308,87 @@ def test_count_n_bruteforce_matches_loop_referee(sets, block):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(charsums, "_BLOCK", block)
         assert count_n_bruteforce(*sets) == _count_n_loop(*sets)
+
+
+def _fibre_one_shot(s_set, x_set, y_set):
+    """Referee for the lambda-chunked fibre: (values, counts) of every key
+    lambda * p + mu over (s, t, x, y) with s != t, built at once and merged
+    by one np.unique."""
+    p = s_set.field.p
+    ss = np.asarray(s_set.elems, dtype=np.int64)
+    xs = np.asarray(x_set.elems, dtype=np.int64)
+    yinv = np.array([pow(y, p - 2, p) for y in y_set.elems], dtype=np.int64)
+    vals = (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p  # (Y, X, S)
+    i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
+    return np.unique(vals[..., i] * p + vals[..., j], return_counts=True)
+
+
+@st.composite
+def _fibre_cases(draw):
+    # p = 7 and 31 give long runs of equal lambda; at p = 1048573 elements sit
+    # near 0 and p - 1, where lambda * p + mu approaches 2^40; Y = {y, 2y}
+    # makes (x + s)/y = (x' + s')/(2y) collide across y.  amplification_map
+    # needs 4Y <= X and 2X + 1 <= p, which no X meets at p = 7.
+    p = draw(st.sampled_from([7, 31, 1048573]))
+    fld = build_field(p)
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    s = from_elements(fld, draw(st.lists(elems, min_size=1, max_size=6)))
+    x = from_elements(fld, draw(st.lists(elems, min_size=1, max_size=4)))
+    y = draw(st.integers(1, p - 1))
+    ys = from_elements(fld, [y, 2 * y] if draw(st.booleans()) else [y])
+    amp = None
+    if p > 7:
+        radius = draw(st.integers(4, 15))
+        amp = radius, AmplificationParams(y=draw(st.integers(1, radius // 4)), z=1)
+    return s, x, ys, amp
+
+
+def _long_run_case():
+    # Y = {1, 2}: lambda = 3 comes from the 3 pairs x + s = 3 at y = 1 and the
+    # 4 pairs x + s = 6 at y = 2, 7 entries of 5 keys each, so the run spans
+    # several chunks of 2 or 16 keys
+    fld = build_field(1048573)
+    return (from_elements(fld, range(6)), from_elements(fld, range(1, 5)),
+            from_elements(fld, [1, 2]), (4, AmplificationParams(y=1, z=1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fibre_cases(), st.sampled_from([1, 2, 8, 64, 1 << 40]))
+@example(_long_run_case(), 8)
+@example(_long_run_case(), 64)
+def test_fibre_chunks_match_one_shot_referee(case, block):
+    # _BLOCK / 4 keys a chunk: 1 and 2 give one entry a chunk, 8 and 64 give
+    # 2 and 16 keys, 2^40 the whole fibre; a chunk cut inside a run of equal
+    # lambda would split a key's count in two
+    s, xset, yset, amp = case
+    fld = s.field
+    _, counts = _fibre_one_shot(s, xset, yset)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charsums, "_BLOCK", block)
+        assert count_n(s, xset, yset) == sum(int(c) ** 2 for c in counts)
+        assert count_n(s, xset, yset) == count_n_bruteforce(s, xset, yset)
+        if amp is not None:
+            radius, params = amp
+            got = amplification_map(s, radius, params)
+            values, counts = _fibre_one_shot(
+                s, symmetric_interval(fld, radius), from_elements(fld, prime_window(params, fld.p)))
+            assert got.values.tolist() == values.tolist()
+            assert got.counts.tolist() == counts.tolist()
+
+
+def test_count_n_memory_budget():
+    # 11 window primes x 128 x 64 x 63 = 5.7M fibre keys, which the one-shot
+    # fibre held at once (a 233 MB tracemalloc peak); N is the count it gave
+    fld = build_field(1048573)
+    sets = random_set(fld, 64, 7), interval(fld, 0, 128), from_elements(fld, primes_upto(32))
+    tracemalloc.start()
+    try:
+        got = count_n(*sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 5677068
+    assert peak <= 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,9 @@ def test_resolved_config_round_trips(tmp_path):
         write_resolved_config(cfg, path)
         assert resolve_config(_Args(config=str(path))) == cfg
     assert cfg == off
+    # a config file line ends at '#', so an out path holding one would not read back
+    with pytest.raises(ConfigError, match="out: 'o#1'"):
+        resolve_config(_Args(out="o#1"))
 
 
 def test_readme_config_block_lists_every_key():
@@ -440,9 +443,20 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("identity_trials = -1\n", [], "identity_trials: need >= 0, got -1"),
     ("amp_trials = -1\n", [], "amp_trials: need >= 0, got -1"),
     ("oracle_trials = -1\n", [], "oracle_trials: need >= 0, got -1"),
+    ("", ["--p", "100"], "charsum_p: 100 is not prime"),
+    ("charsum_p = 2\n", [], "charsum_p: 2 is below 3"),
+    ("", ["--p", "211", "--max-p", "150"], "charsum_p: 211 is above max_p = 150"),
+    ("", ["--m", "500"], "charsum_m: need <= 99 at charsum_p = 101, got 500"),
+    ("charsum_m = -1\n", [], "charsum_m: need >= 0, got -1"),
+    ("", ["--x-len", "200"], "charsum_x: need <= 100 at charsum_p = 101, got 200"),
+    ("", ["--set-size", "500"], "charsum_n: need <= 101 at charsum_p = 101, got 500"),
+    ("", ["--subgroup-order", "7"], "charsum_subgroup: 7 does not divide charsum_p - 1 = 100"),
+    ("charsum_subgroup = -4\n", [], "charsum_subgroup: need >= 0, got -4"),
 ], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
         "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
-        "oracle_trials"])
+        "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
+        "charsum_m_above", "charsum_m_below", "charsum_x_above", "charsum_n_above",
+        "charsum_subgroup_not_divisor", "charsum_subgroup_below"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:

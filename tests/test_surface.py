@@ -94,7 +94,7 @@ def test_every_public_definition_is_reached():
 # be a copy of what it checks.
 PRODUCTION_NAMES = {
     "ind", "unique", "pow", "_inverse_mod", "_convolve", "diff_multiplicity",
-    "MultiplicityFn", "_fibre", "_triple_cross_from_ratios", "line_spectrum",
+    "MultiplicityFn", "_fibre_parts", "_triple_cross_from_ratios", "line_spectrum",
 }
 REFEREES = {
     "geometry": "collinear_triples_bruteforce",
