@@ -136,7 +136,7 @@ def _fibre_parts(fld: PrimeField, s_elems, x_elems, y_elems):
     two chunks.  Each entry pairs with the #S - 1 values t != s, and a chunk
     holds at most _BLOCK / 4 keys unless one lambda alone has more; memory is
     O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys and
-    the products (x + s) * y^-1 stay below 2p^2 <= 2^41, so int64 is exact.
+    the products (x + s) y^-1 stay below 2p^2 < 2^49 at p < 2^24, in int64.
     """
     p = fld.p
     ss = np.asarray(s_elems, dtype=np.int64)
@@ -198,11 +198,11 @@ def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
 
     Over every pair of tuples (s1, t1, x1, y1), (s2, t2, x2, y2) with s != t
     it tests (x1 + s1) y2 - (x2 + s2) y1 and (x1 + t1) y2 - (x2 + t2) y1 for
-    0 mod p; each product stays below p^2 <= 2^40.  The first test runs on a
-    block of first tuples at a time, and the second on the pairs that pass
-    it.  A block's two int64 products hold at most _BLOCK entries together
-    (one first tuple when there are more tuples): at _BLOCK pairs a block,
-    they made `fplab oracles` the command with the highest peak RSS.
+    0 mod p; each product stays below p^2 < 2^48 at p < 2^24.  The first test
+    runs on a block of first tuples at a time, and the second on the pairs
+    that pass it.  A block's two int64 products hold at most _BLOCK entries
+    together (one first tuple when there are more tuples): at _BLOCK pairs a
+    block, they made `fplab oracles` the command with the highest peak RSS.
     """
     _same_field(s_set, x_set, y_set)
     if 0 in y_set.as_set():

@@ -19,7 +19,7 @@ import sys
 import time
 
 from .errors import ConfigError, FplabError
-from .field import DEFAULT_CAP, is_prime
+from .field import DEFAULT_CAP, P_CEILING, is_prime
 from .report import count_failures, summarize, write_csv, write_json
 from .suites import (
     BlockTimer,
@@ -143,6 +143,8 @@ def resolve_config(args, dropped=None) -> dict:
     for key, value in vars(args).items():
         if key in DEFAULTS and value is not None and value is not False:
             cfg[key] = _coerce(key, value)
+    if cfg["max_p"] > P_CEILING:
+        raise ConfigError(f"max_p: need <= {P_CEILING}, got {cfg['max_p']}")
     for key in ("primes", "sweep_primes"):
         for p in cfg[key]:
             _check_prime(key, p)

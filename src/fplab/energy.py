@@ -58,9 +58,9 @@ def _residues(a: FpSet) -> np.ndarray:
     return np.asarray(a.elems, dtype=np.int64)
 
 
-def _convolve(p: int, first: np.ndarray, others, at=None):
+def _convolve(p: int, first: np.ndarray, others, at=None, moment=False):
     """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...,
-    or, given sorted keys `at`, only the counts at those keys.
+    or only the counts at the sorted keys `at`, or, with `moment`, sum counts^2.
 
     first holds sorted distinct residues, each of others distinct residues.
     Each step against a set S runs on the current support: when the
@@ -72,8 +72,8 @@ def _convolve(p: int, first: np.ndarray, others, at=None):
     than % p and less than a boolean-mask subtract.  Counts are int64 while
     their total stays below the guard and Python ints past it; the dense
     array is int32 while the total is below 2^31, and its weights take its
-    exact dtype, which np.add.at needs to stay fast.  With `at`, a last dense
-    step is read at those keys only, never reduced to its support.
+    exact dtype, which np.add.at needs to stay fast.  A last dense step is
+    never reduced to its support: it is read at `at`, or squared by _dot.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
@@ -96,21 +96,22 @@ def _convolve(p: int, first: np.ndarray, others, at=None):
                 keys = s[lo:lo + rows, None] + values[None, :]
                 keys -= p * (keys >= p)
                 np.add.at(dense, keys.ravel(), weights[:keys.size])
-            if at is not None and step == len(others):
-                return dense[at].astype(counts.dtype, copy=False)
+            if step == len(others) and (moment or at is not None):
+                return _dot(dense, dense) if moment else dense[at].astype(counts.dtype)
             values = np.flatnonzero(dense)
             counts = dense[values].astype(counts.dtype, copy=False)
     if at is not None:
         return MultiplicityFn(values, counts).at(at)
-    return values, counts
+    return _dot(counts, counts) if moment else (values, counts)
 
 
 def _dot(*columns) -> int:
     """Exact sum over i of prod_j columns[j][i], for nonnegative count arrays.
 
     sum(columns[0]) * prod(max(columns[1:])) bounds every partial product and
-    the total, so below the guard int64 is exact; past it the sum runs in
-    Python ints.
+    the total, so below the guard int64 is exact: np.einsum widens int32
+    columns to int64 in buffer-sized slices, never a whole-column copy.  Past
+    the guard the sum runs in Python ints.
     """
     if not len(columns[0]):
         return 0
@@ -118,7 +119,7 @@ def _dot(*columns) -> int:
     for col in columns[1:]:
         bound *= int(col.max())
     if bound < _INT64_SAFE:
-        return int(math.prod(columns).sum())
+        return int(np.einsum(",".join("i" * len(columns)) + "->", *columns, dtype=np.int64))
     return sum(math.prod(row) for row in zip(*(col.tolist() for col in columns)))
 
 
@@ -130,8 +131,8 @@ def diff_multiplicity(a: FpSet) -> MultiplicityFn:
 
 
 def additive_energy(a: FpSet) -> int:
-    """Number of quadruples with u1 + u2 = v1 + v2, as the second moment of r_-."""
-    return diff_multiplicity(a).second_moment
+    """Number of quadruples with u1 + u2 = v1 + v2, t_k([a, a])."""
+    return t_k([a, a])
 
 
 def _difference_bound(a: FpSet) -> int:
@@ -186,13 +187,6 @@ def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
     return count
 
 
-def sum_counts(sets) -> MultiplicityFn:
-    """r(x) = number of tuples (u_1..u_k), u_i in sets[i], summing to x."""
-    _same_field(*sets)
-    arrays = [_residues(s) for s in sets]
-    return MultiplicityFn(*_convolve(sets[0].field.p, arrays[0], arrays[1:]))
-
-
 def t_k(sets) -> int:
     """Number of 2k-tuples with u_1 + ... + u_k = v_1 + ... + v_k.
 
@@ -202,7 +196,9 @@ def t_k(sets) -> int:
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one set")
-    return sum_counts(sets).second_moment
+    _same_field(*sets)
+    arrays = [_residues(s) for s in sets]
+    return _convolve(sets[0].field.p, arrays[0], arrays[1:], moment=True)
 
 
 def t_k_fourier(sets) -> float:
@@ -222,5 +218,4 @@ def t_k_fourier(sets) -> float:
 
 def t_k_fourier_check(sets) -> float:
     """|t_k - its Fourier evaluation|; contract: below 1e-6 relative."""
-    exact = t_k(sets)
-    return abs(exact - t_k_fourier(sets))
+    return abs(t_k(sets) - t_k_fourier(sets))

@@ -21,7 +21,8 @@ from .errors import (
     TooSmallError,
 )
 
-DEFAULT_CAP = 1 << 20
+DEFAULT_CAP = 1 << 20  # the default max_p
+P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
 # Kernels whose temporaries would grow with p (the ind build) or with a whole
 # key matrix (the dense _convolve step, the chi gathers of _inner_sums) work
@@ -135,7 +136,7 @@ def _build_field_cached(p: int) -> PrimeField:
     return PrimeField(p, g, ind)
 
 
-def build_field(p: int, cap: int = DEFAULT_CAP) -> PrimeField:
+def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
     """Validated field constructor: p prime, 3 <= p <= cap.
 
     Deterministic: always the least primitive root.  p = 2 is rejected

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import MultiplicityFn, _dot
+from .energy import _SORT_SHARE, MultiplicityFn, _dot
 from .errors import PreconditionViolatedError, TooLargeError
 from .field import _BLOCK, is_prime
 from .sets import FpSet, _same_field
@@ -29,7 +29,7 @@ def line_spectrum(a: FpSet) -> MultiplicityFn:
     Each point (x, y) of A x A lies on the p lines y = s*x + b, keyed
     s*p + b, and on the vertical line x, keyed p^2 + x: one np.unique over
     the #A^2 (p + 1) keys, never the full p^3 point-line incidence relation.
-    Keys stay below p^2 + p <= 2^41.
+    Keys stay below p^2 + p < 2^49 at p < 2^24.
     """
     p = a.field.p
     xs = np.asarray(a.elems, dtype=np.int64)
@@ -69,30 +69,41 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
 
 def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
-    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time, one batch of
-    # (x, z) pairs per y.  R is keyed by ind(l) = ind(x - z) - ind(y - z)
-    # mod (p - 1), with l = 0 in the spare key p - 1: a bijection of F_p onto
-    # [0, p - 1], so sum R^2 is unchanged.  A difference d in (-p, 0) reads
-    # ind[d + p], as a numpy negative index.  Memory is the #A #C int32 key
-    # batch plus one count per key, 4 bytes each while #A #B #C < 2^31 bounds
-    # every R(l); np.add.at is only fast when its weight has the counts' dtype.
-    p = a.field.p
-    ind = a.field.ind
-    xs = np.asarray(a.elems, dtype=np.int64)
-    cs = np.asarray(c.elems, dtype=np.int64)
+    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time.  R is keyed by
+    # ind(l) = ind(x - z) - ind(y - z) mod (p - 1), with l = 0 in the spare key
+    # p - 1: a bijection of F_p onto [0, p - 1], so sum R^2 is unchanged.  A
+    # difference d in (-p, 0) reads ind[d + p], as a numpy negative index.
+    # Below the _convolve crossover the int32 keys of every z != y are sorted
+    # at once and no length-p array is made; above it each y's keys are added
+    # into one length-p count array, int32 while #A #B #C < 2^31 bounds R(l).
+    p, ind = a.field.p, a.field.ind
+    xs, ys, cs = (np.asarray(s.elems, dtype=np.int64) for s in (a, b, c))
     lx = ind[xs[None, :] - cs[:, None]]  # (z, x), -1 where x = z
-    x_is_z = np.nonzero(lx < 0)
+    ly = ind[ys[:, None] - cs[None, :]]  # (y, z), -1 where z = y
+    x_is_z = lx < 0
+
+    def ratio_keys(rows, ly):  # the (z, x) rows lx[rows], each against its ly
+        keys = lx[rows] - ly[:, None]
+        keys += np.int32(p - 1) * (keys < 0)
+        keys[x_is_z[rows]] = p - 1
+        return keys
+
+    if len(a) * len(b) * len(c) * _SORT_SHARE < p:
+        iy, iz = np.nonzero(ly >= 0)
+        keys = ratio_keys(iz, ly[iy, iz]).ravel()
+        keys.sort()
+        # a run of R >= 2 equal keys holds R - 1 consecutive repeats, and
+        # sum R^2 = #keys + sum R (R - 1) over those runs
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        m = np.diff(np.flatnonzero(np.diff(repeats, prepend=-2, append=keys.size) != 1))
+        return keys.size + _dot(m, m + 1)
     one = np.int32(1) if len(a) * len(b) * len(c) < 1 << 31 else np.int64(1)
     counts = np.zeros(p + 1, dtype=one.dtype)  # key p collects the z = y row
-    for y in b.elems:
-        ly = ind[y - cs]  # -1 where z = y
-        keys = lx - ly[:, None]
-        keys += (p - 1) * (keys < 0)
-        keys[x_is_z] = p - 1
-        keys[ly < 0] = p
-        np.add.at(counts, keys.ravel(), one)
-    r = counts[:p][counts[:p] > 0].astype(np.int64)
-    return _dot(r, r)  # R(l) can reach #A #B #C: R^2 needs the int64 guard
+    for row in ly:
+        keys = ratio_keys(slice(None), row)
+        keys[row < 0] = p
+        np.add.at(counts, keys.ravel(), one)  # fast only with the counts' dtype
+    return _dot(counts[:p], counts[:p])
 
 
 def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
@@ -111,8 +122,8 @@ def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
 
     Over every (a1, a2, b1, b2, c1, c2) with b1 != c1 and b2 != c2 it compares
     (a1 - c1)(b2 - c2) with (a2 - c2)(b1 - c1) mod p; the products stay below
-    p^2 <= 2^40.  The comparisons are made for a block of (b1, c1) pairs at a
-    time, at most _BLOCK sextuples (one pair when a pair alone has more).
+    p^2 < 2^48 at p < 2^24.  The comparisons are made for a block of (b1, c1)
+    pairs at a time, at most _BLOCK sextuples (one pair when a pair has more).
     """
     _same_field(a, b, c)
     p = a.field.p
@@ -203,7 +214,7 @@ def gram_structure_check(p: int) -> int:
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p elementwise, the inverse of each nonzero x < p; the
-    squares stay below p^2 <= 2^40."""
+    squares stay below p^2 < 2^48 at p < 2^24."""
     out = np.ones_like(x)
     e = p - 2
     while e > 0:

@@ -112,7 +112,7 @@ def poly_image(coeffs, domain: FpSet) -> FpSet:
 
     coeffs lists the polynomial's coefficients from constant term upward;
     degree must be at least 1 after reduction mod p.  One numpy Horner pass
-    evaluates f; its products stay below p^2 <= 2^40.
+    evaluates f; each step acc * x + c stays below p^2 < 2^48 at p < 2^24.
     """
     p = domain.field.p
     reduced = [c % p for c in coeffs]

@@ -438,22 +438,14 @@ def run_region_suite(cfg, timer=None):
         for name, marks, thr in (("chang_diag", chang[0:2], 7 / 22),
                                  ("karatsuba_diag", kar[2:4], 1 / 3)):
             above, below = (mark == "T" for mark in marks)
-            rows.append(
-                ReportRow(
-                    "region_boundary", 0, f"which={name};thr={thr:.9f}",
-                    int(above), int(not below), None,
-                    "pass" if above and not below else "fail",
-                )
-            )
+            rows.append(ReportRow("region_boundary", 0, f"which={name};thr={thr:.9f}",
+                                  int(above), int(not below), None,
+                                  "pass" if above and not below else "fail"))
         words = {"T": "inside", "F": "outside", "-": "out_of_domain"}
         inside, outside = words[sub[4]], words[sub[5]]
-        rows.append(
-            ReportRow(
-                "region_boundary", 0, "which=subgroup_diag;thr=2/7",
-                inside, outside, None,
-                "pass" if inside == "inside" and outside == "outside" else "fail",
-            )
-        )
+        rows.append(ReportRow("region_boundary", 0, "which=subgroup_diag;thr=2/7",
+                              inside, outside, None,
+                              "pass" if inside == "inside" and outside == "outside" else "fail"))
     with _block(timer, rows):
         # Karatsuba strictly dominates Chang on the open window (1/4, 2/7)
         samples = 64
@@ -469,12 +461,8 @@ def run_region_suite(cfg, timer=None):
         zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
         xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
         rows_i, cols_j = np.nonzero(~bounds.subgroup_agreement(zeta, xi))
-        rows.append(
-            ReportRow(
-                "region_agreement", 0, f"grid={n}x{n}",
-                len(rows_i), n * n, None, "report",
-            )
-        )
+        rows.append(ReportRow("region_agreement", 0, f"grid={n}x{n}",
+                              len(rows_i), n * n, None, "report"))
         for i, j in zip(rows_i[:100], cols_j[:100]):
             rows.append(
                 ReportRow(

@@ -211,6 +211,18 @@ def test_sweep_max_p_50_reports_dropped_primes(tmp_path):
     assert set(summary["failed_fits"].values()) == {"need >= 4 usable rows, have 0"}
 
 
+def test_sweep_above_the_default_cap(tmp_path):
+    # max_p raised past DEFAULT_CAP = 2^20: every cell builds its field under
+    # the 2^24 ceiling, not under the default cap
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("sweep_primes = 1048583\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--max-p", "2000000", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["p"] for row in rows} == {"1048583"}
+
+
 def test_sweep_at_p3_skips_the_subgroup_cell(tmp_path):
     # X = 3 is no interval length in F_3
     out = tmp_path / "s"
@@ -452,11 +464,12 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("", ["--set-size", "500"], "charsum_n: need <= 101 at charsum_p = 101, got 500"),
     ("", ["--subgroup-order", "7"], "charsum_subgroup: 7 does not divide charsum_p - 1 = 100"),
     ("charsum_subgroup = -4\n", [], "charsum_subgroup: need >= 0, got -4"),
+    ("max_p = 16777217\n", [], "max_p: need <= 16777216, got 16777217"),
 ], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
         "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
         "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
         "charsum_m_above", "charsum_m_below", "charsum_x_above", "charsum_n_above",
-        "charsum_subgroup_not_divisor", "charsum_subgroup_below"])
+        "charsum_subgroup_not_divisor", "charsum_subgroup_below", "max_p_above_ceiling"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:

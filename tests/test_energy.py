@@ -15,7 +15,6 @@ from fplab.energy import (
     diff_multiplicity,
     e3,
     e3_bruteforce,
-    sum_counts,
     t_k,
     t_k_fourier,
     t_k_fourier_check,
@@ -24,6 +23,7 @@ from fplab.field import build_field
 from fplab.sets import (
     from_elements,
     interval,
+    poly_image,
     random_set,
     subgroup,
     symmetric_interval,
@@ -129,11 +129,17 @@ def test_t_k_matches_brute_quadruples():
         assert t_k([a, b]) == direct
 
 
+def _sum_counts(sets):
+    """(values, counts) of the sums u_1 + ... + u_k, from _convolve."""
+    arrays = [np.asarray(s.elems, dtype=np.int64) for s in sets]
+    return energy._convolve(sets[0].field.p, arrays[0], arrays[1:])
+
+
 def test_sum_counts_total():
     fld = build_field(13)
     sets = [random_set(fld, n, seed=n) for n in (3, 4, 5)]
-    mf = sum_counts(sets)
-    assert mf.total == 3 * 4 * 5
+    _, counts = _sum_counts(sets)
+    assert counts.sum() == 3 * 4 * 5
 
 
 def test_fourier_examples():
@@ -320,7 +326,7 @@ def test_t_k_property(sets):
     exact = t_k(sets)
     assert exact == _t_k_direct(sets)
     assert abs(exact - t_k_fourier(sets)) < 1e-6 * exact
-    assert sum_counts(sets).total == math.prod(len(s) for s in sets)
+    assert _sum_counts(sets)[1].sum() == math.prod(len(s) for s in sets)
 
 
 @pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5)),
@@ -338,16 +344,21 @@ def test_t_k_both_steps(p, sizes):
 @given(_fields_and_sets(count=3, max_size=7), st.integers(1, 3))
 def test_python_int_route_past_guard(sets, k):
     # a zero guard sends every count into Python ints and every sum of
-    # products through the Python-int route; results must not move
+    # products through the Python-int route; results must not move.  The
+    # second moments of t_k and additive_energy are also taken with every
+    # step sorted, then with every step dense, whose last step is squared
+    # straight off its accumulator
     want_e3, want_e2, want_tk = e3(*sets), additive_energy(sets[0]), t_k(sets[:k])
     want_diff = _support(diff_multiplicity(sets[1]))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(energy, "_INT64_SAFE", 0)
         assert e3(*sets) == want_e3
-        assert additive_energy(sets[0]) == want_e2
-        assert t_k(sets[:k]) == want_tk
-        assert sum_counts(sets[:k]).counts.dtype == object
+        assert _sum_counts(sets[:k])[1].dtype == object
         assert _support(diff_multiplicity(sets[1])) == want_diff
+        for share in (0, sets[0].field.p + 1):
+            m.setattr(energy, "_SORT_SHARE", share)
+            assert additive_energy(sets[0]) == want_e2
+            assert t_k(sets[:k]) == want_tk
 
 
 @st.composite
@@ -386,6 +397,9 @@ def test_convolve_routes_match_dict_referee(case, python_ints, block):
             got = energy._convolve(p, arrays[0], arrays[1:], at=at)
             assert got.tolist() == [sums[k] for k in at.tolist()]
             assert got.dtype == counts.dtype
+            # the second moment, with no (values, counts) built on a dense step
+            moment = energy._convolve(p, arrays[0], arrays[1:], moment=True)
+            assert type(moment) is int and moment == sum(c * c for c in sums.values())
 
 
 def _sums_by_steps(p, arrays):
@@ -417,6 +431,16 @@ def test_convolve_accumulator_at_2_31(p, sizes):
             values, counts = energy._convolve(p, arrays[0], arrays[1:])
             assert (values.tolist(), counts.tolist()) == want
             assert counts.dtype == np.int64
+            # squared off the int32 or int64 accumulator; at 3^21 the squares
+            # pass 2^63 and are summed in Python ints
+            moment = energy._convolve(p, arrays[0], arrays[1:], moment=True)
+            assert moment == sum(c * c for c in want[1])
+        # counts as Python ints, as past 2^62: from a total of 2^31 on, the
+        # dense accumulator holds them too
+        m.setattr(energy, "_INT64_SAFE", 0)
+        for share in (0, p + 1):
+            m.setattr(energy, "_SORT_SHARE", share)
+            assert energy._convolve(p, arrays[0], arrays[1:], moment=True) == moment
     if math.prod(sizes) > 1 << 32:
         assert max(want[1]) >= 1 << 31  # an int32 accumulator would wrap here
 
@@ -439,6 +463,22 @@ def test_energies_near_cap_against_python_ints():
     assert additive_energy(u) == sum(c * c for c in ru)
     assert e3(u, v, w) == sum(a * b * c for a, b, c in zip(ru, rv, rw))
     assert e3(u, u, u) == sum(c**3 for c in ru)
+
+
+def test_t_k_memory_budget():
+    # the poly cell's largest t_k at 2^20: T_3 of the cubic image of
+    # [0, 128), whose last step is dense.  Its second moment is read off
+    # the int32 accumulator (4 p bytes) with no sorted support beside it
+    fld = build_field(1048573)
+    img = poly_image([2, 0, 1, 1], interval(fld, 0, 128))
+    tracemalloc.start()
+    try:
+        got = t_k([img] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 17246000  # the sweep's sweep_poly d=3;X=128;stat=T3 row at 2^20
+    assert peak <= 8e6
 
 
 def test_t_k_past_int64():

@@ -277,14 +277,21 @@ def _ratio_route_by_inverse(a, b, c):
 @st.composite
 def _ratio_sets(draw):
     # elements at 0 and near p - 1 at every p; C's elements planted in A make
-    # x = z, the ratio 0 that has no discrete log
+    # x = z, the ratio 0 that has no discrete log; B = C = {y} makes z = y for
+    # every (y, z), so no ratio key is left
     p = draw(st.sampled_from([3, 5, 13, 31, 1048573]))
     elems = st.one_of(st.just(0), st.integers(max(0, p - 4), p - 1), st.integers(0, p - 1))
     c = draw(st.lists(elems, min_size=1, max_size=20))
     a = draw(st.lists(elems, max_size=20)) + draw(st.lists(st.sampled_from(c), min_size=1, max_size=4))
     b = draw(st.lists(elems, min_size=1, max_size=20))
+    if draw(st.booleans()):
+        b = c = [draw(st.sampled_from(c))]
     fld = build_field(p)
     return [from_elements(fld, s) for s in (a, b, c)]
+
+
+def _ceiling_set(*elems):
+    return from_elements(build_field(16777213), elems)
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,8 +301,21 @@ def _ratio_sets(draw):
     _big_field_set(0, 2, 1048572),
     _big_field_set(0, 1, 1048572),
 ])
+# the largest prime below the 2^24 ceiling: wrapped keys, x = z and z = y
+@example([
+    _ceiling_set(0, 1, 16777211, 16777212),
+    _ceiling_set(0, 2, 16777212),
+    _ceiling_set(0, 1, 16777212),
+])
+@example([_ceiling_set(0, 5, 16777212), _ceiling_set(5), _ceiling_set(5)])
 def test_collinear_matches_inverse_ratio_route(sets):
-    assert collinear_triples(*sets) == _ratio_route_by_inverse(*sets)
+    # each draw with every key sorted at once (_SORT_SHARE = 0), then added
+    # per y into the length-p counts (_SORT_SHARE = p + 1)
+    want = _ratio_route_by_inverse(*sets)
+    with pytest.MonkeyPatch.context() as m:
+        for share in (0, sets[0].field.p + 1):
+            m.setattr(geometry, "_SORT_SHARE", share)
+            assert collinear_triples(*sets) == want
 
 
 def test_collinear_counts_past_int32_squares():
@@ -308,8 +328,9 @@ def test_collinear_counts_past_int32_squares():
 
 
 def test_collinear_memory_budget():
-    # the tabc cell's three trials at 2^20 and seed 1000: one int32 count per
-    # ratio key (4.2 MB) is the only length-p array
+    # the tabc cell's three trials at 2^20 and seed 1000 are below the sort
+    # crossover: their keys are sorted, and no length-p array is made, not
+    # even one int32 count per residue (4 p bytes)
     p = 1048573
     fld = build_field(p)
     target = round(p**0.3)
@@ -325,7 +346,7 @@ def test_collinear_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8e6
+        assert peak < 4 * p
 
 
 def test_collinear_oracle_full_size_corner():
