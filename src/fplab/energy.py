@@ -1,15 +1,12 @@
 """Exact additive energies and representation-function machinery.
 
-Every representation function has one form, `MultiplicityFn`: the sorted
-distinct keys it takes (`values`) and how often it takes each (`counts`), as
-aligned int64 arrays.  Energies here, the amplification fibre in `charsums`
-and line spectra in `geometry` all use it.  Counts whose total could reach
-2^62 are Python ints instead, and every sum of products is computed in int64
-only below the same guard, so all counts and energies are exact integers.
-Dense length-p accumulators are int32 while the total they count stays below
-2^31, 4 bytes per residue.  Floating point appears only in the Fourier
-cross-check, which exists to bound the error of the orthogonality identity,
-not to produce counts.
+Sum and product representation functions are `MultiplicityFn`s: sorted
+distinct keys (`values`) and their counts (`counts`), aligned int64 arrays;
+`e3` keeps difference counts on one lag window [-h, h] only.  Counts that
+could pass the 2^62 guard are Python ints, and sums of products run in int64
+only below it, so every count and energy is an exact integer.  Floats count
+only in `e3`'s correlation of 0/1 indicators, exact far below 2^53, and in
+the Fourier cross-check, which bounds the error of the orthogonality identity.
 """
 
 import math
@@ -26,6 +23,11 @@ _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 # otherwise.  Measured at p = 1048573, |S| from 8 to 256: the routes tie near
 # p / 7 keys; sorting is 1.8x faster at p / 16 and 2.3x slower at p / 2.
 _SORT_SHARE = 7
+
+# A pair in _lag_counts costs _PAIR_COST correlation multiply-adds.  Measured at
+# p = 1048573 (density 0.05-0.6, arcs of 1,000-12,000, h from L/4 to L - 1) the
+# routes tie at 48-66 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
+_PAIR_COST = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,22 +60,18 @@ def _residues(a: FpSet) -> np.ndarray:
     return np.asarray(a.elems, dtype=np.int64)
 
 
-def _convolve(p: int, first: np.ndarray, others, at=None, moment=False):
-    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...,
-    or only the counts at the sorted keys `at`, or, with `moment`, sum counts^2.
+def _convolve(p: int, first: np.ndarray, others, moment=False):
+    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...
+    (first sorted, all distinct residues), or, with `moment`, sum counts^2.
 
-    first holds sorted distinct residues, each of others distinct residues.
-    Each step against a set S runs on the current support: when the
-    len(support) * |S| key matrix has fewer than p / _SORT_SHARE entries it
-    sorts the keys and sums equal ones, otherwise it adds the counts into one
-    dense length-p array with one np.add.at per block of rows of S, each block
-    at most _BLOCK keys (one row when the support alone is longer).  A sum of
-    two residues is reduced by subtracting p * (sum >= p), which costs less
-    than % p and less than a boolean-mask subtract.  Counts are int64 while
-    their total stays below the guard and Python ints past it; the dense
-    array is int32 while the total is below 2^31, and its weights take its
-    exact dtype, which np.add.at needs to stay fast.  A last dense step is
-    never reduced to its support: it is read at `at`, or squared by _dot.
+    A step against S sorts the len(support) * |S| keys and sums equal ones
+    below p / _SORT_SHARE keys; otherwise it adds the counts into one dense
+    length-p array, int32 while the total is below 2^31, with one np.add.at
+    (weights of its exact dtype, which keeps it fast) per block of rows of S
+    of at most _BLOCK keys (one row when the support alone is longer).  Sums
+    are reduced by subtracting p * (sum >= p), cheaper than % p.  Counts are
+    int64 below the guard and Python ints past it.  A moment's last dense
+    step is squared in place by _dot, never reduced to its support.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
@@ -96,12 +94,10 @@ def _convolve(p: int, first: np.ndarray, others, at=None, moment=False):
                 keys = s[lo:lo + rows, None] + values[None, :]
                 keys -= p * (keys >= p)
                 np.add.at(dense, keys.ravel(), weights[:keys.size])
-            if step == len(others) and (moment or at is not None):
-                return _dot(dense, dense) if moment else dense[at].astype(counts.dtype)
+            if step == len(others) and moment:
+                return _dot(dense, dense)
             values = np.flatnonzero(dense)
             counts = dense[values].astype(counts.dtype, copy=False)
-    if at is not None:
-        return MultiplicityFn(values, counts).at(at)
     return _dot(counts, counts) if moment else (values, counts)
 
 
@@ -115,19 +111,10 @@ def _dot(*columns) -> int:
     """
     if not len(columns[0]):
         return 0
-    bound = int(columns[0].sum())
-    for col in columns[1:]:
-        bound *= int(col.max())
+    bound = int(columns[0].sum()) * math.prod(int(col.max()) for col in columns[1:])
     if bound < _INT64_SAFE:
         return int(np.einsum(",".join("i" * len(columns)) + "->", *columns, dtype=np.int64))
     return sum(math.prod(row) for row in zip(*(col.tolist() for col in columns)))
-
-
-def diff_multiplicity(a: FpSet) -> MultiplicityFn:
-    """Counts of x as a difference u - v with u, v in the set."""
-    p = a.field.p
-    arr = _residues(a)
-    return MultiplicityFn(*_convolve(p, arr, [-arr % p]))
 
 
 def additive_energy(a: FpSet) -> int:
@@ -135,45 +122,60 @@ def additive_energy(a: FpSet) -> int:
     return t_k([a, a])
 
 
-def _difference_bound(a: FpSet) -> int:
-    """An upper bound on #(A - A): min(p, n(n - 1) + 1, 2L - 1), where L is
-    the length of the shortest cyclic arc holding A (p less the largest gap
-    between cyclically consecutive elements, plus one).  Exact for intervals
-    and symmetric intervals."""
-    arr = _residues(a)
-    n = len(arr)
-    if not n:
-        return 0
-    p = a.field.p
-    arc = p - int(np.diff(arr, append=arr[0] + p).max()) + 1
-    return min(p, n * (n - 1) + 1, 2 * arc - 1)
+def _arc(arr: np.ndarray, p: int):
+    """(start, length) of the shortest cyclic arc holding sorted residues."""
+    gaps = np.diff(arr, append=arr[0] + p)
+    i = int(gaps.argmax())
+    return int(arr[(i + 1) % len(arr)]), p - int(gaps[i]) + 1
+
+
+def _lag_counts(arr: np.ndarray, p: int, h: int) -> np.ndarray:
+    """#{(x, y) in A^2 : x - y = d mod p} at index d + h, |d| <= h <= (p - 1)/2,
+    int64, for A's sorted residues arr on an arc of length L.  Below
+    L * (2h + 1) / _PAIR_COST pairs, np.searchsorted finds each x's window
+    [x - h, x + h] in the tripled residues and the differences are bincounted
+    over whole rows cut every max(_BLOCK, 2h + 1) pairs; otherwise A's 0/1
+    indicator on its arc is correlated with that on [-h, L + h) around it,
+    L * (2h + 1) multiply-adds, exact in float64."""
+    start, length = _arc(arr, p)
+    tripled = np.concatenate((arr - p, arr, arr + p))
+    lo = np.searchsorted(tripled, arr - h)
+    counts = np.searchsorted(tripled, arr + h, side="right") - lo
+    ends = np.cumsum(counts)
+    if int(ends[-1]) * _PAIR_COST >= length * (2 * h + 1):
+        z = np.arange(start - h, start + length + h) % p  # np.isin would import numpy.ma
+        g = (arr[np.searchsorted(arr, z) % len(arr)] == z).astype(float)
+        return np.correlate(g, g[h:h + length], "valid").astype(np.int64)
+    r = np.zeros(2 * h + 1, dtype=np.int64)
+    step = max(_BLOCK, 2 * h + 1)
+    bounds = [0, *np.searchsorted(ends, range(step, ends[-1], step), side="right"), len(arr)]
+    for a, b in zip(bounds, bounds[1:]):
+        c = counts[a:b]  # pair k of row i sits at tripled[k + lo[i] + c[i] - ends[i]]
+        k = np.arange(ends[a] - c[0], ends[b - 1]) + np.repeat(lo[a:b] + c - ends[a:b], c)
+        r += np.bincount(np.repeat(arr[a:b] + h, c) - tripled[k], minlength=2 * h + 1)
+    return r
 
 
 def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     """Number of sextuples with u1 - u2 = v1 - v2 = w1 - w2.
 
-    A difference counts only where all three sets take it, so the sum runs
-    over the support of the distinct set with the least _difference_bound:
-    that set's r_- is built, and each other set's is counted at those keys
-    only.
-    """
+    Every difference of the set on the shortest cyclic arc, of length L, lies
+    in [-h, h], h = min(L - 1, (p - 1) / 2), so E3 is summed over that window
+    of the distinct sets' _lag_counts."""
     _same_field(u, v, w)
     p = u.field.p
-    first, *rest = sorted(dict.fromkeys((u, v, w)), key=_difference_bound)
-    base = diff_multiplicity(first)
-    r = {first: base.counts}
-    for s in rest:
-        arr = _residues(s)
-        r[s] = _convolve(p, arr, [-arr % p], at=base.values)
+    arrays = {s: _residues(s) for s in dict.fromkeys((u, v, w))}
+    if not all(map(len, arrays.values())):
+        return 0
+    h = min((p - 1) // 2, *(_arc(arr, p)[1] - 1 for arr in arrays.values()))
+    r = {s: _lag_counts(arr, p, h) for s, arr in arrays.items()}
     return _dot(*(r[s] for s in (u, v, w)))
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
-    """Literal enumeration of the e3 equation over all sextuples; oracle only.
-
-    The differences u1 - u2, v1 - v2 and w1 - w2 mod p are compared for every
-    (u1, u2, v1, v2, w1, w2), for a block of (u1, u2) pairs at a time, at
-    most _BLOCK sextuples (one pair when a pair alone has more).
+    """Literal enumeration of the e3 equation, oracle only: u1 - u2, v1 - v2
+    and w1 - w2 mod p compared over every sextuple, a block of (u1, u2) pairs
+    at a time, at most _BLOCK sextuples (one pair when a pair alone has more).
     """
     _same_field(u, v, w)
     p = u.field.p
@@ -188,11 +190,8 @@ def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
 
 
 def t_k(sets) -> int:
-    """Number of 2k-tuples with u_1 + ... + u_k = v_1 + ... + v_k.
-
-    sets lists the k source sets (repeat a set for the symmetric energy);
-    t_k([s, s]) is the additive energy.
-    """
+    """Number of 2k-tuples with u_1 + ... + u_k = v_1 + ... + v_k over the k
+    sets listed; t_k([s, s]) is the additive energy."""
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one set")

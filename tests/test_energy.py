@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from fplab import energy
 from fplab.errors import FieldMismatchError
 from fplab.energy import (
+    MultiplicityFn,
     additive_energy,
-    diff_multiplicity,
     e3,
     e3_bruteforce,
     t_k,
@@ -40,18 +40,25 @@ def _as_support(table):
     return sorted(table), [table[x] for x in sorted(table)]
 
 
+def _diff_counts(a):
+    """The count of each difference u - v over the whole set, built by
+    _convolve: the referee for e3's lag counts."""
+    arr = np.asarray(a.elems, dtype=np.int64)
+    return MultiplicityFn(*energy._convolve(a.field.p, arr, [-arr % a.field.p]))
+
+
 def test_diff_multiplicity_examples():
     f7 = build_field(7)
-    assert _support(diff_multiplicity(from_elements(f7, [0]))) == ([0], [1])
-    assert _support(diff_multiplicity(from_elements(f7, [0, 1]))) == ([0, 1, 6], [2, 1, 1])
-    perfect = _support(diff_multiplicity(from_elements(f7, [1, 2, 4])))
+    assert _support(_diff_counts(from_elements(f7, [0]))) == ([0], [1])
+    assert _support(_diff_counts(from_elements(f7, [0, 1]))) == ([0, 1, 6], [2, 1, 1])
+    perfect = _support(_diff_counts(from_elements(f7, [1, 2, 4])))
     assert perfect == ([0, 1, 2, 3, 4, 5, 6], [3, 1, 1, 1, 1, 1, 1])
 
 
 def test_diff_multiplicity_total_and_numpy_path():
     fld = build_field(257)
     a = random_set(fld, 80, seed=3)  # 80 * 80 >= 257: the dense scatter step
-    mf = diff_multiplicity(a)
+    mf = _diff_counts(a)
     assert mf.total == len(a) ** 2
     slow = {}
     for u in a.elems:
@@ -88,6 +95,9 @@ def test_e3_examples():
     assert e3(z, z, z) == 1
     s = from_elements(f7, [0, 1])
     assert e3(s, s, s) == 10
+    empty = from_elements(f7, [])
+    for sets in ((empty, s, s), (s, empty, s), (s, s, empty), (empty, empty, empty)):
+        assert e3(*sets) == 0 == e3_bruteforce(*sets)
 
 
 def test_e3_against_bruteforce():
@@ -164,7 +174,7 @@ def test_multiplicity_totals():
     rng = random.Random(9)
     for _ in range(10):
         a = random_set(fld, rng.randint(1, 12), rng.randrange(2**31))
-        assert diff_multiplicity(a).total == len(a) ** 2
+        assert _diff_counts(a).total == len(a) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,7 @@ def test_additive_energy_property(sets):
     (a,) = sets
     p = a.field.p
     diffs = Counter((u - v) % p for u in a for v in a)
-    assert _support(diff_multiplicity(a)) == _as_support(diffs)
+    assert _support(_diff_counts(a)) == _as_support(diffs)
     assert additive_energy(a) == sum(c * c for c in diffs.values())
 
 
@@ -349,12 +359,12 @@ def test_python_int_route_past_guard(sets, k):
     # step sorted, then with every step dense, whose last step is squared
     # straight off its accumulator
     want_e3, want_e2, want_tk = e3(*sets), additive_energy(sets[0]), t_k(sets[:k])
-    want_diff = _support(diff_multiplicity(sets[1]))
+    want_diff = _support(_diff_counts(sets[1]))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(energy, "_INT64_SAFE", 0)
         assert e3(*sets) == want_e3
         assert _sum_counts(sets[:k])[1].dtype == object
-        assert _support(diff_multiplicity(sets[1])) == want_diff
+        assert _support(_diff_counts(sets[1])) == want_diff
         for share in (0, sets[0].field.p + 1):
             m.setattr(energy, "_SORT_SHARE", share)
             assert additive_energy(sets[0]) == want_e2
@@ -392,11 +402,6 @@ def test_convolve_routes_match_dict_referee(case, python_ints, block):
             values, counts = energy._convolve(p, arrays[0], arrays[1:])
             assert (values.tolist(), counts.tolist()) == want
             assert counts.dtype == (object if python_ints else np.int64)
-            # read at keys on and off the support, without building it
-            at = np.array(sorted({0, 1, p - 1} | set(want[0][::2])), dtype=np.int64)
-            got = energy._convolve(p, arrays[0], arrays[1:], at=at)
-            assert got.tolist() == [sums[k] for k in at.tolist()]
-            assert got.dtype == counts.dtype
             # the second moment, with no (values, counts) built on a dense step
             moment = energy._convolve(p, arrays[0], arrays[1:], moment=True)
             assert type(moment) is int and moment == sum(c * c for c in sums.values())
@@ -498,21 +503,21 @@ def test_t_k_past_int64():
 
 
 # ---------------------------------------------------------------------------
-# e3 counted on one set's difference support
+# e3 counted on the lag window of the shortest arc
 # ---------------------------------------------------------------------------
 
 def _e3_by_least_support(u, v, w):
     """Referee for e3: every set's r_- built in full as a MultiplicityFn and
     looked up on the least support."""
-    r = {s: diff_multiplicity(s) for s in dict.fromkeys((u, v, w))}
+    r = {s: _diff_counts(s) for s in dict.fromkeys((u, v, w))}
     base = min(r.values(), key=lambda m: len(m.values)).values
     return sum(int(a) * int(b) * int(c) for a, b, c in zip(*(r[s].at(base) for s in (u, v, w))))
 
 
 @st.composite
-def _difference_sets(draw, fld):
+def _difference_sets(draw, fld, spread=None):
     # intervals that wrap past p - 1, symmetric intervals, singletons and
-    # scattered sets with elements near 0 and p - 1
+    # scattered sets with elements near 0 and p - 1, the rest in [0, spread]
     p = fld.p
     kind = draw(st.sampled_from(["interval", "symmetric", "singleton", "scattered"]))
     if kind == "interval":
@@ -520,7 +525,8 @@ def _difference_sets(draw, fld):
         return interval(fld, start, draw(st.integers(1, min(p - 1, 40))))
     if kind == "symmetric":
         return symmetric_interval(fld, draw(st.integers(0, min((p - 1) // 2, 20))))
-    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1),
+                      st.integers(0, min(p - 1, spread or p)))
     size = 1 if kind == "singleton" else draw(st.integers(1, 12))
     return from_elements(fld, draw(st.lists(elems, min_size=size, max_size=size)))
 
@@ -528,9 +534,10 @@ def _difference_sets(draw, fld):
 @st.composite
 def _e3_triples(draw):
     # patterns u = v = w and two equal sets; an interval and its translate
-    # tie on the bound, and the stable sort keeps them in (u, v, w) order
+    # have arcs of one length.  Scattered elements at 2^20 lie in [0, 4096] or
+    # near p - 1, so correlating three of them (at most 8,201 lags) stays cheap
     fld = build_field(draw(st.sampled_from([5, 31, 101, 1048573])))
-    u, v, w = (draw(_difference_sets(fld)) for _ in range(3))
+    u, v, w = (draw(_difference_sets(fld, spread=4096)) for _ in range(3))
     pattern = draw(st.sampled_from(["uvw", "uuu", "uuw", "uvu", "uvv", "tie"]))
     if pattern == "tie":
         length = draw(st.integers(1, min(fld.p - 1, 30)))
@@ -539,20 +546,45 @@ def _e3_triples(draw):
     return [{"u": u, "v": v, "w": w}[c] for c in pattern]
 
 
-def _thm11_shape():
+def _thm11_shape(p=1048573, n=1024, radius=512):
     # |S| = p^0.5 random, X = p^0.45: the sweep's e3(S, S, Ibar) at 2^20
-    fld = build_field(1048573)
-    s = random_set(fld, 1024, seed=7)
-    return [s, s, symmetric_interval(fld, 512)]
+    fld = build_field(p)
+    s = random_set(fld, n, seed=7)
+    return [s, s, symmetric_interval(fld, radius)]
+
+
+def _wrapping_arcs():
+    # h = 24 from the interval, while the subgroup's and the random set's
+    # arcs plus 2h pass p: their periodic extensions must wrap.  E3 is
+    # 707,446; zero padding would count 631,430
+    fld = build_field(101)
+    return [subgroup(fld, 50), from_elements(fld, range(75, 100)), random_set(fld, 66, 2043387526)]
+
+
+def _at_ceiling():
+    # the largest sweep prime below 2^24: an interval and a scattered set
+    # that both wrap past p - 1, and a symmetric interval
+    fld = build_field(16777213)
+    p = fld.p
+    return [interval(fld, p - 20, 40), from_elements(fld, [p - 5, p - 1, 0, 3, 1000]),
+            symmetric_interval(fld, 20)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(_e3_triples())
 @example(_thm11_shape())
+@example(_wrapping_arcs())
+@example(_at_ceiling())
 def test_e3_matches_least_support_referee(sets):
-    assert e3(*sets) == _e3_by_least_support(*sets)
+    want = _e3_by_least_support(*sets)
+    assert e3(*sets) == want
+    with pytest.MonkeyPatch.context() as m:
+        # every set pair by pair, then every set by correlation
+        for cost in (0, 1 << 62):
+            m.setattr(energy, "_PAIR_COST", cost)
+            assert e3(*sets) == want
     if max(map(len, sets)) <= 8:
-        assert e3(*sets) == e3_bruteforce(*sets)
+        assert want == e3_bruteforce(*sets)
 
 
 def _is_cyclic_interval(a):
@@ -564,22 +596,39 @@ def _is_cyclic_interval(a):
 @given(st.sampled_from([3, 5, 31, 101, 1048573]).flatmap(
     lambda p: _difference_sets(build_field(p))))
 def test_difference_bound_holds(a):
-    support = len(diff_multiplicity(a).values)
-    assert energy._difference_bound(a) >= support
-    if _is_cyclic_interval(a):  # intervals, wrapping or symmetric, and singletons
-        assert energy._difference_bound(a) == support
+    # the arc holds the set, and min(p, 2L - 1) bounds #(A - A), exactly for
+    # intervals, wrapping or symmetric, and singletons
+    p = a.field.p
+    start, length = energy._arc(np.asarray(a.elems, dtype=np.int64), p)
+    assert all((x - start) % p < length for x in a.elems)
+    support = len(_diff_counts(a).values)
+    assert min(p, 2 * length - 1) >= support
+    if _is_cyclic_interval(a):
+        assert min(p, 2 * length - 1) == support
 
 
-def test_e3_memory_budget():
-    # at the thm11 shape the interval's 2,049 differences are the base; the
-    # random set's ~660k differences are read at those keys from one int32
-    # dense step, never reduced to sorted arrays
-    sets = _thm11_shape()
+def _e3_peak(sets):
+    """(e3 of the sets, tracemalloc peak of the call in bytes)."""
     tracemalloc.start()
     try:
         got = e3(*sets)
-        peak = tracemalloc.get_traced_memory()[1]
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_e3_memory_budget():
+    # the interval's 2,049 lags by correlation, the random set's ~2k pairs in
+    # that window by bincount; the dense r_S step took 5.7 MB here
+    sets = _thm11_shape()
+    got, peak = _e3_peak(sets)
     assert got == _e3_by_least_support(*sets)
-    assert peak <= 8e6
+    assert peak <= 1e6
+
+
+def test_e3_memory_budget_at_ceiling():
+    # the sweep's thm11 shape at 2^24 (|S| = 4096, radius 1783), pinned from
+    # the dense route, whose length-p int32 accumulator alone took 67 MB
+    got, peak = _e3_peak(_thm11_shape(16777213, 4096, 1783))
+    assert got == 59868453906
+    assert peak <= 2e6

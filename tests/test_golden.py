@@ -9,7 +9,9 @@ The default 200x200 region grid has no disagreement between the piecewise
 and raw subgroup regions, so it writes no `flag=disagree` row; the 82x82 grid
 writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.  The cap
 sweep (`sweep_primes = 65521,262139,1048573`) pins the kernels at p near 2^20,
-where the int64 guards and the length-p routes are closest to their limits.
+where the int64 guards and the length-p routes are closest to their limits;
+the ceiling sweep (`sweep_primes = 4194301,16777213`, `max_p = 2^24`) pins
+them at the largest primes `max_p` admits.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ GOLDEN = {
 }
 REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
 SWEEP_CAP = "2c2ff11879c45f87f5dd04fef3b0994cea84f324894551adc538e58bf9e216db"
+SWEEP_CEILING = "b17f02bb03e4a061bd7ce8f48bfb25f307c48d185762854684fea8116b16e2dd"
 
 
 def _digest(out, command):
@@ -59,3 +62,11 @@ def test_cap_sweep_digest(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert _digest(out, "sweep") == SWEEP_CAP
+
+
+def test_ceiling_sweep_digest(tmp_path):
+    cfg = tmp_path / "ceiling.cfg"
+    cfg.write_text("sweep_primes = 4194301,16777213\nmax_p = 16777216\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _digest(out, "sweep") == SWEEP_CEILING
