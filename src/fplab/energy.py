@@ -26,7 +26,7 @@ _SORT_SHARE = 7
 
 # A pair in _lag_counts costs _PAIR_COST correlation multiply-adds.  Measured at
 # p = 1048573 (density 0.05-0.6, arcs of 1,000-12,000, h from L/4 to L - 1) the
-# routes tie at 48-66 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
+# routes tie at 51-84 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
 _PAIR_COST = 50
 
 
@@ -129,30 +129,41 @@ def _arc(arr: np.ndarray, p: int):
     return int(arr[(i + 1) % len(arr)]), p - int(gaps[i]) + 1
 
 
-def _lag_counts(arr: np.ndarray, p: int, h: int) -> np.ndarray:
-    """#{(x, y) in A^2 : x - y = d mod p} at index d + h, |d| <= h <= (p - 1)/2,
-    int64, for A's sorted residues arr on an arc of length L.  Below
-    L * (2h + 1) / _PAIR_COST pairs, np.searchsorted finds each x's window
-    [x - h, x + h] in the tripled residues and the differences are bincounted
-    over whole rows cut every max(_BLOCK, 2h + 1) pairs; otherwise A's 0/1
-    indicator on its arc is correlated with that on [-h, L + h) around it,
-    L * (2h + 1) multiply-adds, exact in float64."""
-    start, length = _arc(arr, p)
+def _pairs(arr: np.ndarray, p: int, h: int):
+    """(#pairs, blocks): blocks() yields the differences x - y in [-h, h],
+    h <= (p - 1)/2, of A's pairs, in rows of whole x cut every _BLOCK pairs (a
+    row holds at most min(|A|, 2h + 1)).  np.searchsorted finds each x's
+    window [x - h, x + h] in the tripled sorted residues arr."""
     tripled = np.concatenate((arr - p, arr, arr + p))
     lo = np.searchsorted(tripled, arr - h)
     counts = np.searchsorted(tripled, arr + h, side="right") - lo
     ends = np.cumsum(counts)
-    if int(ends[-1]) * _PAIR_COST >= length * (2 * h + 1):
+    cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
+    bounds = list(dict.fromkeys([0, *cuts.tolist(), len(arr)]))  # a row may span cuts
+
+    def blocks():
+        for a, b in zip(bounds, bounds[1:]):
+            c = counts[a:b]  # pair k of row i sits at tripled[k + lo[i] + c[i] - ends[i]]
+            k = np.arange(ends[a] - c[0], ends[b - 1]) + np.repeat(lo[a:b] + c - ends[a:b], c)
+            yield np.repeat(arr[a:b], c) - tripled[k]
+    return int(ends[-1]), blocks
+
+
+def _lag_counts(arr: np.ndarray, p: int, h: int, keys, npairs, blocks) -> np.ndarray:
+    """#{(x, y) in A^2 : x - y = d mod p} at each of the sorted lags keys in
+    [-h, h], int64.  Below L * (2h + 1) / _PAIR_COST pairs, L the length of
+    A's arc, the blocks of pair differences are added up at their place in
+    keys; otherwise A's 0/1 indicator on its arc is correlated with that on
+    [-h, L + h) around it, L * (2h + 1) multiply-adds, exact in float64."""
+    start, length = _arc(arr, p)
+    if npairs * _PAIR_COST >= length * (2 * h + 1):
         z = np.arange(start - h, start + length + h) % p  # np.isin would import numpy.ma
         g = (arr[np.searchsorted(arr, z) % len(arr)] == z).astype(float)
-        return np.correlate(g, g[h:h + length], "valid").astype(np.int64)
-    r = np.zeros(2 * h + 1, dtype=np.int64)
-    step = max(_BLOCK, 2 * h + 1)
-    bounds = [0, *np.searchsorted(ends, range(step, ends[-1], step), side="right"), len(arr)]
-    for a, b in zip(bounds, bounds[1:]):
-        c = counts[a:b]  # pair k of row i sits at tripled[k + lo[i] + c[i] - ends[i]]
-        k = np.arange(ends[a] - c[0], ends[b - 1]) + np.repeat(lo[a:b] + c - ends[a:b], c)
-        r += np.bincount(np.repeat(arr[a:b] + h, c) - tripled[k], minlength=2 * h + 1)
+        return np.correlate(g, g[h:h + length], "valid").astype(np.int64)[keys + h]
+    r = np.zeros(len(keys), dtype=np.int64)
+    for d in blocks():
+        i = d + h if len(keys) > 2 * h else np.searchsorted(keys, d)
+        np.add.at(r, i[keys[i % len(keys)] == d], 1)
     return r
 
 
@@ -161,14 +172,19 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
 
     Every difference of the set on the shortest cyclic arc, of length L, lies
     in [-h, h], h = min(L - 1, (p - 1) / 2), so E3 is summed over that window
-    of the distinct sets' _lag_counts."""
+    of the distinct sets' _lag_counts, or over the distinct lags of the set
+    with the fewest pairs there when it has fewer than 2h + 1."""
     _same_field(u, v, w)
     p = u.field.p
     arrays = {s: _residues(s) for s in dict.fromkeys((u, v, w))}
     if not all(map(len, arrays.values())):
         return 0
     h = min((p - 1) // 2, *(_arc(arr, p)[1] - 1 for arr in arrays.values()))
-    r = {s: _lag_counts(arr, p, h) for s, arr in arrays.items()}
+    pairs = {s: _pairs(arr, p, h) for s, arr in arrays.items()}
+    npairs, blocks = min(pairs.values(), key=lambda x: x[0])
+    keys = np.sort(np.concatenate(list(blocks()))) if npairs < 2 * h + 1 else np.arange(-h, h + 1)
+    keys = keys[np.diff(keys, prepend=-h - 1) > 0]  # np.unique would import numpy.ma
+    r = {s: _lag_counts(arr, p, h, keys, *pairs[s]) for s, arr in arrays.items()}
     return _dot(*(r[s] for s in (u, v, w)))
 
 

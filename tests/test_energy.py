@@ -515,9 +515,9 @@ def _e3_by_least_support(u, v, w):
 
 
 @st.composite
-def _difference_sets(draw, fld, spread=None):
+def _difference_sets(draw, fld):
     # intervals that wrap past p - 1, symmetric intervals, singletons and
-    # scattered sets with elements near 0 and p - 1, the rest in [0, spread]
+    # scattered sets with elements near 0 and p - 1
     p = fld.p
     kind = draw(st.sampled_from(["interval", "symmetric", "singleton", "scattered"]))
     if kind == "interval":
@@ -525,8 +525,7 @@ def _difference_sets(draw, fld, spread=None):
         return interval(fld, start, draw(st.integers(1, min(p - 1, 40))))
     if kind == "symmetric":
         return symmetric_interval(fld, draw(st.integers(0, min((p - 1) // 2, 20))))
-    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1),
-                      st.integers(0, min(p - 1, spread or p)))
+    elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
     size = 1 if kind == "singleton" else draw(st.integers(1, 12))
     return from_elements(fld, draw(st.lists(elems, min_size=size, max_size=size)))
 
@@ -534,16 +533,22 @@ def _difference_sets(draw, fld, spread=None):
 @st.composite
 def _e3_triples(draw):
     # patterns u = v = w and two equal sets; an interval and its translate
-    # have arcs of one length.  Scattered elements at 2^20 lie in [0, 4096] or
-    # near p - 1, so correlating three of them (at most 8,201 lags) stays cheap
+    # have arcs of one length
     fld = build_field(draw(st.sampled_from([5, 31, 101, 1048573])))
-    u, v, w = (draw(_difference_sets(fld, spread=4096)) for _ in range(3))
+    u, v, w = (draw(_difference_sets(fld)) for _ in range(3))
     pattern = draw(st.sampled_from(["uvw", "uuu", "uuw", "uvu", "uvv", "tie"]))
     if pattern == "tie":
         length = draw(st.integers(1, min(fld.p - 1, 30)))
         u, v = (interval(fld, draw(st.integers(0, fld.p - 1)), length) for _ in range(2))
         return [u, v, w]
     return [{"u": u, "v": v, "w": w}[c] for c in pattern]
+
+
+def _correlation_work(sets):
+    # multiply-adds of correlating the longest arc on e3's lag window
+    p = sets[0].field.p
+    lengths = [energy._arc(np.asarray(s.elems, dtype=np.int64), p)[1] for s in sets]
+    return max(lengths) * (2 * min((p - 1) // 2, min(lengths) - 1) + 1)
 
 
 def _thm11_shape(p=1048573, n=1024, radius=512):
@@ -579,9 +584,15 @@ def test_e3_matches_least_support_referee(sets):
     want = _e3_by_least_support(*sets)
     assert e3(*sets) == want
     with pytest.MonkeyPatch.context() as m:
-        # every set pair by pair, then every set by correlation
-        for cost in (0, 1 << 62):
-            m.setattr(energy, "_PAIR_COST", cost)
+        # every set pair by pair, in blocks cut every 3 pairs, so long rows
+        # span several cuts
+        m.setattr(energy, "_PAIR_COST", 0)
+        m.setattr(energy, "_BLOCK", 3)
+        assert e3(*sets) == want
+        # every set by correlation, where that is affordable: scattered sets
+        # at 2^20 have arcs near p and h = (p - 1)/2, about 10^12 multiply-adds
+        if _correlation_work(sets) <= 10**8:
+            m.setattr(energy, "_PAIR_COST", 1 << 62)
             assert e3(*sets) == want
     if max(map(len, sets)) <= 8:
         assert want == e3_bruteforce(*sets)
@@ -618,12 +629,15 @@ def _e3_peak(sets):
 
 
 def test_e3_memory_budget():
-    # the interval's 2,049 lags by correlation, the random set's ~2k pairs in
-    # that window by bincount; the dense r_S step took 5.7 MB here
-    sets = _thm11_shape()
-    got, peak = _e3_peak(sets)
-    assert got == _e3_by_least_support(*sets)
-    assert peak <= 1e6
+    # thm11: the interval's 2,049 lags by correlation, the random set's ~3k
+    # pairs in that window added up; the dense r_S step took 5.7 MB here.
+    # Three random 8-sets: h = (p - 1)/2, so an accumulator over the whole
+    # window would take 8 MB; their 64 pairs each are read at one set's lags
+    fld = build_field(1048573)
+    for sets in (_thm11_shape(), [random_set(fld, 8, seed=i) for i in range(3)]):
+        got, peak = _e3_peak(sets)
+        assert got == _e3_by_least_support(*sets)
+        assert peak <= 1e6
 
 
 def test_e3_memory_budget_at_ceiling():
