@@ -26,7 +26,7 @@ _SORT_SHARE = 7
 
 # A pair in _lag_counts costs _PAIR_COST correlation multiply-adds.  Measured at
 # p = 1048573 (density 0.05-0.6, arcs of 1,000-12,000, h from L/4 to L - 1) the
-# routes tie at 51-84 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
+# routes tie at 53-94 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
 _PAIR_COST = 50
 
 
@@ -162,8 +162,11 @@ def _lag_counts(arr: np.ndarray, p: int, h: int, keys, npairs, blocks) -> np.nda
         return np.correlate(g, g[h:h + length], "valid").astype(np.int64)[keys + h]
     r = np.zeros(len(keys), dtype=np.int64)
     for d in blocks():
-        i = d + h if len(keys) > 2 * h else np.searchsorted(keys, d)
-        np.add.at(r, i[keys[i % len(keys)] == d], 1)
+        if len(keys) > 2 * h:  # the whole window
+            np.add.at(r, d + h, 1)
+        else:
+            i = np.searchsorted(keys, d)
+            np.add.at(r, i[keys[i % len(keys)] == d], 1)
     return r
 
 
