@@ -124,7 +124,7 @@ def additive_energy(a: FpSet) -> int:
 
 def _arc(arr: np.ndarray, p: int):
     """(start, length) of the shortest cyclic arc holding sorted residues."""
-    gaps = np.diff(arr, append=arr[0] + p)
+    gaps = np.diff(np.concatenate((arr, arr[:1] + p)))
     i = int(gaps.argmax())
     return int(arr[(i + 1) % len(arr)]), p - int(gaps[i]) + 1
 
@@ -149,13 +149,13 @@ def _pairs(arr: np.ndarray, p: int, h: int):
     return int(ends[-1]), blocks
 
 
-def _lag_counts(arr: np.ndarray, p: int, h: int, keys, npairs, blocks) -> np.ndarray:
+def _lag_counts(arr: np.ndarray, p: int, h: int, keys, arc, pairs) -> np.ndarray:
     """#{(x, y) in A^2 : x - y = d mod p} at each of the sorted lags keys in
     [-h, h], int64.  Below L * (2h + 1) / _PAIR_COST pairs, L the length of
-    A's arc, the blocks of pair differences are added up at their place in
+    A's arc (start, L), the _pairs blocks are added up at their place in
     keys; otherwise A's 0/1 indicator on its arc is correlated with that on
     [-h, L + h) around it, L * (2h + 1) multiply-adds, exact in float64."""
-    start, length = _arc(arr, p)
+    (start, length), (npairs, blocks) = arc, pairs
     if npairs * _PAIR_COST >= length * (2 * h + 1):
         z = np.arange(start - h, start + length + h) % p  # np.isin would import numpy.ma
         g = (arr[np.searchsorted(arr, z) % len(arr)] == z).astype(float)
@@ -182,12 +182,13 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     arrays = {s: _residues(s) for s in dict.fromkeys((u, v, w))}
     if not all(map(len, arrays.values())):
         return 0
-    h = min((p - 1) // 2, *(_arc(arr, p)[1] - 1 for arr in arrays.values()))
+    arcs = {s: _arc(arr, p) for s, arr in arrays.items()}
+    h = min((p - 1) // 2, *(length - 1 for _, length in arcs.values()))
     pairs = {s: _pairs(arr, p, h) for s, arr in arrays.items()}
     npairs, blocks = min(pairs.values(), key=lambda x: x[0])
     keys = np.sort(np.concatenate(list(blocks()))) if npairs < 2 * h + 1 else np.arange(-h, h + 1)
-    keys = keys[np.diff(keys, prepend=-h - 1) > 0]  # np.unique would import numpy.ma
-    r = {s: _lag_counts(arr, p, h, keys, *pairs[s]) for s, arr in arrays.items()}
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique imports numpy.ma
+    r = {s: _lag_counts(arr, p, h, keys, arcs[s], pairs[s]) for s, arr in arrays.items()}
     return _dot(*(r[s] for s in (u, v, w)))
 
 
