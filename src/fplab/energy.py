@@ -60,9 +60,9 @@ def _residues(a: FpSet) -> np.ndarray:
     return np.asarray(a.elems, dtype=np.int64)
 
 
-def _convolve(p: int, first: np.ndarray, others, moment=False):
-    """(values, counts) of x_0 + x_1 + ... mod p over first x others[0] x ...
-    (first sorted, all distinct residues), or, with `moment`, sum counts^2.
+def _convolve(p: int, first: np.ndarray, others) -> int:
+    """sum counts^2 over the counts of x_0 + x_1 + ... mod p on first x
+    others[0] x ... (first sorted, all distinct residues).
 
     A step against S sorts the len(support) * |S| keys and sums equal ones
     below p / _SORT_SHARE keys; otherwise it adds the counts into one dense
@@ -70,8 +70,8 @@ def _convolve(p: int, first: np.ndarray, others, moment=False):
     (weights of its exact dtype, which keeps it fast) per block of rows of S
     of at most _BLOCK keys (one row when the support alone is longer).  Sums
     are reduced by subtracting p * (sum >= p), cheaper than % p.  Counts are
-    int64 below the guard and Python ints past it.  A moment's last dense
-    step is squared in place by _dot, never reduced to its support.
+    int64 below the guard and Python ints past it.  A last dense step is
+    squared in place by _dot, never reduced to its support.
     """
     total = len(first) * math.prod(len(s) for s in others)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
@@ -94,11 +94,11 @@ def _convolve(p: int, first: np.ndarray, others, moment=False):
                 keys = s[lo:lo + rows, None] + values[None, :]
                 keys -= p * (keys >= p)
                 np.add.at(dense, keys.ravel(), weights[:keys.size])
-            if step == len(others) and moment:
+            if step == len(others):
                 return _dot(dense, dense)
             values = np.flatnonzero(dense)
             counts = dense[values].astype(counts.dtype, copy=False)
-    return _dot(counts, counts) if moment else (values, counts)
+    return _dot(counts, counts)
 
 
 def _dot(*columns) -> int:
@@ -217,7 +217,7 @@ def t_k(sets) -> int:
         raise ValueError("need at least one set")
     _same_field(*sets)
     arrays = [_residues(s) for s in sets]
-    return _convolve(sets[0].field.p, arrays[0], arrays[1:], moment=True)
+    return _convolve(sets[0].field.p, arrays[0], arrays[1:])
 
 
 def t_k_fourier(sets) -> float:

@@ -1,16 +1,17 @@
 """Prime-field substrate: primality, primitive roots, discrete-log tables, characters.
 
-Everything downstream counts exactly in integers.  A field carries a full
-int32 index table (discrete logs to the least primitive root, 4 bytes per
-residue), so multiplicative characters are evaluated as integer exponents and
-converted to unit-circle complex numbers only when a sum is actually
-accumulated.  Gathered logs are widened to int64 before any product: m * ind
-reaches p^2.
+Everything downstream counts exactly in integers.  A field is (p, g); its two
+tables are built on first read and cached.  `ind`, the int32 discrete logs to
+g (4 bytes per residue), evaluates a character as the integer exponent
+m * ind[x], converted to a root of unity only when a sum is accumulated;
+gathered logs are widened to int64 before any product, as m * ind reaches
+p^2.  `squares`, a bool bitmap of the nonzero squares (1 byte per residue),
+gives a character of order 2 its values +-1 with no discrete log.
 """
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,12 +25,14 @@ from .errors import (
 DEFAULT_CAP = 1 << 20  # the default max_p
 P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
-# Kernels whose temporaries would grow with p (the ind build) or with a whole
-# key matrix (the dense _convolve step, the chi gathers of _inner_sums) work
-# through them in blocks of at most _BLOCK entries.  Measured at p = 1048573
-# (best of 5, warm): 2^14 to 2^16 entries are fastest for the dense step and
-# the ind build; 2^18 is up to 1.5x slower on the dense step, and one block
-# of p entries makes the ind build 1.5x slower.
+# Kernels whose temporaries would grow with p (the ind and squares builds) or
+# with a whole key matrix (the dense _convolve step, the chi gathers of
+# _inner_sums, the collinear ratio keys) work through them in blocks of at
+# most _BLOCK entries.  Measured at p = 1048573 (best of 5, warm): 2^14 to
+# 2^16 entries are fastest for the dense step and the ind build; 2^18 is up to
+# 1.5x slower on the dense step, and one block of p entries makes the ind
+# build 1.5x slower.  At p = 16777213 the squares build takes 0.31, 0.30 and
+# 0.32 s in blocks of 2^14, 2^16 and 2^18.
 _BLOCK = 1 << 16
 
 # Witness set makes Miller-Rabin deterministic for n < 3.3e24, far past the cap.
@@ -87,22 +90,28 @@ def least_primitive_root(p: int) -> int:
 
 
 class PrimeField:
-    """Prime p, its least primitive root g, and the full discrete-log table.
+    """Prime p and its least primitive root g, with two tables built on first
+    read and cached: the discrete logs `ind` and the squares bitmap `squares`.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
     as a sentinel.  ind is a read-only int32 array (p < 2^31), so kernels
     gather from it at the points they use and widen what they gathered to
     int64 before multiplying; the scalar accessors return Python ints.
-    Instances are immutable after construction and safe to share across
-    workers.
+    squares[x] is True exactly for the nonzero squares x, read-only bool.
+    Equal by p; safe to share across workers, which build their own tables.
     """
 
-    __slots__ = ("p", "g", "ind")
-
-    def __init__(self, p: int, g: int, ind: np.ndarray):
+    def __init__(self, p: int, g: int):
         self.p = p
         self.g = g
-        self.ind = ind
+
+    @cached_property
+    def ind(self) -> np.ndarray:
+        return _index_table(self.p, self.g)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        return _squares_bitmap(self.p)
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -114,12 +123,10 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
-@lru_cache(maxsize=None)
-def _build_field_cached(p: int) -> PrimeField:
-    """The field with its ind table, built from the b x b table of powers
+def _index_table(p: int, g: int) -> np.ndarray:
+    """The ind table, built from the b x b table of powers
     g^(jb + i) = g^(jb) * g^i, b = isqrt(p - 1) + 1, one block of rows of at
     most _BLOCK entries at a time; every product is below p^2."""
-    g = least_primitive_root(p)
     n = p - 1
     b = math.isqrt(n) + 1
     low = np.array([pow(g, i, p) for i in range(b)], dtype=np.int64)
@@ -133,7 +140,26 @@ def _build_field_cached(p: int) -> PrimeField:
         size = min(block.size, n - k)
         ind[block.ravel()[:size]] = np.arange(k, k + size, dtype=np.int32)
     ind.flags.writeable = False
-    return PrimeField(p, g, ind)
+    return ind
+
+
+def _squares_bitmap(p: int) -> np.ndarray:
+    """True at k^2 mod p for k in [1, (p-1)/2], which are all the nonzero
+    squares, each once; _BLOCK values of k at a time, k^2 < p^2."""
+    squares = np.zeros(p, dtype=bool)
+    half = (p - 1) // 2
+    for lo in range(1, half + 1, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, half + 1), dtype=np.int64)
+        k *= k
+        k %= p
+        squares[k] = True
+    squares.flags.writeable = False
+    return squares
+
+
+@lru_cache(maxsize=None)
+def _build_field_cached(p: int) -> PrimeField:
+    return PrimeField(p, least_primitive_root(p))
 
 
 def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
@@ -151,6 +177,9 @@ def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
     if p > cap:
         raise TooLargeError(f"p = {p} exceeds the cap {cap}")
     return _build_field_cached(p)
+
+
+_EXACT_ROOTS = {1: [1], 2: [1, -1], 4: [1, 1j, -1, -1j]}
 
 
 class Character:
@@ -206,13 +235,26 @@ class Character:
     def roots(self) -> np.ndarray:
         """The order-many values of chi: exp(2*pi*i*e/(p-1)) for the exponents
         e = k * step, k in [0, order), step = (p-1)/order.  Every exponent is a
-        multiple of step, so chi(x) = roots()[exponent(x) // step]."""
+        multiple of step, so chi(x) = roots()[exponent(x) // step].  Exact at
+        orders 1, 2 and 4, where np.exp leaves 1e-16 parts that should be 0."""
+        if self.order in _EXACT_ROOTS:
+            return np.array(_EXACT_ROOTS[self.order], dtype=np.complex128)
         n = self.field.p - 1
         return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
 
+    def is_one(self, xs: np.ndarray) -> np.ndarray:
+        """For a real chi (order 1 or 2), the bool mask of chi(x) = 1 at the
+        residues xs: every unit when principal, else the nonzero squares."""
+        return self.field.squares[xs] if self.order == 2 else xs != 0
+
     def at(self, xs: np.ndarray) -> np.ndarray:
         """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
-        complex array of the same shape; gathers ind at those points only."""
+        complex array of the same shape.  A real chi is read off is_one; any
+        other gathers ind at those points only."""
+        if self.order <= 2:
+            out = np.where(self.is_one(xs), 1 + 0j, -1 + 0j)
+            out[xs == 0] = 0
+            return out
         n = self.field.p - 1
         e = self.field.ind[xs]
         k = np.multiply(e, self.m, dtype=np.int64)  # m * ind reaches p^2

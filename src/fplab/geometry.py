@@ -11,12 +11,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .energy import _SORT_SHARE, MultiplicityFn, _dot
+from .energy import MultiplicityFn, _dot
 from .errors import PreconditionViolatedError, TooLargeError
 from .field import _BLOCK, is_prime
 from .sets import FpSet, _same_field
 
 GRAM_CAP = 7  # dense point-plane matrices above this are pointless at desk scale
+
+# collinear_triples sorts its ratio keys below p / _RATIO_SORT_SHARE of them
+# and adds them into a length-p count array otherwise.  Measured with
+# #A = #B = #C (best of 5): up to p / 3 keys sorting is 1.4-4.5x faster and
+# peaks lower (3.2 against 6.0 MB at p = 1048573 and p / 3 keys, 44 against
+# 70 MB at p = 16777213); at p / 2 its peak passes the dense route's at 2^24
+# (78 against 70 MB), and at p keys the dense route is faster at 2^20.
+_RATIO_SORT_SHARE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -67,30 +75,46 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
 # collinear triples
 # ---------------------------------------------------------------------------
 
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise, the inverse of each nonzero x < p; the
+    squares stay below p^2 < 2^48 at p < 2^24."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e > 0:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
 def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
     # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time.  R is keyed by
-    # ind(l) = ind(x - z) - ind(y - z) mod (p - 1), with l = 0 in the spare key
-    # p - 1: a bijection of F_p onto [0, p - 1], so sum R^2 is unchanged.  A
-    # difference d in (-p, 0) reads ind[d + p], as a numpy negative index.
-    # Below the _convolve crossover the int32 keys of every z != y are sorted
-    # at once and no length-p array is made; above it each y's keys are added
-    # into one length-p count array, int32 while #A #B #C < 2^31 bounds R(l).
-    p, ind = a.field.p, a.field.ind
+    # l = (x - z) * (y - z)^-1 mod p itself, with one Fermat inverse for each
+    # of the #B #C differences y - z != 0; each product is below p^2 < 2^48.
+    # The keys are made for blocks of (y, z) rows, at most _BLOCK keys each
+    # (one row when A alone is longer).  Below p / _RATIO_SORT_SHARE keys they
+    # are all sorted at once as int32 and no length-p array is made; above it
+    # each block is added into one length-p count array, int32 while
+    # #A #B #C < 2^31 bounds R(l).
+    p = a.field.p
     xs, ys, cs = (np.asarray(s.elems, dtype=np.int64) for s in (a, b, c))
-    lx = ind[xs[None, :] - cs[:, None]]  # (z, x), -1 where x = z
-    ly = ind[ys[:, None] - cs[None, :]]  # (y, z), -1 where z = y
-    x_is_z = lx < 0
+    iy, iz = np.nonzero(ys[:, None] != cs[None, :])  # the (y, z) pairs with y != z
+    inv = _inverse_mod((ys[iy] - cs[iz]) % p, p)
+    x_minus_z = (xs[None, :] - cs[:, None]) % p  # (z, x)
+    rows = max(1, _BLOCK // max(1, len(xs)))
 
-    def ratio_keys(rows, ly):  # the (z, x) rows lx[rows], each against its ly
-        keys = lx[rows] - ly[:, None]
-        keys += np.int32(p - 1) * (keys < 0)
-        keys[x_is_z[rows]] = p - 1
-        return keys
+    def blocks():  # (offset, keys) of each block, in (y, z) row order
+        for lo in range(0, len(inv), rows):
+            keys = x_minus_z[iz[lo:lo + rows]] * inv[lo:lo + rows, None]
+            keys %= p
+            yield lo * len(xs), keys.ravel()
 
-    if len(a) * len(b) * len(c) * _SORT_SHARE < p:
-        iy, iz = np.nonzero(ly >= 0)
-        keys = ratio_keys(iz, ly[iy, iz]).ravel()
+    if len(xs) * len(inv) * _RATIO_SORT_SHARE < p:
+        keys = np.empty(len(xs) * len(inv), dtype=np.int32)
+        for at, block in blocks():
+            keys[at:at + len(block)] = block
         keys.sort()
         # a run of R >= 2 equal keys holds R - 1 consecutive repeats, and
         # sum R^2 = #keys + sum R (R - 1) over those runs
@@ -98,12 +122,10 @@ def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
         m = np.diff(np.flatnonzero(np.diff(repeats, prepend=-2, append=keys.size) != 1))
         return keys.size + _dot(m, m + 1)
     one = np.int32(1) if len(a) * len(b) * len(c) < 1 << 31 else np.int64(1)
-    counts = np.zeros(p + 1, dtype=one.dtype)  # key p collects the z = y row
-    for row in ly:
-        keys = ratio_keys(slice(None), row)
-        keys[row < 0] = p
-        np.add.at(counts, keys.ravel(), one)  # fast only with the counts' dtype
-    return _dot(counts[:p], counts[:p])
+    counts = np.zeros(p, dtype=one.dtype)
+    for _, keys in blocks():
+        np.add.at(counts, keys, one)  # fast only with the counts' dtype
+    return _dot(counts, counts)
 
 
 def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
@@ -210,19 +232,6 @@ def gram_structure_check(p: int) -> int:
     expected = np.full(gram.shape, p + 1, dtype=np.int64)
     np.fill_diagonal(expected, p * p + p + 1)
     return int(np.abs(gram - expected).max())
-
-
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise, the inverse of each nonzero x < p; the
-    squares stay below p^2 < 2^48 at p < 2^24."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e > 0:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
 
 
 def max_collinear_points_3d(points, p: int) -> int:

@@ -1,18 +1,22 @@
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fplab
-from fplab import bounds, suites
+from fplab import bounds, field, suites
 from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config, write_resolved_config
 from fplab.errors import ConfigError
+from fplab.field import build_field
 from fplab.report import ReportRow, count_failures, summarize, write_csv
+from fplab.sets import random_set
 
 
 class _Args:
@@ -331,6 +335,70 @@ def test_sweep_leaves_numpy_ma_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_cap_sweep_builds_no_index_table(tmp_path):
+    # the sweep reads the squares bitmap for its real character and Fermat
+    # inverses for its ratio keys, never a discrete-log table
+    field._build_field_cached.cache_clear()
+    cfg = _write_cfg(tmp_path, "sweep_primes = 65521,262139,1048573\n")
+    assert main(["sweep", "--config", cfg, "--workers", "1", "--out", str(tmp_path / "s")]) == 0
+    fields = [build_field(p) for p in (65521, 262139, 1048573)]
+    assert not any("ind" in vars(fld) for fld in fields)
+    assert all("squares" in vars(fld) for fld in fields)
+
+
+@pytest.mark.parametrize("cell, seed, budget", [
+    (suites._cell_tabc, 2, 20e6),
+    (suites._cell_tabc, 1000, 20e6),
+    (suites._cell_thm11, 2, 24e6),
+])
+def test_ceiling_cells_memory_budget(monkeypatch, cell, seed, budget):
+    # at p = 16777213, field tables included: the int32 ind table alone is
+    # 67 MB, and the parent's cells peaked at 83.6 (tabc, seed 2), 134.7
+    # (tabc, seed 1000) and 70.9 MB (thm11); the squares bitmap is 16.8 MB
+    monkeypatch.setattr(suites, "build_field", lambda p: field._build_field_cached.__wrapped__(p))
+    tracemalloc.start()
+    try:
+        cell(16777213, seed, DEFAULTS["epsilon"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
+def _legendre_sum(s_set, x_len):
+    """sum over s in S and x in the interval {1, ..., x_len} of the Legendre
+    symbol of s + x, by Euler's criterion with pow."""
+    p = s_set.field.p
+    symbols = (pow((s + x) % p, (p - 1) // 2, p) for s in s_set for x in range(1, x_len + 1))
+    return sum(-1 if e == p - 1 else e for e in symbols)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return {(row["p"], row["params"]): row for row in csv.DictReader(fh)}
+
+
+def test_real_character_sums_read_exact_zeros(tmp_path):
+    # the quadratic character's sums are integers: where W = 0 the rows read
+    # 0, not the 1e-14 that roots of unity from np.exp left (4.5e-14 in the
+    # sweep's row, 5.5e-15 in charsum's), and the zero ratio drops out of the
+    # thm11_ratio fit (n = 7, not 8)
+    rng = random.Random(suites.subseed(13, "sw_thm11", 1021))
+    assert _legendre_sum(random_set(build_field(1021), 32, rng.randrange(2**31)), 23) == 0
+    assert main(["sweep", "--seed", "13", "--out", str(tmp_path / "s")]) == 0
+    row = _csv_rows(tmp_path / "s" / "sweep.csv")[("1021", "S=32;X=23;r=3;chi=quadratic")]
+    assert (row["suite"], row["measured"], row["ratio"]) == ("sweep_thm11", "0", "0")
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["slopes"]["thm11_ratio"]["n"] == 7
+
+    s_set = random_set(build_field(101), 10, suites.subseed(19, "charsum", 101))
+    assert _legendre_sum(s_set, 9) == 0
+    assert main(["charsum", "--seed", "19", "--out", str(tmp_path / "c")]) == 0
+    rows = _csv_rows(tmp_path / "c" / "charsum.csv")
+    for params in ("m=50;nS=10;X=9;stat=W", "m=50;nS=10;X=9;r=3;stat=rhs"):
+        assert (rows["101", params]["measured"], rows["101", params]["ratio"]) == ("0", "0")
 
 
 @pytest.mark.parametrize("flags, pools", [

@@ -234,14 +234,76 @@ def test_character_widens_int32_logs(m):
         assert abs(value - cmath.exp(2j * cmath.pi * e / (p - 1))) < 1e-9
 
 
-def test_build_field_memory_budget():
-    # the int32 ind table is 4 bytes per residue (4.2 MB at 2^20); an int64
-    # table alone would be 8.4 MB
-    p = 1048573
+def _table_peak(p, table):
+    """(tracemalloc peak of building a field, then of reading its table)."""
     tracemalloc.start()
     try:
-        field._build_field_cached.__wrapped__(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        fld = field._build_field_cached.__wrapped__(p)
+        bare = tracemalloc.get_traced_memory()[1]
+        getattr(fld, table)
+        return bare, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5e6
+
+
+def test_build_field_memory_budget():
+    # the int32 ind table is 4 bytes per residue (4.2 MB at 2^20); an int64
+    # table alone would be 8.4 MB.  A field builds no table until one is read
+    bare, peak = _table_peak(1048573, "ind")
+    assert bare < 1e5 and peak <= 6.5e6
+
+
+def test_squares_bitmap_memory_budget():
+    # 1 byte per residue and one block of k^2 at a time
+    bare, peak = _table_peak(1048573, "squares")
+    assert bare < 1e5 and peak <= 3e6
+
+
+@pytest.mark.parametrize("p", [3, 5, 31, 1048573])
+def test_squares_bitmap_is_index_parity(p):
+    # x != 0 is a square exactly when its discrete log is even; 0 is no
+    # nonzero square, and half the units are squares
+    fld = field._build_field_cached.__wrapped__(p)
+    squares = fld.squares
+    assert "ind" not in vars(fld)  # the bitmap is built without the log table
+    assert squares.dtype == np.bool_ and squares.shape == (p,)
+    assert not squares.flags.writeable
+    with pytest.raises(ValueError):
+        squares[1] = False
+    assert not squares[0] and np.count_nonzero(squares) == (p - 1) // 2
+    assert np.array_equal(squares[1:], fld.ind[1:] % 2 == 0)
+
+
+def test_squares_bitmap_euler_criterion_at_ceiling():
+    p = 16777213
+    fld = field._build_field_cached.__wrapped__(p)
+    rng = random.Random(p)
+    xs = [0, 1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(200)]
+    want = [x != 0 and pow(x, (p - 1) // 2, p) == 1 for x in xs]
+    assert fld.squares[xs].tolist() == want
+    assert "ind" not in vars(fld)
+
+
+@pytest.mark.parametrize("p", [5, 13, 1048573])
+def test_exact_roots_at_orders_1_2_4(p):
+    # np.exp(i pi) = -1 + 1.2e-16j: a real character summed through it
+    # leaves 1e-14 where the sum is 0.  Orders 1, 2 and 4 take their values
+    # exactly, and the real ones read them off the squares bitmap, with no
+    # discrete-log table
+    fld = field._build_field_cached.__wrapped__(p)
+    want = {1: [1], 2: [1, -1], 4: [1, 1j, -1, -1j]}
+    for order, roots in want.items():
+        chi = character(fld, (p - 1) // order if order > 1 else 0)
+        assert chi.order == order
+        assert chi.roots().tolist() == roots and chi.roots().dtype == np.complex128
+    xs = np.array([0, 1, 2, 3, 4, p - 2, p - 1], dtype=np.int64)
+    legendre = [0 if x == 0 else 1 if pow(int(x), (p - 1) // 2, p) == 1 else -1 for x in xs]
+    at = character(fld, (p - 1) // 2).at(xs.reshape(1, -1))
+    assert at.shape == (1, len(xs)) and at.dtype == np.complex128
+    assert at.ravel().tolist() == legendre and not np.signbit(at.imag).any()
+    assert character(fld, 0).at(xs).tolist() == [0, 1, 1, 1, 1, 1, 1]
+    assert "ind" not in vars(fld)
+    quartic = character(fld, (p - 1) // 4)
+    values = quartic.at(xs[1:])
+    assert set(values.tolist()) <= {1, 1j, -1, -1j}
+    assert np.abs(values - [quartic(x) for x in xs[1:].tolist()]).max() < 1e-12

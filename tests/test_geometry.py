@@ -259,10 +259,9 @@ def test_collinear_property(sets):
 
 
 def _ratio_route_by_inverse(a, b, c):
-    """Referee for the discrete-log keys of collinear_triples: the ratio route
-    keyed by l = (x - z) * (y - z)^-1 itself, with Fermat inverses, and
-    sum R(l)^2 in Python ints.  O(#A #B #C), so sets can outgrow the brute
-    force."""
+    """Referee for collinear_triples's ratio keys: the ratio route keyed by
+    l = (x - z) * (y - z)^-1, with one pow per inverse, and sum R(l)^2 in
+    Python ints.  O(#A #B #C), so sets can outgrow the brute force."""
     p = a.field.p
     xs = np.asarray(a.elems, dtype=np.int64)
     cs = np.asarray(c.elems, dtype=np.int64)
@@ -272,6 +271,21 @@ def _ratio_route_by_inverse(a, b, c):
         inv = np.array([pow(int(d), p - 2, p) for d in (y - zs) % p], dtype=np.int64)
         r.update(((xs[None, :] - zs[:, None]) % p * inv[:, None] % p).ravel().tolist())
     return sum(v * v for v in r.values())
+
+
+def _ratio_route_by_ind(a, b, c):
+    """Referee for collinear_triples with keys made another way: the ratio
+    keyed by its discrete log, ind(x - z) - ind(y - z) mod (p - 1), with l = 0
+    (x = z, no log) in the spare key p - 1, a bijection of F_p onto
+    [0, p - 1]; sum R(l)^2 over np.unique's counts in Python ints."""
+    p, ind = a.field.p, a.field.ind
+    xs, ys, cs = (np.asarray(s.elems, dtype=np.int64) for s in (a, b, c))
+    lx = ind[(xs[None, :] - cs[:, None]) % p].astype(np.int64)  # (z, x), -1 where x = z
+    ly = ind[(ys[:, None] - cs[None, :]) % p].astype(np.int64)  # (y, z), -1 where z = y
+    iy, iz = np.nonzero(ly >= 0)
+    keys = (lx[iz] - ly[iy, iz][:, None]) % (p - 1)
+    keys[lx[iz] < 0] = p - 1
+    return sum(r * r for r in np.unique(keys, return_counts=True)[1].tolist())
 
 
 @st.composite
@@ -295,26 +309,33 @@ def _ceiling_set(*elems):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ratio_sets())
+@given(_ratio_sets(), st.sampled_from([1, 5, geometry._BLOCK]))
 @example([
     _big_field_set(0, 1, 1048571, 1048572),
     _big_field_set(0, 2, 1048572),
     _big_field_set(0, 1, 1048572),
-])
-# the largest prime below the 2^24 ceiling: wrapped keys, x = z and z = y
+], geometry._BLOCK)
+# the largest prime below the 2^24 ceiling: wrapped keys, x = z and z = y,
+# the products (x - z) * inv near p^2, and blocks of one (y, z) row
 @example([
     _ceiling_set(0, 1, 16777211, 16777212),
     _ceiling_set(0, 2, 16777212),
     _ceiling_set(0, 1, 16777212),
-])
-@example([_ceiling_set(0, 5, 16777212), _ceiling_set(5), _ceiling_set(5)])
-def test_collinear_matches_inverse_ratio_route(sets):
-    # each draw with every key sorted at once (_SORT_SHARE = 0), then added
-    # per y into the length-p counts (_SORT_SHARE = p + 1)
+], 1)
+@example([_ceiling_set(0, 5, 16777212), _ceiling_set(5), _ceiling_set(5)], geometry._BLOCK)
+@example([_ceiling_set(1, 2, 8388606, 8388607, 16777211), _ceiling_set(0, 3, 8388608, 16777212),
+          _ceiling_set(0, 1, 2, 16777210, 16777212)], 5)
+def test_collinear_matches_inverse_ratio_route(sets, block):
+    # each draw with every key sorted at once (_RATIO_SORT_SHARE = 0), then
+    # added block by block into the length-p counts (_RATIO_SORT_SHARE =
+    # p + 1); a block of 1 or 5 keys holds one (y, z) row, a block of _BLOCK
+    # keys all of them; both referees key R apart from the production route
     want = _ratio_route_by_inverse(*sets)
+    assert _ratio_route_by_ind(*sets) == want
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_BLOCK", block)
         for share in (0, sets[0].field.p + 1):
-            m.setattr(geometry, "_SORT_SHARE", share)
+            m.setattr(geometry, "_RATIO_SORT_SHARE", share)
             assert collinear_triples(*sets) == want
 
 
