@@ -42,8 +42,8 @@ def _as_support(table):
 
 def _sum_support(p, arrays):
     """(values, counts) of the sums x_0 + x_1 + ... mod p over the product of
-    the arrays, int64, one np.unique step per array: the tests' own support
-    builder, now that _convolve returns only the second moment."""
+    the arrays, int64, one np.unique step per array: the tests' own route to
+    the support, as _convolve returns only the second moment."""
     values, counts = arrays[0], np.ones(len(arrays[0]), dtype=np.int64)
     for s in arrays[1:]:
         values, inverse = np.unique((values[:, None] + s[None, :]).ravel() % p,
