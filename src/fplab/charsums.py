@@ -58,28 +58,21 @@ def _check_supports(s_set: FpSet, x_set: FpSet, alpha, beta):
 def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     """sum_x beta_x chi(s + x) for every s, as a complex vector.
 
-    The points s + x are taken for blocks of rows of S, at most _BLOCK points
-    each (one row when X alone is longer).  With unit weights and a real chi,
-    each row's sum is the exact integer #(chi = 1) - #(chi = -1), counted
-    off chi.is_one; otherwise chi is gathered and every row keeps its own
-    np.dot, which a matrix product would not match bit for bit.
+    chi is gathered at s + x for blocks of rows of S, at most _BLOCK points
+    each (one row when X alone is longer); every row keeps its own np.dot,
+    which a matrix product would not match bit for bit.
     """
     p = chi.field.p
     xs = np.asarray(x_set.elems, dtype=np.int64)
     ss = np.asarray(s_set.elems, dtype=np.int64)
     bv = beta.array(x_set.elems) if beta is not None else np.ones(len(xs))
-    real = beta is None and chi.order <= 2
     out = np.empty(len(ss), dtype=np.complex128)
     rows = max(1, _BLOCK // len(xs))
     for lo in range(0, len(ss), rows):
         pts = ss[lo:lo + rows, None] + xs[None, :]
         pts -= p * (pts >= p)
-        if real:
-            units = len(xs) - np.count_nonzero(pts == 0, axis=1)
-            out[lo:lo + rows] = 2 * np.count_nonzero(chi.is_one(pts), axis=1) - units
-        else:
-            for i, row in enumerate(chi.at(pts), lo):
-                out[i] = np.dot(bv, row)
+        for i, row in enumerate(chi.at(pts), lo):
+            out[i] = np.dot(bv, row)
     return out
 
 

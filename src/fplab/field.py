@@ -242,17 +242,14 @@ class Character:
         n = self.field.p - 1
         return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
 
-    def is_one(self, xs: np.ndarray) -> np.ndarray:
-        """For a real chi (order 1 or 2), the bool mask of chi(x) = 1 at the
-        residues xs: every unit when principal, else the nonzero squares."""
-        return self.field.squares[xs] if self.order == 2 else xs != 0
-
     def at(self, xs: np.ndarray) -> np.ndarray:
         """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
-        complex array of the same shape.  A real chi is read off is_one; any
-        other gathers ind at those points only."""
+        complex array of the same shape.  A real chi is read off the squares
+        bitmap (principal: 1 at every unit) with no ind; any other gathers
+        ind at those points only."""
         if self.order <= 2:
-            out = np.where(self.is_one(xs), 1 + 0j, -1 + 0j)
+            ones = self.field.squares[xs] if self.order == 2 else xs != 0
+            out = np.where(ones, 1 + 0j, -1 + 0j)
             out[xs == 0] = 0
             return out
         n = self.field.p - 1

@@ -92,16 +92,6 @@ def test_inner_sums_match_per_s_referee(case):
         assert abs(value - want) < 1e-12 * len(x_set)
 
 
-def _unit_sums_by_dot(chi, s_set, x_set):
-    """Referee for _inner_sums's real route: chi.at gathered on each row
-    s + X, summed by np.dot against float ones, as the unit-weight sums were
-    before they were counted."""
-    p = chi.field.p
-    xs = np.asarray(x_set.elems, dtype=np.int64)
-    return np.array([np.dot(np.ones(len(xs)), chi.at((s + xs) % p)) for s in s_set.elems],
-                    dtype=np.complex128)
-
-
 @st.composite
 def _real_inner_sum_cases(draw):
     # a real chi, principal or quadratic, against an interval X anywhere in
@@ -127,25 +117,24 @@ def _real_case(p, s_elems, start, length, block):
 # and at the 2^24 ceiling, several rows to a block
 @example(_real_case(1048573, [0, 1, 5, 1048572], 1048562, 20, 40))
 @example(_real_case(16777213, [0, 3, 16777210, 16777212], 16777200, 30, 64))
-def test_real_inner_sums_equal_dot_route_bit_for_bit(case):
-    # with unit weights a real chi's row sums are counted as exact integers;
-    # they must equal, byte for byte, the np.dot sums of exact +-1 and 0 that
-    # the gathered route makes, with beta None or all ones
+def test_real_inner_sums_are_exact_legendre_sums(case):
+    # a real chi reads exact +-1 and 0 off the squares bitmap, so the np.dot
+    # of each row, with beta None or all ones, is bit for bit the integer
+    # Legendre-symbol sum, computed here by pow
     chi, s_set, x_set, block = case
     p = chi.field.p
     ones = WeightVector({x: 1.0 for x in x_set})
     with pytest.MonkeyPatch.context() as m:
         m.setattr(charsums, "_BLOCK", block)
         got = _inner_sums(chi, s_set, x_set, None)
-        gathered = _inner_sums(chi, s_set, x_set, ones)
-    want = _unit_sums_by_dot(chi, s_set, x_set)
-    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes() == gathered.tobytes()
+        weighted = _inner_sums(chi, s_set, x_set, ones)
     if chi.order == 2:
         legendre = [sum(0 if (s + x) % p == 0 else 1 if pow(s + x, (p - 1) // 2, p) == 1 else -1
                         for x in x_set) for s in s_set]
     else:
         legendre = [sum((s + x) % p != 0 for x in x_set) for s in s_set]
-    assert got.real.tolist() == legendre
+    want = np.array(legendre, dtype=np.complex128)
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes() == weighted.tobytes()
 
 
 def test_bilinear_trivial_bound_and_support():

@@ -93,7 +93,7 @@ def test_every_public_definition_is_reached():
 # count with, that an oracle must not load: a referee that reached one would
 # be a copy of what it checks.
 PRODUCTION_NAMES = {
-    "ind", "_index_table", "squares", "_squares_bitmap", "is_one", "unique", "pow", "_inverse_mod",
+    "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
     "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_fibre_parts",
     "_triple_cross_from_ratios", "line_spectrum",
 }
