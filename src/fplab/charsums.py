@@ -2,10 +2,11 @@
 product character sums.
 
 The bilinear sum is sum_{s in S} sum_{x in I} alpha_s beta_x chi(s + x)
-with weights in the closed unit disk.  The amplification transform
-substitutes x -> x + y*z over a prime window y in [Y, 2Y] and a shift range
-z in (Z, 2Z], which turns the inner sums into complete sums over F_p whose
-size the Weil bound controls.
+with weights in the closed unit disk, each given as a complex array aligned
+with its set's sorted elems (None for unit weights).  The amplification
+transform substitutes x -> x + y*z over a prime window y in [Y, 2Y] and a
+shift range z in (Z, 2Z], which turns the inner sums into complete sums over
+F_p whose size the Weil bound controls.
 """
 
 from dataclasses import dataclass
@@ -26,37 +27,29 @@ from .sets import FpSet, _same_field, primes_upto, symmetric_interval
 _UNIT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Complex weights indexed by residues (or shift values), |w| <= 1."""
-
-    values: dict
-
-    def __post_init__(self):
-        for k, v in self.values.items():
-            if abs(v) > 1 + _UNIT_SLACK:
-                raise ValueError(f"weight at {k} leaves the unit disk: {v}")
-
-    def __getitem__(self, k) -> complex:
-        return self.values[k]
-
-    def covers(self, keys) -> bool:
-        return all(k in self.values for k in keys)
-
-    def array(self, keys) -> np.ndarray:
-        return np.array([self.values[k] for k in keys], dtype=np.complex128)
+def _weights(w, fp_set: FpSet, name: str):
+    """w as a complex array aligned with fp_set.elems, or None for unit
+    weights: one weight per element, each in the closed unit disk."""
+    if w is None:
+        return None
+    w = np.asarray(w, dtype=np.complex128)
+    if w.shape != (len(fp_set),):
+        raise SupportMismatchError(f"{name} has shape {w.shape}, its set {len(fp_set)} elements")
+    outside = np.flatnonzero(np.abs(w) > 1 + _UNIT_SLACK)
+    if len(outside):
+        raise ValueError(f"{name} leaves the unit disk at index {outside[0]}: {w[outside[0]]}")
+    return w
 
 
 def _check_supports(s_set: FpSet, x_set: FpSet, alpha, beta):
+    """alpha and beta checked against S and X, as arrays (or None)."""
     _same_field(s_set, x_set)
-    if alpha is not None and not alpha.covers(s_set.elems):
-        raise SupportMismatchError("alpha does not cover the outer set")
-    if beta is not None and not beta.covers(x_set.elems):
-        raise SupportMismatchError("beta does not cover the inner set")
+    return _weights(alpha, s_set, "alpha"), _weights(beta, x_set, "beta")
 
 
 def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
-    """sum_x beta_x chi(s + x) for every s, as a complex vector.
+    """sum_x beta_x chi(s + x) for every s, as a complex vector; beta is an
+    array aligned with X, or None for unit weights.
 
     chi is gathered at s + x for blocks of rows of S, at most _BLOCK points
     each (one row when X alone is longer); every row keeps its own np.dot,
@@ -65,7 +58,7 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     p = chi.field.p
     xs = np.asarray(x_set.elems, dtype=np.int64)
     ss = np.asarray(s_set.elems, dtype=np.int64)
-    bv = beta.array(x_set.elems) if beta is not None else np.ones(len(xs))
+    bv = beta if beta is not None else np.ones(len(xs))
     out = np.empty(len(ss), dtype=np.complex128)
     rows = max(1, _BLOCK // len(xs))
     for lo in range(0, len(ss), rows):
@@ -80,19 +73,18 @@ def bilinear_sum(
     chi: Character, s_set: FpSet, x_set: FpSet, alpha=None, beta=None
 ) -> complex:
     """sum_s sum_x alpha_s beta_x chi(s + x); unit weights by default."""
-    _check_supports(s_set, x_set, alpha, beta)
+    alpha, beta = _check_supports(s_set, x_set, alpha, beta)
     if not len(s_set) or not len(x_set):
         return 0j
     inner = _inner_sums(chi, s_set, x_set, beta)
     if alpha is None:
         return complex(inner.sum())
-    av = alpha.array(s_set.elems)
-    return complex(np.dot(av, inner))
+    return complex(np.dot(alpha, inner))
 
 
 def modulus_sum(chi: Character, s_set: FpSet, x_set: FpSet, beta=None) -> float:
     """sum_s |sum_x beta_x chi(s + x)|, the one-sided absolute sum."""
-    _check_supports(s_set, x_set, None, beta)
+    _, beta = _check_supports(s_set, x_set, None, beta)
     if not len(s_set) or not len(x_set):
         return 0.0
     return float(np.abs(_inner_sums(chi, s_set, x_set, beta)).sum())
@@ -244,16 +236,14 @@ def complete_product_sum(chi: Character, shifts) -> complex:
         raise ValueError("need an even, positive number of shifts")
     r = len(shifts) // 2
     p = chi.field.p
-    n = p - 1
-    exps = chi.exponents()
     lam = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     valid = np.ones(p, dtype=bool)
     for i, z in enumerate(shifts):
-        e = exps[(lam + z) % p]
-        valid &= e >= 0
-        acc += e if i < r else -e
-    return complex(chi.roots()[acc[valid] % n // (n // chi.order)].sum())
+        k = chi.classes((lam + z) % p)
+        valid &= k >= 0
+        acc += k if i < r else -k
+    return complex(chi.roots()[acc[valid] % chi.order].sum())
 
 
 def weil_applicable(chi: Character, shifts) -> bool:

@@ -233,8 +233,3 @@ def t_k_fourier(sets) -> float:
             acc += roots[(lam * v) % p]
         prod *= np.abs(acc) ** 2
     return float(prod.sum() / p)
-
-
-def t_k_fourier_check(sets) -> float:
-    """|t_k - its Fourier evaluation|; contract: below 1e-6 relative."""
-    return abs(t_k(sets) - t_k_fourier(sets))

@@ -1,15 +1,16 @@
 """Prime-field substrate: primality, primitive roots, discrete-log tables, characters.
 
 Everything downstream counts exactly in integers.  A field is (p, g); its two
-tables are built on first read and cached.  `ind`, the int32 discrete logs to
-g (4 bytes per residue), evaluates a character as the integer exponent
-m * ind[x], converted to a root of unity only when a sum is accumulated;
-gathered logs are widened to int64 before any product, as m * ind reaches
-p^2.  `squares`, a bool bitmap of the nonzero squares (1 byte per residue),
-gives a character of order 2 its values +-1 with no discrete log.
+tables are built on first read and cached.  A character value is held as its
+class k in [0, order), an index into the character's `order` roots of unity,
+converted to a complex number only when a sum is accumulated.  `squares`, a
+bool bitmap of the nonzero squares (1 byte per residue), gives a real
+character its classes with no discrete log.  Any other character gathers
+`ind`, the int32 discrete logs to g (4 bytes per residue), at the points it is
+evaluated and takes k = (m * ind[x] mod (p-1)) / ((p-1)/order); gathered logs
+are widened to int64 before the product, as m * ind reaches p^2.
 """
 
-import cmath
 import math
 from functools import cached_property, lru_cache
 
@@ -186,8 +187,8 @@ class Character:
     """Multiplicative character chi_m on a prime field.
 
     chi(x) = exp(2*pi*i * m * ind[x] / (p-1)) for x != 0 and chi(0) = 0.
-    Internally a value is the exponent m*ind[x] mod (p-1); complex numbers
-    appear only when sums are evaluated.
+    A value is held as its class k in [0, order), chi(x) = roots()[k], and
+    k = -1 at x = 0; complex numbers appear only when sums are evaluated.
     """
 
     __slots__ = ("field", "m")
@@ -227,47 +228,46 @@ class Character:
         return self.m * int(self.field.ind[x]) % (self.field.p - 1)
 
     def __call__(self, x: int) -> complex:
+        """chi(x) from the discrete log: the tests' referee for classes()."""
         e = self.exponent(x)
         if e < 0:
             return 0j
-        return cmath.exp(2j * cmath.pi * e / (self.field.p - 1))
+        return complex(self.roots(e // ((self.field.p - 1) // self.order)))
 
-    def roots(self) -> np.ndarray:
-        """The order-many values of chi: exp(2*pi*i*e/(p-1)) for the exponents
-        e = k * step, k in [0, order), step = (p-1)/order.  Every exponent is a
-        multiple of step, so chi(x) = roots()[exponent(x) // step].  Exact at
-        orders 1, 2 and 4, where np.exp leaves 1e-16 parts that should be 0."""
+    def roots(self, ks=None) -> np.ndarray:
+        """The values exp(2*pi*i*k*step/(p-1)) of chi at the classes ks, all
+        order of them by default; step = (p-1)/order, and every exponent
+        m * ind[x] mod (p-1) is a multiple of it.  Exact at orders 1, 2 and
+        4, where np.exp leaves 1e-16 parts that should be 0."""
+        ks = np.arange(self.order) if ks is None else ks
         if self.order in _EXACT_ROOTS:
-            return np.array(_EXACT_ROOTS[self.order], dtype=np.complex128)
+            return np.array(_EXACT_ROOTS[self.order], dtype=np.complex128)[ks]
         n = self.field.p - 1
-        return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
+        return np.exp(2j * np.pi * (ks * (n // self.order)) / n)
 
-    def at(self, xs: np.ndarray) -> np.ndarray:
-        """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
-        complex array of the same shape.  A real chi is read off the squares
-        bitmap (principal: 1 at every unit) with no ind; any other gathers
+    def classes(self, xs: np.ndarray) -> np.ndarray:
+        """The class k in [0, order) of chi(x), chi(x) = roots()[k], for every
+        residue x in [0, p-1] of the int64 array xs, and -1 at x = 0, as an
+        int64 array of the same shape.  A real chi reads k off the squares
+        bitmap (principal: 0 at every unit) with no ind; any other gathers
         ind at those points only."""
         if self.order <= 2:
-            ones = self.field.squares[xs] if self.order == 2 else xs != 0
-            out = np.where(ones, 1 + 0j, -1 + 0j)
-            out[xs == 0] = 0
-            return out
+            nonsquare = ~self.field.squares[xs] if self.order == 2 else np.zeros(xs.shape, bool)
+            k = nonsquare.astype(np.int64)
+            k[xs == 0] = -1
+            return k
         n = self.field.p - 1
         e = self.field.ind[xs]
         k = np.multiply(e, self.m, dtype=np.int64)  # m * ind reaches p^2
         k %= n
         k //= n // self.order
-        out = self.roots()[k]
-        out[e < 0] = 0
-        return out
+        k[e < 0] = -1
+        return k
 
-    def exponents(self) -> np.ndarray:
-        """m * ind[x] mod (p-1) for all x, with -1 at x = 0."""
-        p = self.field.p
-        out = np.multiply(self.field.ind, self.m, dtype=np.int64)  # m * ind reaches p^2
-        out %= p - 1
-        out[0] = -1
-        return out
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
+        complex array of the same shape: roots()[classes(xs)], 0 at x = 0."""
+        return np.append(self.roots(), 0)[self.classes(xs)]  # k = -1 reads the 0
 
 
 def character(field: PrimeField, m: int) -> Character:

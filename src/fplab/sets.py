@@ -162,14 +162,7 @@ def sumset(a: FpSet, b: FpSet, sign: str = "+") -> FpSet:
     _same_field(a, b)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    p = a.field.p
-    out = set()
-    if sign == "+":
-        for x in a.elems:
-            for y in b.elems:
-                out.add((x + y) % p)
-    else:
-        for x in a.elems:
-            for y in b.elems:
-                out.add((x - y) % p)
-    return FpSet(a.field, tuple(sorted(out)))
+    xs = np.asarray(a.elems, dtype=np.int64)[:, None]
+    ys = np.asarray(b.elems, dtype=np.int64)[None, :]
+    out = (xs + ys if sign == "+" else xs - ys) % a.field.p
+    return FpSet(a.field, tuple(np.unique(out).tolist()))

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fplab import charsums
+from fplab import charsums, field
 from fplab.charsums import (
     AmplificationParams,
-    WeightVector,
     _inner_sums,
     amplification_map,
     bilinear_sum,
@@ -39,9 +38,14 @@ from fplab.sets import (
 
 
 def test_weight_vector_unit_disk():
-    WeightVector({1: 0.5 + 0.5j, 2: 1.0})
+    f5 = build_field(5)
+    chi = character(f5, 2)
+    s, iv = from_elements(f5, [1, 2]), from_elements(f5, [3])
+    bilinear_sum(chi, s, iv, np.array([0.5 + 0.5j, 1.0]))
     with pytest.raises(ValueError):
-        WeightVector({1: 1.5})
+        bilinear_sum(chi, s, iv, np.array([1.5, 1.0]))
+    with pytest.raises(ValueError):
+        modulus_sum(chi, s, iv, np.array([1.5]))
 
 
 def test_bilinear_examples():
@@ -74,7 +78,7 @@ def _inner_sum_cases(draw):
     if draw(st.booleans()):
         phases = st.floats(0, 2 * cmath.pi)
         radii = st.floats(0, 1)
-        beta = WeightVector({x: draw(radii) * cmath.exp(1j * draw(phases)) for x in x_set})
+        beta = np.array([draw(radii) * cmath.exp(1j * draw(phases)) for x in x_set])
     return chi, s_set, x_set, beta, draw(st.sampled_from([1, 16, charsums._BLOCK]))
 
 
@@ -88,7 +92,8 @@ def test_inner_sums_match_per_s_referee(case):
         got = _inner_sums(chi, s_set, x_set, beta)
     assert got.shape == (len(s_set),)
     for s, value in zip(s_set, got):
-        want = sum((1 if beta is None else beta[x]) * chi((s + x) % p) for x in x_set)
+        want = sum((1 if beta is None else beta[i]) * chi((s + x) % p)
+                   for i, x in enumerate(x_set))
         assert abs(value - want) < 1e-12 * len(x_set)
 
 
@@ -123,7 +128,7 @@ def test_real_inner_sums_are_exact_legendre_sums(case):
     # Legendre-symbol sum, computed here by pow
     chi, s_set, x_set, block = case
     p = chi.field.p
-    ones = WeightVector({x: 1.0 for x in x_set})
+    ones = np.ones(len(x_set), dtype=np.complex128)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(charsums, "_BLOCK", block)
         got = _inner_sums(chi, s_set, x_set, None)
@@ -144,16 +149,16 @@ def test_bilinear_trivial_bound_and_support():
     for _ in range(10):
         s = random_set(fld, rng.randint(1, 10), rng.randrange(2**31))
         iv = interval(fld, rng.randrange(31), rng.randint(1, 10))
-        alpha = WeightVector(
-            {x: cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems}
-        )
-        beta = WeightVector(
-            {x: rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems}
+        alpha = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems])
+        beta = np.array(
+            [rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems]
         )
         w = bilinear_sum(chi, s, iv, alpha, beta)
         assert abs(w) <= len(s) * len(iv) + 1e-6
     with pytest.raises(SupportMismatchError):
-        bilinear_sum(chi, s, iv, WeightVector({0: 1.0}), None)
+        bilinear_sum(chi, s, iv, np.ones(len(s) + 1), None)
+    with pytest.raises(SupportMismatchError):
+        modulus_sum(chi, s, iv, np.ones((1, len(iv))))
 
 
 def test_modulus_examples_and_optimality():
@@ -172,9 +177,9 @@ def test_modulus_examples_and_optimality():
     for _ in range(6):
         s = random_set(fld, rng.randint(1, 8), rng.randrange(2**31))
         iv = interval(fld, rng.randrange(13), rng.randint(1, 6))
-        beta = WeightVector({x: cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems})
+        beta = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems])
         ms = modulus_sum(chi13, s, iv, beta)
-        alpha = WeightVector({x: cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems})
+        alpha = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems])
         assert abs(bilinear_sum(chi13, s, iv, alpha, beta)) <= ms + 1e-9
 
 
@@ -186,11 +191,11 @@ def test_cauchy_step():
     for _ in range(8):
         s = random_set(fld, rng.randint(2, 12), rng.randrange(2**31))
         iv = interval(fld, rng.randrange(61), rng.randint(2, 10))
-        alpha = WeightVector({x: cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems})
+        alpha = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems])
         w = abs(bilinear_sum(chi, s, iv, alpha))
         inner = 0.0
         for x in iv.elems:
-            inner += abs(sum(alpha[a] * chi(a + x) for a in s.elems)) ** 2
+            inner += abs(sum(w_a * chi(a + x) for w_a, a in zip(alpha, s.elems))) ** 2
         assert w * w <= len(iv) * inner * (1 + 1e-6) + 1e-9
 
 
@@ -450,6 +455,40 @@ def test_complete_product_sum_r1():
                 assert abs(complete_product_sum(chi, (4, z2)) - (-1)) < 1e-9
 
 
+def test_real_complete_product_sum_builds_no_ind():
+    # a fresh field at a prime no other test builds: the quadratic chi reads
+    # its classes off the squares bitmap, and a sum is an exact integer
+    fld = field._build_field_cached.__wrapped__(1009)
+    chi = character(fld, 504)
+    assert complete_product_sum(chi, (4, 4)) == 1008
+    assert complete_product_sum(chi, (4, 9)) == -1
+    assert complete_product_sum(character(fld, 0), (4, 9, 1, 2)) == 1009 - 4
+    assert "ind" not in fld.__dict__
+
+
+def _exponent_product_sum(chi, shifts):
+    """Referee for complete_product_sum: the exponents m * ind mod (p - 1)
+    of the plain shifts minus those of the conjugated ones, as a class."""
+    p, r = chi.field.p, len(shifts) // 2
+    n = p - 1
+    exps = np.array([chi.exponent(x) for x in range(p)], dtype=np.int64)
+    e = np.array([exps[(np.arange(p) + z) % p] for z in shifts])
+    valid = (e >= 0).all(axis=0)
+    acc = e[:r].sum(axis=0) - e[r:].sum(axis=0)
+    return complex(chi.roots()[acc[valid] % n // (n // chi.order)].sum())
+
+
+def test_complete_product_sum_matches_exponent_referee():
+    p = 31
+    fld = build_field(p)
+    rng = random.Random(31)
+    for m in range(p - 1):
+        chi = character(fld, m)
+        for _ in range(200):
+            shifts = tuple(rng.randrange(p) for _ in range(2 * rng.randint(1, 3)))
+            assert complete_product_sum(chi, shifts) == _exponent_product_sum(chi, shifts)
+
+
 def test_weil_bound_random_tuples():
     rng = random.Random(5)
     for p in (31, 61, 101):
@@ -495,10 +534,10 @@ def test_translation_invariance():
     x_len = 6
     iv = interval(fld, 0, x_len)
     iv_shift = interval(fld, a, x_len)
-    beta = WeightVector(
-        {(x + a) % 61: cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems}
-    )
-    beta_unshifted = WeightVector({x: beta[(x + a) % 61] for x in iv.elems})
+    # iv_shift.elems[i] = iv.elems[i] + a, with no wrap past p, so one weight
+    # array is aligned with both intervals
+    assert list(iv_shift.elems) == [x + a for x in iv.elems]
+    beta = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in iv.elems])
     lhs = modulus_sum(chi, s, iv_shift, beta)
-    rhs = modulus_sum(chi, from_elements(fld, [x + a for x in s.elems]), iv, beta_unshifted)
+    rhs = modulus_sum(chi, from_elements(fld, [x + a for x in s.elems]), iv, beta)
     assert abs(lhs - rhs) < 1e-9

@@ -207,10 +207,15 @@ def test_exponent_form():
         e = chi.exponent(x)
         assert abs(chi(x) - cmath.exp(2j * cmath.pi * e / 10)) < 1e-12
     assert chi.exponent(0) == -1
-    exps = chi.exponents()
-    assert exps[0] == -1
-    for x in range(1, 11):
-        assert exps[x] == chi.exponent(x)
+    for m in (3, 4):  # orders 10 and 5: (p - 1)/order = 1 and 2
+        chi = character(fld, m)
+        step = 10 // chi.order
+        ks = chi.classes(np.arange(11, dtype=np.int64))
+        assert ks[0] == -1
+        for x in range(1, 11):
+            e = chi.exponent(x)
+            assert ks[x] == e // step
+            assert abs(chi.roots()[ks[x]] - cmath.exp(2j * cmath.pi * e / 10)) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, (1048573 - 1) // 2, 1048573 - 2])
@@ -226,8 +231,9 @@ def test_character_widens_int32_logs(m):
     xs = np.array([0] + [pow(fld.g, k, p) for k in ks], dtype=np.int64)
     want = [-1] + [m * k % (p - 1) for k in ks]
     assert [chi.exponent(int(x)) for x in xs] == want
-    assert chi.exponents()[xs].tolist() == want
-    assert chi.exponents().dtype == np.int64
+    step = (p - 1) // chi.order
+    assert chi.classes(xs).tolist() == [-1] + [e // step for e in want[1:]]
+    assert chi.classes(xs).dtype == np.int64
     at = chi.at(xs)
     assert at[0] == 0
     for value, e in zip(at[1:], want[1:]):
@@ -307,3 +313,8 @@ def test_exact_roots_at_orders_1_2_4(p):
     values = quartic.at(xs[1:])
     assert set(values.tolist()) <= {1, 1j, -1, -1j}
     assert np.abs(values - [quartic(x) for x in xs[1:].tolist()]).max() < 1e-12
+    # chi(x) takes its exponent off ind, and its value from the same exact
+    # roots as at(), with no 1e-16 parts from a complex exponential
+    for m in (0, (p - 1) // 2, (p - 1) // 4):
+        chi = character(fld, m)
+        assert [chi(x) for x in xs.tolist()] == [chi.at(np.array([x]))[0] for x in xs]

@@ -11,7 +11,10 @@ writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.  The cap
 sweep (`sweep_primes = 65521,262139,1048573`) pins the kernels at p near 2^20,
 where the int64 guards and the length-p routes are closest to their limits;
 the ceiling sweep (`sweep_primes = 4194301,16777213`, `max_p = 2^24`) pins
-them at the largest primes `max_p` admits.
+them at the largest primes `max_p` admits.  The default charsum character
+(m = 50 at p = 101) is quadratic, read off the squares bitmap; `--m 25`,
+`--m 10` and `--m 1` pin the discrete-log route at orders 4 (exact roots),
+10 and 100.
 """
 
 import hashlib
@@ -30,6 +33,11 @@ GOLDEN = {
 REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
 SWEEP_CAP = "2c2ff11879c45f87f5dd04fef3b0994cea84f324894551adc538e58bf9e216db"
 SWEEP_CEILING = "b17f02bb03e4a061bd7ce8f48bfb25f307c48d185762854684fea8116b16e2dd"
+CHARSUM_NONREAL = {
+    25: "dfb7884bb15f3961a97c1058e3080b4309787a9b754756cf8405324c46fd233e",
+    10: "a8e936dbc9a1caf937b34ecfe32cc42b9f5fae2c85e5cfe1e104c16d674386a9",
+    1: "e889ccaa3498e1b04b73f164ede9f405a2c1e575fc382fced06e7ce6a7854714",
+}
 
 
 def _digest(out, command):
@@ -43,6 +51,12 @@ def _digest(out, command):
 def test_default_output_digest(command, tmp_path):
     assert main([command, "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path, command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("m", sorted(CHARSUM_NONREAL))
+def test_nonreal_charsum_digest(m, tmp_path):
+    assert main(["charsum", "--m", str(m), "--out", str(tmp_path)]) == 0
+    assert _digest(tmp_path, "charsum") == CHARSUM_NONREAL[m]
 
 
 def test_regions_flag_row_digest(tmp_path):
