@@ -51,20 +51,22 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     """sum_x beta_x chi(s + x) for every s, as a complex vector; beta is an
     array aligned with X, or None for unit weights.
 
-    chi is gathered at s + x for blocks of rows of S, at most _BLOCK points
-    each (one row when X alone is longer); every row keeps its own np.dot,
-    which a matrix product would not match bit for bit.
+    chi's classes at s + x are gathered for blocks of rows of S, at most
+    _BLOCK points each (one row when X alone is longer), and index its roots
+    with a 0 appended for x = 0; every row keeps its own np.dot, which a
+    matrix product would not match bit for bit.
     """
     p = chi.field.p
     xs = np.asarray(x_set.elems, dtype=np.int64)
     ss = np.asarray(s_set.elems, dtype=np.int64)
     bv = beta if beta is not None else np.ones(len(xs))
+    values = np.append(chi.roots(), 0)
     out = np.empty(len(ss), dtype=np.complex128)
     rows = max(1, _BLOCK // len(xs))
     for lo in range(0, len(ss), rows):
         pts = ss[lo:lo + rows, None] + xs[None, :]
         pts -= p * (pts >= p)
-        for i, row in enumerate(chi.at(pts), lo):
+        for i, row in enumerate(values[chi.classes(pts)], lo):
             out[i] = np.dot(bv, row)
     return out
 

@@ -162,7 +162,7 @@ def resolve_config(args, dropped=None) -> dict:
     for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2),
                        ("charsum_n", 1), ("charsum_x", 1), ("oracle_max_size", 1),
                        ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0),
-                       ("charsum_m", 0), ("charsum_subgroup", 0)):
+                       ("charsum_m", 0), ("charsum_r", 1), ("charsum_subgroup", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")
     for key, most in (("charsum_m", p - 2), ("charsum_n", p), ("charsum_x", p - 1)):

@@ -1,7 +1,8 @@
 """Exact additive energies and representation-function machinery.
 
-Sum and product representation functions are `MultiplicityFn`s: sorted
-distinct keys (`values`) and their counts (`counts`), aligned int64 arrays;
+`MultiplicityFn` is a representation function kept whole (line spectra, the
+amplification fibre): sorted distinct keys and their counts, aligned int64
+arrays.  `_convolve` returns only the second moment of its sum counts, and
 `e3` keeps difference counts on one lag window [-h, h] only.  Counts that
 could pass the 2^62 guard are Python ints, and sums of products run in int64
 only below it, so every count and energy is an exact integer.  Floats count

@@ -1,18 +1,19 @@
 """Prime-field substrate: primality, primitive roots, discrete-log tables, characters.
 
-Everything downstream counts exactly in integers.  A field is (p, g); its two
-tables are built on first read and cached.  A character value is held as its
-class k in [0, order), an index into the character's `order` roots of unity,
-converted to a complex number only when a sum is accumulated.  `squares`, a
-bool bitmap of the nonzero squares (1 byte per residue), gives a real
-character its classes with no discrete log.  Any other character gathers
-`ind`, the int32 discrete logs to g (4 bytes per residue), at the points it is
-evaluated and takes k = (m * ind[x] mod (p-1)) / ((p-1)/order); gathered logs
-are widened to int64 before the product, as m * ind reaches p^2.
+Everything downstream counts exactly in integers.  A field is (p, g), built
+anew by each build_field call; each of its two tables is built on first read
+and freed with the field.  A character value is held as its class k in
+[0, order), an index into the character's `order` roots of unity, converted
+to a complex number only when a sum is accumulated.  `squares`, a bool bitmap
+of the nonzero squares (1 byte per residue), gives a real character its
+classes with no discrete log.  Any other character gathers `ind`, the int32
+discrete logs to g (4 bytes per residue), at the points it is evaluated and
+takes k = (m * ind[x] mod (p-1)) / ((p-1)/order); gathered logs are widened
+to int64 before the product, as m * ind reaches p^2.
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,8 @@ def least_primitive_root(p: int) -> int:
 
 class PrimeField:
     """Prime p and its least primitive root g, with two tables built on first
-    read and cached: the discrete logs `ind` and the squares bitmap `squares`.
+    read and kept for the object's lifetime: the discrete logs `ind` and the
+    squares bitmap `squares`.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
     as a sentinel.  ind is a read-only int32 array (p < 2^31), so kernels
@@ -158,16 +160,12 @@ def _squares_bitmap(p: int) -> np.ndarray:
     return squares
 
 
-@lru_cache(maxsize=None)
-def _build_field_cached(p: int) -> PrimeField:
-    return PrimeField(p, least_primitive_root(p))
-
-
 def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
     """Validated field constructor: p prime, 3 <= p <= cap.
 
     Deterministic: always the least primitive root.  p = 2 is rejected
-    everywhere in this package (trivial multiplicative group).
+    everywhere in this package (trivial multiplicative group).  Each call
+    returns a new field, so its tables are freed with it.
     """
     if not isinstance(p, int):
         raise NotPrimeError(f"modulus must be an integer, got {p!r}")
@@ -177,7 +175,7 @@ def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
         raise TooSmallError("p must be at least 3 (p = 2 is not supported)")
     if p > cap:
         raise TooLargeError(f"p = {p} exceeds the cap {cap}")
-    return _build_field_cached(p)
+    return PrimeField(p, least_primitive_root(p))
 
 
 _EXACT_ROOTS = {1: [1], 2: [1, -1], 4: [1, 1j, -1, -1j]}
@@ -263,11 +261,6 @@ class Character:
         k //= n // self.order
         k[e < 0] = -1
         return k
-
-    def at(self, xs: np.ndarray) -> np.ndarray:
-        """chi(x) for every residue x in [0, p-1] of the int64 array xs, as a
-        complex array of the same shape: roots()[classes(xs)], 0 at x = 0."""
-        return np.append(self.roots(), 0)[self.classes(xs)]  # k = -1 reads the 0
 
 
 def character(field: PrimeField, m: int) -> Character:

@@ -141,7 +141,8 @@ def run_identity_suite(cfg, timer=None):
                 )
     with _block(timer, rows):
         for p in (2, 3, 5):
-            rows.append(_agree("gram_structure", p, "full", geometry.gram_structure_check(p), 0))
+            rows.append(_agree("gram_structure", p, "scope=full",
+                               geometry.gram_structure_check(p), 0))
     with _block(timer, rows):
         amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61]
         for i in range(cfg["amp_trials"]):

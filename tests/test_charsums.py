@@ -97,6 +97,23 @@ def test_inner_sums_match_per_s_referee(case):
         assert abs(value - want) < 1e-12 * len(x_set)
 
 
+def test_inner_sums_build_the_roots_once(monkeypatch):
+    # p = 65521, order 21840: 65 rows of X = 1000 a block, so S = 200 takes
+    # 4 blocks, and each block gathers its classes from one shared table of
+    # roots; one block of all 200 rows gives the same bits
+    fld = build_field(65521)
+    chi = character(fld, 3)
+    s_set, x_set = random_set(fld, 200, 11), interval(fld, 0, 1000)
+    calls = []
+    roots = field.Character.roots
+    monkeypatch.setattr(field.Character, "roots",
+                        lambda self, *ks: calls.append(ks) or roots(self, *ks))
+    got = bilinear_sum(chi, s_set, x_set)
+    assert calls == [()]
+    monkeypatch.setattr(charsums, "_BLOCK", 1 << 40)
+    assert bilinear_sum(chi, s_set, x_set) == got
+
+
 @st.composite
 def _real_inner_sum_cases(draw):
     # a real chi, principal or quadratic, against an interval X anywhere in
@@ -293,8 +310,8 @@ def _nsxy_sets(draw):
     return mk(4), mk(3), mk(2)
 
 
-def _big_field_set(*elems):
-    return from_elements(build_field(1048573), elems)
+def _big_field_set(*elems, p=1048573):
+    return from_elements(build_field(p), elems)
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,6 +322,14 @@ def _big_field_set(*elems):
     _big_field_set(*range(1048569, 1048573)),
     _big_field_set(*range(1048570, 1048573)),
     _big_field_set(400000, 800000),
+))
+# at the 2^24 ceiling: S near p - 1, so x + s wraps past p for the positive x
+# of a symmetric X, and the window residues p - 1 (its own inverse) and p - 2
+# take (x + s) y^-1 towards 2p^2 < 2^49
+@example((
+    _big_field_set(16777205, 16777208, 16777210, 16777212, p=16777213),
+    symmetric_interval(build_field(16777213), 3),
+    _big_field_set(400000, 16777211, 16777212, p=16777213),
 ))
 def test_count_n_property(sets):
     s, xset, yset = sets
@@ -456,9 +481,9 @@ def test_complete_product_sum_r1():
 
 
 def test_real_complete_product_sum_builds_no_ind():
-    # a fresh field at a prime no other test builds: the quadratic chi reads
-    # its classes off the squares bitmap, and a sum is an exact integer
-    fld = field._build_field_cached.__wrapped__(1009)
+    # the quadratic chi reads its classes off the squares bitmap, and a sum
+    # is an exact integer
+    fld = build_field(1009)
     chi = character(fld, 504)
     assert complete_product_sum(chi, (4, 4)) == 1008
     assert complete_product_sum(chi, (4, 9)) == -1

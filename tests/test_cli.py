@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -337,15 +339,38 @@ def test_sweep_leaves_numpy_ma_unimported(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_cap_sweep_builds_no_index_table(tmp_path):
-    # the sweep reads the squares bitmap for its real character and Fermat
-    # inverses for its ratio keys, never a discrete-log table
-    field._build_field_cached.cache_clear()
-    cfg = _write_cfg(tmp_path, "sweep_primes = 65521,262139,1048573\n")
+CAP_PRIMES = [65521, 262139, 1048573]
+
+
+def test_cap_sweep_builds_no_index_table(tmp_path, monkeypatch):
+    # the sweep reads the squares bitmap for its real character, once a
+    # prime, and Fermat inverses for its ratio keys, never a discrete-log table
+    def no_index_table(p, g):
+        raise AssertionError(f"ind built at p = {p}")
+
+    bitmaps = []
+    squares_bitmap = field._squares_bitmap
+    monkeypatch.setattr(field, "_index_table", no_index_table)
+    monkeypatch.setattr(field, "_squares_bitmap", lambda p: bitmaps.append(p) or squares_bitmap(p))
+    cfg = _write_cfg(tmp_path, f"sweep_primes = {','.join(map(str, CAP_PRIMES))}\n")
     assert main(["sweep", "--config", cfg, "--workers", "1", "--out", str(tmp_path / "s")]) == 0
-    fields = [build_field(p) for p in (65521, 262139, 1048573)]
-    assert not any("ind" in vars(fld) for fld in fields)
-    assert all("squares" in vars(fld) for fld in fields)
+    assert sorted(bitmaps) == CAP_PRIMES
+
+
+def test_sweep_frees_its_fields(monkeypatch):
+    # no field outlives the sweep that built it, so neither do its tables
+    built = []
+
+    def recording_build_field(*args):
+        fld = build_field(*args)
+        built.append(weakref.ref(fld))
+        return fld
+
+    monkeypatch.setattr(suites, "build_field", recording_build_field)
+    rows, fits = suites.run_sweep({**DEFAULTS, "sweep_primes": CAP_PRIMES})
+    gc.collect()
+    assert rows and fits and built
+    assert [ref() for ref in built] == [None] * len(built)
 
 
 @pytest.mark.parametrize("cell, seed, budget", [
@@ -353,11 +378,11 @@ def test_cap_sweep_builds_no_index_table(tmp_path):
     (suites._cell_tabc, 1000, 20e6),
     (suites._cell_thm11, 2, 24e6),
 ])
-def test_ceiling_cells_memory_budget(monkeypatch, cell, seed, budget):
+def test_ceiling_cells_memory_budget(cell, seed, budget):
     # at p = 16777213, field tables included: the int32 ind table alone is
-    # 67 MB, and the parent's cells peaked at 83.6 (tabc, seed 2), 134.7
-    # (tabc, seed 1000) and 70.9 MB (thm11); the squares bitmap is 16.8 MB
-    monkeypatch.setattr(suites, "build_field", lambda p: field._build_field_cached.__wrapped__(p))
+    # 67 MB, and the cells peaked at 83.6 (tabc, seed 2), 134.7 (tabc, seed
+    # 1000) and 70.9 MB (thm11) when they built it; the squares bitmap is
+    # 16.8 MB
     tracemalloc.start()
     try:
         cell(16777213, seed, DEFAULTS["epsilon"])
@@ -452,6 +477,23 @@ def test_charsum_command(tmp_path):
     assert "stat=W" in text and "stat=modulus" in text
 
 
+PARAM = re.compile(r"[A-Za-z_]\w*=[^;=\s]+")
+
+
+@pytest.mark.parametrize("command, body", [
+    ("identities", ""), ("oracles", ""), ("sweep", ""), ("regions", ""), ("charsum", ""),
+    ("sweep", f"sweep_primes = {','.join(map(str, CAP_PRIMES))}\n"),
+], ids=["identities", "oracles", "sweep", "regions", "charsum", "sweep_cap"])
+def test_every_row_params_grammar(tmp_path, command, body):
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    with open(out / f"{command}.csv", newline="") as fh:
+        params = [row["params"] for row in csv.DictReader(fh)]
+    assert params
+    bad = [ps for ps in params if not all(PARAM.fullmatch(f) for f in ps.split(";"))]
+    assert not bad, bad
+
+
 @pytest.mark.parametrize("x_len, reason", [
     (40, "PreconditionViolatedError"),  # S^2 X > p^2
     (60, "LengthOutOfRangeError"),  # the radius-X symmetric interval exceeds F_p
@@ -467,7 +509,7 @@ def test_charsum_skip_row_params_grammar(tmp_path, x_len, reason):
         skips = [row for row in csv.DictReader(fh) if row["status"] == "skip"]
     assert len(skips) == 1
     fields = skips[0]["params"].split(";")
-    assert all(re.fullmatch(r"[A-Za-z_]\w*=[^;=\s]+", f) for f in fields), fields
+    assert all(PARAM.fullmatch(f) for f in fields), fields
     assert f"reason={reason}" in fields
 
 
@@ -528,6 +570,7 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("", ["--p", "211", "--max-p", "150"], "charsum_p: 211 is above max_p = 150"),
     ("", ["--m", "500"], "charsum_m: need <= 99 at charsum_p = 101, got 500"),
     ("charsum_m = -1\n", [], "charsum_m: need >= 0, got -1"),
+    ("", ["--r", "0"], "charsum_r: need >= 1, got 0"),
     ("", ["--x-len", "200"], "charsum_x: need <= 100 at charsum_p = 101, got 200"),
     ("", ["--set-size", "500"], "charsum_n: need <= 101 at charsum_p = 101, got 500"),
     ("", ["--subgroup-order", "7"], "charsum_subgroup: 7 does not divide charsum_p - 1 = 100"),
@@ -536,8 +579,9 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
 ], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
         "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
         "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
-        "charsum_m_above", "charsum_m_below", "charsum_x_above", "charsum_n_above",
-        "charsum_subgroup_not_divisor", "charsum_subgroup_below", "max_p_above_ceiling"])
+        "charsum_m_above", "charsum_m_below", "charsum_r_below", "charsum_x_above",
+        "charsum_n_above", "charsum_subgroup_not_divisor", "charsum_subgroup_below",
+        "max_p_above_ceiling"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:

@@ -68,9 +68,10 @@ def test_index_table_built_in_blocks(p, block, monkeypatch):
     # 16 blocks at 1048573, 2 at 65537 (the last one row), one row each at
     # block 1, 86 blocks at block 1000 (the last one row), and one row of 91
     # per block at 8191 with block 5, smaller than a row
+    shipped = build_field(p).ind  # built in blocks of the shipped _BLOCK
     if block is not None:
         monkeypatch.setattr(field, "_BLOCK", block)
-    fld = field._build_field_cached.__wrapped__(p)
+    fld = build_field(p)
     p, g, ind = fld.p, fld.g, fld.ind
     assert ind[0] == -1 and ind[1] == 0
     assert np.array_equal(np.sort(ind[1:]), np.arange(p - 1))
@@ -78,8 +79,16 @@ def test_index_table_built_in_blocks(p, block, monkeypatch):
     # is g^ind[x] = x for every x
     x = np.arange(1, p, dtype=np.int64)
     assert np.array_equal(ind[g * x % p], (ind[x] + 1) % (p - 1))
-    if block is not None:
-        assert np.array_equal(ind, build_field(p).ind)
+    assert np.array_equal(ind, shipped)
+
+
+def _values(chi, xs):
+    """chi at the residues xs from its classes and roots: roots()[k], and 0
+    where k = -1, in the shape of xs."""
+    ks = chi.classes(np.asarray(xs, dtype=np.int64))
+    assert ks.shape == np.shape(xs) and ks.dtype == np.int64
+    assert ((ks >= -1) & (ks < chi.order)).all()
+    return np.where(ks < 0, 0, chi.roots()[np.maximum(ks, 0)])
 
 
 def test_character_examples():
@@ -160,12 +169,13 @@ def test_tables_are_read_only_int32(p):
 
 
 def test_values_table_matches_pointwise():
-    # at() indexes the order-many roots; chi(x) evaluates e^(2 pi i e/(p-1))
+    # classes() index the order-many roots; chi(x) reads the root of its
+    # exponent e off ind
     fld = build_field(31)
     for m in range(30):
         chi = character(fld, m)
         assert len(chi.roots()) == chi.order
-        tab = chi.at(np.arange(31))
+        tab = _values(chi, np.arange(31))
         assert tab[0] == 0
         for x in range(1, 31):
             assert abs(tab[x] - chi(x)) < 1e-12
@@ -173,7 +183,7 @@ def test_values_table_matches_pointwise():
     quadratic = character(build_field(p), (p - 1) // 2)
     rng = random.Random(5)
     xs = [0, 1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]
-    for x, value in zip(xs, quadratic.at(np.array(xs))):
+    for x, value in zip(xs, _values(quadratic, xs)):
         legendre = 0 if x == 0 else 1 if pow(x, (p - 1) // 2, p) == 1 else -1
         assert abs(value - quadratic(x)) < 1e-12
         assert abs(value - legendre) < 1e-12
@@ -186,14 +196,14 @@ def test_values_table_matches_pointwise():
 )
 def test_character_at_property(p, data):
     # every m at small p, m near 0 and p - 1 or random at 2^20; x = 0 and
-    # x near p - 1 drawn often; at() keeps the shape of its argument
+    # x near p - 1 drawn often; classes() keep the shape of their argument
     chi = character(build_field(p), data.draw(st.one_of(
         st.integers(0, min(3, p - 2)), st.integers(max(0, p - 5), p - 2), st.integers(0, p - 2))))
     elems = st.one_of(st.just(0), st.integers(max(0, p - 3), p - 1), st.integers(0, p - 1))
     shape = data.draw(st.sampled_from([(0,), (1,), (5,), (2, 3), (3, 1, 2)]))
     xs = np.array(data.draw(st.lists(elems, min_size=int(np.prod(shape)),
                                      max_size=int(np.prod(shape)))), dtype=np.int64)
-    got = chi.at(xs.reshape(shape))
+    got = _values(chi, xs.reshape(shape))
     assert got.shape == shape and got.dtype == np.complex128
     for x, value in zip(xs.tolist(), got.ravel()):
         assert abs(value - chi(x)) < 1e-12
@@ -234,9 +244,9 @@ def test_character_widens_int32_logs(m):
     step = (p - 1) // chi.order
     assert chi.classes(xs).tolist() == [-1] + [e // step for e in want[1:]]
     assert chi.classes(xs).dtype == np.int64
-    at = chi.at(xs)
-    assert at[0] == 0
-    for value, e in zip(at[1:], want[1:]):
+    values = _values(chi, xs)
+    assert values[0] == 0
+    for value, e in zip(values[1:], want[1:]):
         assert abs(value - cmath.exp(2j * cmath.pi * e / (p - 1))) < 1e-9
 
 
@@ -244,7 +254,7 @@ def _table_peak(p, table):
     """(tracemalloc peak of building a field, then of reading its table)."""
     tracemalloc.start()
     try:
-        fld = field._build_field_cached.__wrapped__(p)
+        fld = build_field(p)
         bare = tracemalloc.get_traced_memory()[1]
         getattr(fld, table)
         return bare, tracemalloc.get_traced_memory()[1]
@@ -269,7 +279,7 @@ def test_squares_bitmap_memory_budget():
 def test_squares_bitmap_is_index_parity(p):
     # x != 0 is a square exactly when its discrete log is even; 0 is no
     # nonzero square, and half the units are squares
-    fld = field._build_field_cached.__wrapped__(p)
+    fld = build_field(p)
     squares = fld.squares
     assert "ind" not in vars(fld)  # the bitmap is built without the log table
     assert squares.dtype == np.bool_ and squares.shape == (p,)
@@ -282,7 +292,7 @@ def test_squares_bitmap_is_index_parity(p):
 
 def test_squares_bitmap_euler_criterion_at_ceiling():
     p = 16777213
-    fld = field._build_field_cached.__wrapped__(p)
+    fld = build_field(p)
     rng = random.Random(p)
     xs = [0, 1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(200)]
     want = [x != 0 and pow(x, (p - 1) // 2, p) == 1 for x in xs]
@@ -296,7 +306,7 @@ def test_exact_roots_at_orders_1_2_4(p):
     # leaves 1e-14 where the sum is 0.  Orders 1, 2 and 4 take their values
     # exactly, and the real ones read them off the squares bitmap, with no
     # discrete-log table
-    fld = field._build_field_cached.__wrapped__(p)
+    fld = build_field(p)
     want = {1: [1], 2: [1, -1], 4: [1, 1j, -1, -1j]}
     for order, roots in want.items():
         chi = character(fld, (p - 1) // order if order > 1 else 0)
@@ -304,17 +314,17 @@ def test_exact_roots_at_orders_1_2_4(p):
         assert chi.roots().tolist() == roots and chi.roots().dtype == np.complex128
     xs = np.array([0, 1, 2, 3, 4, p - 2, p - 1], dtype=np.int64)
     legendre = [0 if x == 0 else 1 if pow(int(x), (p - 1) // 2, p) == 1 else -1 for x in xs]
-    at = character(fld, (p - 1) // 2).at(xs.reshape(1, -1))
-    assert at.shape == (1, len(xs)) and at.dtype == np.complex128
-    assert at.ravel().tolist() == legendre and not np.signbit(at.imag).any()
-    assert character(fld, 0).at(xs).tolist() == [0, 1, 1, 1, 1, 1, 1]
+    quadratic = _values(character(fld, (p - 1) // 2), xs.reshape(1, -1))
+    assert quadratic.shape == (1, len(xs)) and quadratic.dtype == np.complex128
+    assert quadratic.ravel().tolist() == legendre and not np.signbit(quadratic.imag).any()
+    assert _values(character(fld, 0), xs).tolist() == [0, 1, 1, 1, 1, 1, 1]
     assert "ind" not in vars(fld)
     quartic = character(fld, (p - 1) // 4)
-    values = quartic.at(xs[1:])
+    values = _values(quartic, xs[1:])
     assert set(values.tolist()) <= {1, 1j, -1, -1j}
     assert np.abs(values - [quartic(x) for x in xs[1:].tolist()]).max() < 1e-12
     # chi(x) takes its exponent off ind, and its value from the same exact
-    # roots as at(), with no 1e-16 parts from a complex exponential
+    # roots as classes() index, with no 1e-16 parts from a complex exponential
     for m in (0, (p - 1) // 2, (p - 1) // 4):
         chi = character(fld, m)
-        assert [chi(x) for x in xs.tolist()] == [chi.at(np.array([x]))[0] for x in xs]
+        assert [chi(x) for x in xs.tolist()] == _values(chi, xs).tolist()

@@ -24,7 +24,7 @@ import pytest
 from fplab.cli import main
 
 GOLDEN = {
-    "identities": "bc034f90443812aaa35c52ec36fd9c5d374b6ecf5f5acfda1574197801df0642",
+    "identities": "c50a0dddb75830ae78491d5eaf9499a2e818dd8c34574e8ce0c21d7a917b717b",
     "oracles": "a047e837b8586191c535dda02bd1077b1e7b3cc5bf02d13389c4c12229f74d1b",
     "sweep": "e4c8e7a99b947381dab935022a567fa0ddc2b8f2e257a9d70db22dfb437cead9",
     "regions": "d57b2bf7798a2ad0c3ca65c7a9cf06a86b997c8c30c2ab25999386a470c8565b",

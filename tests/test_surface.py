@@ -12,6 +12,11 @@ reach it either.  Being exported in `fplab.__all__` reaches nothing by
 itself.  Attribute matching is by bare name, so a shared attribute name can
 still hide a dead method or field, but never flags a live one.
 
+A private top-level function, class or module constant (a name with one
+leading underscore) counts as reached only when production code loads it
+outside its own definition: tests, which may reach into private helpers,
+do not count.
+
 The brute-force oracles are also checked to load no name of the production
 routes they referee.
 """
@@ -63,9 +68,14 @@ def _definitions(tree):
                 yield f"{node.name}.{item.target.id}", item.target.id, True, node
 
 
-def unreached():
+def _package():
+    """The parsed modules of src/fplab by name, and the loads of each."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    loads = {mod: list(_loads(tree)) for mod, tree in trees.items()}
+    return trees, {mod: list(_loads(tree)) for mod, tree in trees.items()}
+
+
+def unreached():
+    trees, loads = _package()
     from_acceptance = list(_loads(ast.parse(ACCEPTANCE.read_text())))
     dead = []
     for mod, tree in trees.items():
@@ -87,6 +97,39 @@ def unreached():
 def test_every_public_definition_is_reached():
     dead = unreached()
     assert not dead, f"reached by no command or acceptance criterion: {', '.join(dead)}"
+
+
+def _private_definitions(tree):
+    """(name, definition node) for the private top-level functions, classes
+    and module constants of a module; dunders such as __all__ are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def unreached_private():
+    trees, loads = _package()
+    dead = []
+    for mod, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            lines = range(node.lineno, node.end_lineno + 1)
+            if not any(loaded == name and (other != mod or line not in lines)
+                       for other, found in loads.items() for _, loaded, line in found):
+                dead.append(f"{mod}.{name}")
+    return dead
+
+
+def test_every_private_definition_is_reached():
+    dead = unreached_private()
+    assert not dead, f"loaded by no production code: {', '.join(dead)}"
 
 
 # Names of the production routes, and of the tables and library calls they
