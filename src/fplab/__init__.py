@@ -13,7 +13,6 @@ from .sets import (
     poly_image,
     random_set,
     subgroup,
-    sumset,
     symmetric_interval,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "poly_image",
     "random_set",
     "subgroup",
-    "sumset",
     "symmetric_interval",
 ]

@@ -57,8 +57,7 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     matrix product would not match bit for bit.
     """
     p = chi.field.p
-    xs = np.asarray(x_set.elems, dtype=np.int64)
-    ss = np.asarray(s_set.elems, dtype=np.int64)
+    xs, ss = x_set.elems, s_set.elems
     bv = beta if beta is not None else np.ones(len(xs))
     values = np.append(chi.roots(), 0)
     out = np.empty(len(ss), dtype=np.complex128)
@@ -120,9 +119,10 @@ def prime_window(params: AmplificationParams, p: int) -> list:
     return [q % p for q in qs]
 
 
-def _fibre_parts(fld: PrimeField, s_elems, x_elems, y_elems):
-    """Multiplicities of the keys lambda * p + mu over (s, t, x, y) with
-    s != t, lambda = (x + s)/y and mu = (x + t)/y; y must be nonzero mod p.
+def _fibre_parts(fld: PrimeField, ss, xs, ys):
+    """Multiplicities of the keys lambda * p + mu over (s, t, x, y) in the
+    int64 arrays ss, xs and ys with s != t, lambda = (x + s)/y and
+    mu = (x + t)/y; y must be nonzero mod p.
 
     Yields one MultiplicityFn per chunk of lambda, in increasing lambda, so
     the chunks concatenate to the whole fibre, sorted.  The (y, x, s) entries
@@ -133,11 +133,9 @@ def _fibre_parts(fld: PrimeField, s_elems, x_elems, y_elems):
     the products (x + s) y^-1 stay below 2p^2 < 2^49 at p < 2^24, in int64.
     """
     p = fld.p
-    ss = np.asarray(s_elems, dtype=np.int64)
     if len(ss) < 2:
         return
-    xs = np.asarray(x_elems, dtype=np.int64)
-    yinv = np.array([pow(y, p - 2, p) for y in y_elems], dtype=np.int64)
+    yinv = np.array([pow(y, p - 2, p) for y in ys.tolist()], dtype=np.int64)
     vals = ((xs[:, None] + ss[None, :]) * yinv[:, None, None] % p).reshape(-1, len(ss))
     order = np.argsort(vals, axis=None)
     lam = vals.ravel()[order]
@@ -168,7 +166,7 @@ def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) 
         raise InadmissibleYZError(
             f"4YZ = {4 * params.y * params.z} exceeds X = {x_radius}"
         )
-    window = prime_window(params, fld.p)
+    window = np.array(prime_window(params, fld.p), dtype=np.int64)
     values, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for part in _fibre_parts(fld, s_set.elems, symmetric_interval(fld, x_radius).elems, window):
         values.append(part.values)
@@ -181,7 +179,7 @@ def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration:
     the sum of nu(lambda, mu)^2, one lambda chunk at a time."""
     _same_field(s_set, x_set, y_set)
-    if 0 in y_set.as_set():
+    if 0 in y_set:
         raise ZeroDenominatorError("denominator set contains 0")
     return sum(part.second_moment
                for part in _fibre_parts(s_set.field, s_set.elems, x_set.elems, y_set.elems))
@@ -199,12 +197,10 @@ def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     block, they made `fplab oracles` the command with the highest peak RSS.
     """
     _same_field(s_set, x_set, y_set)
-    if 0 in y_set.as_set():
+    if 0 in y_set:
         raise ZeroDenominatorError("denominator set contains 0")
     p = s_set.field.p
-    ss = np.asarray(s_set.elems, dtype=np.int64)
-    xs = np.asarray(x_set.elems, dtype=np.int64)
-    ys = np.asarray(y_set.elems, dtype=np.int64)
+    ss, xs, ys = s_set.elems, x_set.elems, y_set.elems
     i, j = np.nonzero(ss[:, None] != ss[None, :])  # the (s, t) pairs with s != t
     # the tuples (s, t, x, y), flattened to x + s, x + t and y
     xs_plus_s = np.repeat((xs[None, :] + ss[i, None]).ravel() % p, len(ys))

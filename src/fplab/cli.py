@@ -222,6 +222,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:  # before the run, so an unwritable out costs no compute
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out: {cfg['out']}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     timer = BlockTimer() if cfg["timings"] else None
     t0 = time.perf_counter()
     try:
@@ -231,7 +236,6 @@ def main(argv=None) -> int:
         return 2
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
 
-    os.makedirs(cfg["out"], exist_ok=True)
     csv_path = os.path.join(cfg["out"], f"{args.command}.csv")
     write_csv(rows, csv_path)
     summary = summarize(rows, fits)

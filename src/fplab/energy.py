@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import _BLOCK
-from .sets import FpSet, _same_field
+from .sets import FpSet, _same_field, _sorted_distinct
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
@@ -55,10 +55,6 @@ class MultiplicityFn:
         out = np.zeros(len(keys), dtype=self.counts.dtype)
         out[hit] = self.counts[i[hit]]
         return out
-
-
-def _residues(a: FpSet) -> np.ndarray:
-    return np.asarray(a.elems, dtype=np.int64)
 
 
 def _convolve(p: int, first: np.ndarray, others) -> int:
@@ -115,7 +111,8 @@ def _dot(*columns) -> int:
     bound = int(columns[0].sum()) * math.prod(int(col.max()) for col in columns[1:])
     if bound < _INT64_SAFE:
         return int(np.einsum(",".join("i" * len(columns)) + "->", *columns, dtype=np.int64))
-    return sum(math.prod(row) for row in zip(*(col.tolist() for col in columns)))
+    rows = np.flatnonzero(columns[0])
+    return sum(math.prod(row) for row in zip(*(col[rows].tolist() for col in columns)))
 
 
 def additive_energy(a: FpSet) -> int:
@@ -180,15 +177,15 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     with the fewest pairs there when it has fewer than 2h + 1."""
     _same_field(u, v, w)
     p = u.field.p
-    arrays = {s: _residues(s) for s in dict.fromkeys((u, v, w))}
+    arrays = {s: s.elems for s in dict.fromkeys((u, v, w))}
     if not all(map(len, arrays.values())):
         return 0
     arcs = {s: _arc(arr, p) for s, arr in arrays.items()}
     h = min((p - 1) // 2, *(length - 1 for _, length in arcs.values()))
     pairs = {s: _pairs(arr, p, h) for s, arr in arrays.items()}
     npairs, blocks = min(pairs.values(), key=lambda x: x[0])
-    keys = np.sort(np.concatenate(list(blocks()))) if npairs < 2 * h + 1 else np.arange(-h, h + 1)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique imports numpy.ma
+    keys = (_sorted_distinct(np.concatenate(list(blocks()))) if npairs < 2 * h + 1
+            else np.arange(-h, h + 1))
     r = {s: _lag_counts(arr, p, h, keys, arcs[s], pairs[s]) for s, arr in arrays.items()}
     return _dot(*(r[s] for s in (u, v, w)))
 
@@ -201,7 +198,7 @@ def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:
     _same_field(u, v, w)
     p = u.field.p
     du, dv, dw = (((arr[:, None] - arr[None, :]) % p).ravel()
-                  for arr in map(_residues, (u, v, w)))
+                  for arr in (u.elems, v.elems, w.elems))
     rows = max(1, _BLOCK // max(1, len(dv) * len(dw)))
     count = 0
     for lo in range(0, len(du), rows):
@@ -217,8 +214,7 @@ def t_k(sets) -> int:
     if not sets:
         raise ValueError("need at least one set")
     _same_field(*sets)
-    arrays = [_residues(s) for s in sets]
-    return _convolve(sets[0].field.p, arrays[0], arrays[1:])
+    return _convolve(sets[0].field.p, sets[0].elems, [s.elems for s in sets[1:]])
 
 
 def t_k_fourier(sets) -> float:

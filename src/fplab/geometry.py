@@ -40,23 +40,13 @@ def line_spectrum(a: FpSet) -> MultiplicityFn:
     Keys stay below p^2 + p < 2^49 at p < 2^24.
     """
     p = a.field.p
-    xs = np.asarray(a.elems, dtype=np.int64)
+    xs = a.elems
     slopes = np.arange(p, dtype=np.int64)
     intercepts = (xs[None, None, :] - slopes[:, None, None] * xs[None, :, None]) % p
     slanted = slopes[:, None, None] * p + intercepts  # (slope, x, y)
     vertical = np.repeat(p * p + xs, len(xs))
     return MultiplicityFn(*np.unique(np.concatenate([slanted.ravel(), vertical]),
                                      return_counts=True))
-
-
-def line_deviation_l2(a: FpSet) -> Fraction:
-    """Exact sum over all p^2 + p lines, zero-hit lines included, of
-    (iota(l) - m)^2 with m = #A^2 / p the mean multiplicity:
-    S_2 - 2 m sum_l iota(l) + (p^2 + p) m^2."""
-    p = a.field.p
-    spectrum = line_spectrum(a)
-    m = Fraction(len(a) ** 2, p)
-    return spectrum.second_moment - 2 * m * spectrum.total + (p * p + p) * m * m
 
 
 def pair_spectrum_identity(a: FpSet, b: FpSet):
@@ -66,7 +56,7 @@ def pair_spectrum_identity(a: FpSet, b: FpSet):
     sa = line_spectrum(a)
     sb = line_spectrum(b)
     lhs = _dot(sa.counts, sb.at(sa.values))
-    common = len(a.as_set() & b.as_set())
+    common = len(np.intersect1d(a.elems, b.elems, assume_unique=True))
     rhs = (len(a) * len(b)) ** 2 + p * common * common
     return lhs, rhs
 
@@ -99,7 +89,7 @@ def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     # each block is added into one length-p count array, int32 while
     # #A #B #C < 2^31 bounds R(l).
     p = a.field.p
-    xs, ys, cs = (np.asarray(s.elems, dtype=np.int64) for s in (a, b, c))
+    xs, ys, cs = a.elems, b.elems, c.elems
     iy, iz = np.nonzero(ys[:, None] != cs[None, :])  # the (y, z) pairs with y != z
     inv = _inverse_mod((ys[iy] - cs[iz]) % p, p)
     x_minus_z = (xs[None, :] - cs[:, None]) % p  # (z, x)
@@ -149,9 +139,7 @@ def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
     """
     _same_field(a, b, c)
     p = a.field.p
-    xs = np.asarray(a.elems, dtype=np.int64)
-    bs = np.asarray(b.elems, dtype=np.int64)
-    cs = np.asarray(c.elems, dtype=np.int64)
+    xs, bs, cs = a.elems, b.elems, c.elems
     ib, ic = np.nonzero(bs[:, None] != cs[None, :])  # the (b, c) pairs with b != c
     k = bs[ib] - cs[ic]
     a_minus_c = xs[None, :] - cs[ic, None]  # (pair, a)
@@ -189,12 +177,6 @@ def all_planes(p: int) -> list:
         planes.extend((0, 1, c, d) for d in range(p))
     planes.extend((0, 0, 1, d) for d in range(p))
     return planes
-
-
-def plane_contains(plane, point, p: int) -> bool:
-    n1, n2, n3, c = plane
-    x, y, z = point
-    return (n1 * x + n2 * y + n3 * z - c) % p == 0
 
 
 def _incidence_matrix(p: int, points, planes) -> np.ndarray:

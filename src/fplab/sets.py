@@ -1,11 +1,11 @@
-"""Constructors for every set species the harness uses, plus sumset algebra.
+"""Constructors for every set species the harness uses.
 
-Sets are immutable sorted residue tuples.  Random sets use Mersenne Twister
+A set's elems are its residues as one sorted, distinct, read-only int64
+array, which every kernel reads as is.  Random sets use Mersenne Twister
 rejection sampling so a (p, n, seed) triple reproduces bit-exactly.
 """
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,39 +20,40 @@ from .field import PrimeField
 
 @dataclass(frozen=True, eq=False)
 class FpSet:
-    """A finite subset of F_p: sorted residues."""
+    """A finite subset of F_p: sorted distinct residues, a read-only int64
+    array; iterating yields Python ints."""
 
     field: PrimeField
-    elems: tuple
+    elems: np.ndarray
+
+    def __post_init__(self):
+        self.elems.flags.writeable = False
 
     def __len__(self):
         return len(self.elems)
 
     def __iter__(self):
-        return iter(self.elems)
+        return iter(self.elems.tolist())
 
     def __contains__(self, x):
-        i = bisect_left(self.elems, x)
-        return i < len(self.elems) and self.elems[i] == x
+        i = np.searchsorted(self.elems, x)
+        return bool(i < len(self.elems) and self.elems[i] == x)
 
     def __eq__(self, other):
         return (
             isinstance(other, FpSet)
             and other.field.p == self.field.p
-            and other.elems == self.elems
+            and np.array_equal(other.elems, self.elems)
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.elems))
+        return hash((self.field.p, self.elems.tobytes()))
 
     def __repr__(self):
-        body = ",".join(map(str, self.elems[:8]))
+        body = ",".join(map(str, self.elems[:8].tolist()))
         if len(self.elems) > 8:
             body += ",..."
         return f"FpSet(p={self.field.p}, {{{body}}})"
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.elems)
 
 
 def _same_field(*sets):
@@ -62,11 +63,16 @@ def _same_field(*sets):
             raise FieldMismatchError(f"p = {p} vs p = {s.field.p}")
 
 
+def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
+    """arr sorted with repeats dropped (np.unique would import numpy.ma)."""
+    arr = np.sort(arr)
+    return arr[np.diff(arr, prepend=arr[:1] - 1) != 0]
+
+
 def from_elements(field: PrimeField, elems) -> FpSet:
     """Normalize arbitrary residues into a sorted duplicate-free FpSet."""
     p = field.p
-    reduced = sorted({x % p for x in elems})
-    return FpSet(field, tuple(reduced))
+    return FpSet(field, _sorted_distinct(np.fromiter((x % p for x in elems), np.int64)))
 
 
 def interval(field: PrimeField, a: int, length: int) -> FpSet:
@@ -75,8 +81,7 @@ def interval(field: PrimeField, a: int, length: int) -> FpSet:
         raise LengthOutOfRangeError(
             f"interval length {length} not in [1, {field.p - 1}]"
         )
-    p = field.p
-    return FpSet(field, tuple(sorted((a + i) % p for i in range(1, length + 1))))
+    return FpSet(field, np.sort((a % field.p + np.arange(1, length + 1)) % field.p))
 
 
 def symmetric_interval(field: PrimeField, radius: int) -> FpSet:
@@ -85,8 +90,7 @@ def symmetric_interval(field: PrimeField, radius: int) -> FpSet:
         raise LengthOutOfRangeError(
             f"radius {radius}: need 0 <= 2*radius+1 <= {field.p}"
         )
-    p = field.p
-    return FpSet(field, tuple(sorted(x % p for x in range(-radius, radius + 1))))
+    return FpSet(field, np.sort(np.arange(-radius, radius + 1) % field.p))
 
 
 def subgroup(field: PrimeField, order: int) -> FpSet:
@@ -97,14 +101,11 @@ def subgroup(field: PrimeField, order: int) -> FpSet:
     p = field.p
     if order < 1 or (p - 1) % order != 0:
         raise NotADivisorError(f"{order} does not divide p-1 = {p - 1}")
-    h = (p - 1) // order
-    gen = pow(field.g, h, p)
-    elems = []
-    acc = 1
-    for _ in range(order):
-        elems.append(acc)
-        acc = acc * gen % p
-    return FpSet(field, tuple(sorted(elems)))
+    gen = pow(field.g, (p - 1) // order, p)
+    elems = [1]
+    for _ in range(order - 1):
+        elems.append(elems[-1] * gen % p)
+    return FpSet(field, np.sort(np.array(elems, dtype=np.int64)))
 
 
 def poly_image(coeffs, domain: FpSet) -> FpSet:
@@ -120,11 +121,10 @@ def poly_image(coeffs, domain: FpSet) -> FpSet:
         reduced.pop()
     if len(reduced) < 2:
         raise ValueError("polynomial must have degree >= 1 mod p")
-    xs = np.asarray(domain.elems, dtype=np.int64)
-    acc = np.zeros_like(xs)
+    acc = np.zeros_like(domain.elems)
     for c in reversed(reduced):
-        acc = (acc * xs + c) % p
-    return FpSet(domain.field, tuple(sorted(set(acc.tolist()))))
+        acc = (acc * domain.elems + c) % p
+    return FpSet(domain.field, _sorted_distinct(acc))
 
 
 def primes_upto(n: int) -> list:
@@ -154,15 +154,4 @@ def random_set(field: PrimeField, n: int, seed: int) -> FpSet:
     chosen = set()
     while len(chosen) < n:
         chosen.add(rng.randrange(p))
-    return FpSet(field, tuple(sorted(chosen)))
-
-
-def sumset(a: FpSet, b: FpSet, sign: str = "+") -> FpSet:
-    """{x + y} or {x - y} mod p over all pairs."""
-    _same_field(a, b)
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    xs = np.asarray(a.elems, dtype=np.int64)[:, None]
-    ys = np.asarray(b.elems, dtype=np.int64)[None, :]
-    out = (xs + ys if sign == "+" else xs - ys) % a.field.p
-    return FpSet(a.field, tuple(np.unique(out).tolist()))
+    return FpSet(field, np.sort(np.fromiter(chosen, np.int64, n)))

@@ -26,6 +26,7 @@ from fplab.sets import (
     symmetric_interval,
 )
 from fplab.suites import run_region_suite, run_sweep
+from library import line_deviation_l2, plane_contains, sumset
 
 
 def _primes(lo, hi):
@@ -73,7 +74,7 @@ def test_criterion_03_gram_structure():
     points = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
     planes = geometry.all_planes(2)
     m = np.array(
-        [[geometry.plane_contains(pl, q, 2) for pl in planes] for q in points],
+        [[plane_contains(pl, q, 2) for pl in planes] for q in points],
         dtype=np.int64,
     )
     gram = m @ m.T
@@ -168,10 +169,8 @@ def test_criterion_07_exact_inequalities():
         for k in (3, 4):
             ok = ok and e2 ** (k - 1) <= energy.t_k([s] * k) * n ** (k - 2)
         # centered line-count second moment
-        ok = ok and geometry.line_deviation_l2(s) <= p * n * n
+        ok = ok and line_deviation_l2(s) <= p * n * n
         # Ruzsa triangle
-        from fplab.sets import sumset
-
         plus = len(sumset(s, s, "+"))
         minus = len(sumset(s, s, "-"))
         ok = ok and minus * n <= plus * plus

@@ -390,9 +390,8 @@ def _fibre_one_shot(s_set, x_set, y_set):
     lambda * p + mu over (s, t, x, y) with s != t, built at once and merged
     by one np.unique."""
     p = s_set.field.p
-    ss = np.asarray(s_set.elems, dtype=np.int64)
-    xs = np.asarray(x_set.elems, dtype=np.int64)
-    yinv = np.array([pow(y, p - 2, p) for y in y_set.elems], dtype=np.int64)
+    ss, xs = s_set.elems, x_set.elems
+    yinv = np.array([pow(y, p - 2, p) for y in y_set], dtype=np.int64)
     vals = (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p  # (Y, X, S)
     i, j = np.nonzero(~np.eye(len(ss), dtype=bool))  # ordered pairs s != t
     return np.unique(vals[..., i] * p + vals[..., j], return_counts=True)

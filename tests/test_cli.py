@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import fplab
-from fplab import bounds, field, suites
+from fplab import bounds, cli, field, suites
 from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config, write_resolved_config
 from fplab.errors import ConfigError
 from fplab.field import build_field
@@ -590,3 +590,18 @@ def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_out_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    # out under a regular file cannot be made; the command must say so
+    # before its runner spends any compute
+    def no_run(cfg, timer):
+        raise AssertionError("the runner ran")
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    doc, _ = cli.COMMANDS["regions"]
+    monkeypatch.setitem(cli.COMMANDS, "regions", (doc, no_run))
+    out = blocker / "sub"
+    assert main(["regions", "--out", str(out)]) == 2
+    assert f"config error: out: {out}: Not a directory" in capsys.readouterr().err

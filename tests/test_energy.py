@@ -56,7 +56,7 @@ def _sum_support(p, arrays):
 def _diff_counts(a):
     """The count of each difference u - v over the whole set: the referee for
     e3's lag counts."""
-    arr = np.asarray(a.elems, dtype=np.int64)
+    arr = a.elems
     return MultiplicityFn(*_sum_support(a.field.p, [arr, -arr % a.field.p]))
 
 
@@ -154,7 +154,7 @@ def test_t_k_matches_brute_quadruples():
 
 def _sum_counts(sets):
     """(values, counts) of the sums u_1 + ... + u_k."""
-    arrays = [np.asarray(s.elems, dtype=np.int64) for s in sets]
+    arrays = [s.elems for s in sets]
     return _sum_support(sets[0].field.p, arrays)
 
 
@@ -466,7 +466,7 @@ def test_energies_near_cap_against_python_ints():
     w = interval(fld, 0, 2048)
 
     def dense(s):
-        arr = np.asarray(s.elems, dtype=np.int64)
+        arr = s.elems
         return np.bincount(((arr[:, None] - arr[None, :]) % p).ravel(), minlength=p).tolist()
 
     ru, rv, rw = dense(u), dense(v), dense(w)
@@ -552,7 +552,7 @@ def _e3_triples(draw):
 def _correlation_work(sets):
     # multiply-adds of correlating the longest arc on e3's lag window
     p = sets[0].field.p
-    lengths = [energy._arc(np.asarray(s.elems, dtype=np.int64), p)[1] for s in sets]
+    lengths = [energy._arc(s.elems, p)[1] for s in sets]
     return max(lengths) * (2 * min((p - 1) // 2, min(lengths) - 1) + 1)
 
 
@@ -615,7 +615,7 @@ def test_difference_bound_holds(a):
     # the arc holds the set, and min(p, 2L - 1) bounds #(A - A), exactly for
     # intervals, wrapping or symmetric, and singletons
     p = a.field.p
-    start, length = energy._arc(np.asarray(a.elems, dtype=np.int64), p)
+    start, length = energy._arc(a.elems, p)
     assert all((x - start) % p < length for x in a.elems)
     support = len(_diff_counts(a).values)
     assert min(p, 2 * length - 1) >= support

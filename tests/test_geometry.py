@@ -26,16 +26,15 @@ from fplab.geometry import (
     collinear_triples_bruteforce,
     gram_structure_check,
     incidence_count,
-    line_deviation_l2,
     line_spectrum,
     max_collinear_points_3d,
     misha_residual_report,
     normalize_plane,
     pair_spectrum_identity,
-    plane_contains,
 )
 from fplab.sets import from_elements, interval, random_set
 from fplab.suites import subseed
+from library import line_deviation_l2, plane_contains
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,8 @@ def _cross_from_spectra(a, b, c):
     sa, sb, sc = (line_spectrum(s) for s in (a, b, c))
     joint = int((sa.counts * sb.at(sa.values) * sc.at(sa.values)).sum())
     na, nb, nc = len(a), len(b), len(c)
-    i_abc = len(a.as_set() & b.as_set() & c.as_set())
-    n_e = len(b.as_set() & c.as_set())
+    i_abc = len(set(a) & set(b) & set(c))
+    n_e = len(set(b) & set(c))
     axis = 2 * na * nb * nc * i_abc
     coincident = (na * n_e) ** 2 + p * i_abc * i_abc - 2 * na * n_e * i_abc
     return joint - axis - coincident
@@ -263,8 +262,7 @@ def _ratio_route_by_inverse(a, b, c):
     l = (x - z) * (y - z)^-1, with one pow per inverse, and sum R(l)^2 in
     Python ints.  O(#A #B #C), so sets can outgrow the brute force."""
     p = a.field.p
-    xs = np.asarray(a.elems, dtype=np.int64)
-    cs = np.asarray(c.elems, dtype=np.int64)
+    xs, cs = a.elems, c.elems
     r = Counter()
     for y in b.elems:
         zs = cs[cs != y]
@@ -279,7 +277,7 @@ def _ratio_route_by_ind(a, b, c):
     (x = z, no log) in the spare key p - 1, a bijection of F_p onto
     [0, p - 1]; sum R(l)^2 over np.unique's counts in Python ints."""
     p, ind = a.field.p, a.field.ind
-    xs, ys, cs = (np.asarray(s.elems, dtype=np.int64) for s in (a, b, c))
+    xs, ys, cs = a.elems, b.elems, c.elems
     lx = ind[(xs[None, :] - cs[:, None]) % p].astype(np.int64)  # (z, x), -1 where x = z
     ly = ind[(ys[:, None] - cs[None, :]) % p].astype(np.int64)  # (y, z), -1 where z = y
     iy, iz = np.nonzero(ly >= 0)

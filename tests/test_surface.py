@@ -18,7 +18,8 @@ outside its own definition: tests, which may reach into private helpers,
 do not count.
 
 The brute-force oracles are also checked to load no name of the production
-routes they referee.
+routes they referee, and no module but `sets.py` is allowed to convert a
+set's `elems`, already the one int64 array form.
 """
 
 import ast
@@ -157,3 +158,42 @@ def test_bruteforce_referees_load_no_production_route():
     assert set(found) == set(REFEREES.values())
     leaks = {name: names for name, names in found.items() if names}
     assert not leaks, f"oracles load production-route names: {leaks}"
+
+
+
+# Calls that would turn a set's elems into another form
+CONVERTERS = {"asarray", "array", "tuple", "sorted"}
+
+
+def elems_conversions(trees):
+    """module:line of each converter call outside sets.py whose arguments
+    load an .elems attribute."""
+    return [
+        f"{mod}:{node.lineno}"
+        for mod, tree in trees.items() if mod != "sets"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in CONVERTERS
+        and any(attr and name == "elems"
+                for arg in [*node.args, *node.keywords] for attr, name, _ in _loads(arg))
+    ]
+
+
+def test_only_sets_converts_elems():
+    for source in ("np.asarray(a.elems, dtype=np.int64)", "tuple(sorted(s.elems))",
+                   "xs = np.array([x for x in s.elems])", "np.array(object=s.elems)"):
+        assert elems_conversions({"energy": ast.parse(source)}), source
+    assert not elems_conversions({"sets": ast.parse("np.asarray(a.elems)"),
+                                  "energy": ast.parse("xs = a.elems; ys = np.array(window)")})
+    trees, _ = _package()
+    found = elems_conversions(trees)
+    assert not found, f"set elems converted outside sets.py: {', '.join(found)}"
+
+
+def test_nothing_loads_as_set():
+    trees, _ = _package()
+    trees.update({f"tests/{path.stem}": ast.parse(path.read_text())
+                  for path in sorted(ACCEPTANCE.parent.glob("*.py"))})
+    found = [f"{mod}:{line}" for mod, tree in trees.items()
+             for _, name, line in _loads(tree) if name == "as_set"]
+    assert not found, f"as_set loaded at {', '.join(found)}"
