@@ -1,7 +1,7 @@
 """Exact-counting laboratory for additive combinatorics and multiplicative
-character sums over prime fields: energies, collinear triples, incidences,
-the amplification transform, and evaluators for every bound skeleton the
-harness monitors."""
+character sums over prime fields: energies, collinear triples, the
+amplification transform, the point-plane Gram check, and evaluators for every
+bound skeleton the harness monitors."""
 
 __version__ = "0.1.0"
 

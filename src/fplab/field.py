@@ -218,20 +218,6 @@ class Character:
         n = self.field.p - 1
         return n // math.gcd(self.m, n) if self.m else 1
 
-    def exponent(self, x: int) -> int:
-        """m * ind[x] mod (p-1), or -1 when x = 0 mod p."""
-        x %= self.field.p
-        if x == 0:
-            return -1
-        return self.m * int(self.field.ind[x]) % (self.field.p - 1)
-
-    def __call__(self, x: int) -> complex:
-        """chi(x) from the discrete log: the tests' referee for classes()."""
-        e = self.exponent(x)
-        if e < 0:
-            return 0j
-        return complex(self.roots(e // ((self.field.p - 1) // self.order)))
-
     def roots(self, ks=None) -> np.ndarray:
         """The values exp(2*pi*i*k*step/(p-1)) of chi at the classes ks, all
         order of them by default; step = (p-1)/order, and every exponent

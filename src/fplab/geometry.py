@@ -1,18 +1,15 @@
-"""Lines, line-multiplicity spectra and collinear triples in F_p^2;
-points, planes and incidence counts in F_p^3.
+"""Lines, line-multiplicity spectra and collinear triples in F_p^2; the
+Gram structure of the full point-plane incidence matrix of F_p^3.
 
 Line keys are integers: a*p + b for y = a*x + b and p^2 + c for x = c, which
 enumerates all p^2 + p lines exactly once.  A plane is a tuple
 (n1, n2, n3, c) for n.z = c with the first nonzero n_i scaled to 1.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .energy import MultiplicityFn, _dot
-from .errors import PreconditionViolatedError, TooLargeError
+from .errors import TooLargeError
 from .field import _BLOCK, is_prime
 from .sets import FpSet, _same_field
 
@@ -154,18 +151,8 @@ def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# planes and incidences in F_p^3
+# the point-plane incidence matrix of F_p^3
 # ---------------------------------------------------------------------------
-
-def normalize_plane(n1: int, n2: int, n3: int, c: int, p: int):
-    """Canonical (n1, n2, n3, c) with the first nonzero n_i scaled to 1."""
-    n1, n2, n3, c = n1 % p, n2 % p, n3 % p, c % p
-    for lead in (n1, n2, n3):
-        if lead:
-            scale = pow(lead, p - 2, p)
-            return (n1 * scale % p, n2 * scale % p, n3 * scale % p, c * scale % p)
-    raise ValueError("normal vector must be nonzero")
-
 
 def all_planes(p: int) -> list:
     """Every plane of F_p^3 in canonical form (p * (p^2 + p + 1) of them)."""
@@ -186,20 +173,6 @@ def _incidence_matrix(p: int, points, planes) -> np.ndarray:
     return ((lhs - pl[:, 3][None, :]) % p == 0)
 
 
-def incidence_count(p: int, points, planes):
-    """Total point-plane incidences, plus the exact residual against the
-    mean count #Q #Pi / p."""
-    if len(set(points)) != len(points):
-        raise ValueError("points must be deduplicated")
-    if len(set(planes)) != len(planes):
-        raise ValueError("planes must be deduplicated")
-    if not points or not planes:
-        return 0, Fraction(0)
-    count = int(_incidence_matrix(p, points, planes).sum())
-    residual = Fraction(count) - Fraction(len(points) * len(planes), p)
-    return count, residual
-
-
 def gram_structure_check(p: int) -> int:
     """Max deviation of G G^t from p^2 Id + (p+1) 1 over the full
     point/plane incidence matrix; the contract is zero."""
@@ -214,50 +187,3 @@ def gram_structure_check(p: int) -> int:
     expected = np.full(gram.shape, p + 1, dtype=np.int64)
     np.fill_diagonal(expected, p * p + p + 1)
     return int(np.abs(gram - expected).max())
-
-
-def max_collinear_points_3d(points, p: int) -> int:
-    """Largest number of the given 3D points on a single line.
-
-    From each point i, the other points fall into classes by the direction
-    to them, scaled so its first nonzero coordinate is 1; a class is the rest
-    of one line through i, so the answer is 1 + the largest class.  Each
-    ordered pair gets one int64 key i * 2p^2 + (d0 p + d1) p + d2 for its
-    scaled direction d: d0 is 0 or 1, so the key is below n 2p^2, which is
-    n 2^49 at p < 2^24.
-    """
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 3) % p
-    n = len(pts)
-    cells = pts[np.lexsort(pts.T)]  # rows, not a p^3 key: that wraps past p = 2^21
-    if (cells[1:] == cells[:-1]).all(axis=1).any():
-        raise ValueError("points must be distinct mod p")
-    if n <= 1:
-        return n
-    i, j = np.nonzero(~np.eye(n, dtype=bool))  # ordered pairs i != j
-    d = (pts[j] - pts[i]) % p
-    pivot = d[np.arange(len(d)), (d != 0).argmax(axis=1)]
-    d = d * _inverse_mod(pivot, p)[:, None] % p
-    keys = i * (2 * p * p) + (d[:, 0] * p + d[:, 1]) * p + d[:, 2]
-    _, counts = np.unique(keys, return_counts=True)
-    return 1 + int(counts.max())
-
-
-@dataclass(frozen=True)
-class IncidenceReport:
-    n_points: int
-    n_planes: int
-    k_collinear: int
-    residual: Fraction
-    skeleton: float
-
-
-def misha_residual_report(p: int, points, planes) -> IncidenceReport:
-    """Residual of the incidence count against its mean, compared (report
-    only) with the skeleton sqrt(#Q) #Pi + k #Q."""
-    if len(points) > len(planes):
-        raise PreconditionViolatedError("need #points <= #planes")
-    _, residual = incidence_count(p, points, planes)
-    k = max_collinear_points_3d(points, p)
-    q, pi = len(points), len(planes)
-    skeleton = q**0.5 * pi + k * q
-    return IncidenceReport(q, pi, k, residual, skeleton)

@@ -241,25 +241,6 @@ def _cell_tabc(p, seed, epsilon):
     return rows, fits
 
 
-def _cell_misha(p, seed, epsilon):
-    rows, fits = [], []
-    rng = random.Random(subseed(seed, "sw_misha", p))
-    n_points = min(40, p * p)
-    points = set()
-    while len(points) < n_points:
-        points.add((rng.randrange(p), rng.randrange(p), rng.randrange(p)))
-    planes = set()
-    while len(planes) < 3 * n_points:
-        normal = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
-        if normal == (0, 0, 0):
-            continue
-        planes.add(geometry.normalize_plane(*normal, rng.randrange(p), p))
-    rep = geometry.misha_residual_report(p, sorted(points), sorted(planes))
-    params = f"Q={rep.n_points};Pi={rep.n_planes};k={rep.k_collinear}"
-    rows.append(_ratio("sweep_misha", p, params, float(abs(rep.residual)), rep.skeleton))
-    return rows, fits
-
-
 def _cell_nsxy(p, seed, epsilon):
     fld = build_field(p)
     rows, fits = [], []
@@ -297,9 +278,9 @@ def _cell_subgroup(p, seed, epsilon):
     if x_len >= p:
         rows.append(_skip("sweep_subgroup", p, f"X={x_len};reason=precondition"))
         return rows, fits
+    iv = interval(fld, 0, x_len)
     for t in divisors:
         g = subgroup(fld, t)
-        iv = interval(fld, 0, x_len)
         measured = energy.e3(g, g, iv)
         s1, s2, flagged = bounds.subgroup_e3_skeletons(p, t, x_len)
         base = f"T={t};X={x_len}" + (";flag=T_above_p25" if flagged else "")
@@ -375,7 +356,6 @@ _FAMILIES = {
                         (("subgroup_e3", "measured", "T", _largest_prime),)),
     "thm11": _Family(_cell_thm11, _every_prime,
                      (("thm11_ratio", "ratio", "p", _every_prime),)),
-    "misha": _Family(_cell_misha, _every_prime),
     "poly": _Family(_cell_poly, _largest_prime, tuple(
         (name, "measured", "X", _largest_prime)
         for name in ("poly_e2_d2", "poly_e2_d3", "poly_t3_d2", "poly_t3_d3"))),

@@ -1,5 +1,7 @@
-"""Set algebra and geometry that only the tests use: sumsets, the centred
-second moment of a line spectrum, and point-plane incidence."""
+"""Set algebra, geometry and character values that only the tests use:
+sumsets, the centred second moment of a line spectrum, point-plane
+incidence, and chi(x) read pointwise off the discrete log, the referee for
+Character.classes."""
 
 from fractions import Fraction
 
@@ -32,3 +34,21 @@ def plane_contains(plane, point, p: int) -> bool:
     n1, n2, n3, c = plane
     x, y, z = point
     return (n1 * x + n2 * y + n3 * z - c) % p == 0
+
+
+def chi_exponent(chi, x) -> int:
+    """m * ind[x] mod (p-1), or -1 when x = 0 mod p."""
+    p = chi.field.p
+    x %= p
+    if x == 0:
+        return -1
+    return chi.m * int(chi.field.ind[x]) % (p - 1)
+
+
+def chi_value(chi, x) -> complex:
+    """chi(x) read off ind at one point: roots() at the class
+    chi_exponent / ((p-1)/order), and 0 at x = 0."""
+    e = chi_exponent(chi, x)
+    if e < 0:
+        return 0j
+    return complex(chi.roots(e // ((chi.field.p - 1) // chi.order)))

@@ -26,7 +26,7 @@ from fplab.sets import (
     symmetric_interval,
 )
 from fplab.suites import run_region_suite, run_sweep
-from library import line_deviation_l2, plane_contains, sumset
+from library import chi_value, line_deviation_l2, plane_contains, sumset
 
 
 def _primes(lo, hi):
@@ -179,7 +179,7 @@ def test_criterion_07_exact_inequalities():
         alpha = np.array([cmath.exp(1j * rng.uniform(0, 7)) for x in s.elems])
         w = abs(charsums.bilinear_sum(chi, s, iv, alpha))
         inner = sum(
-            abs(sum(w_a * chi(a + x) for w_a, a in zip(alpha, s.elems))) ** 2
+            abs(sum(w_a * chi_value(chi, a + x) for w_a, a in zip(alpha, s.elems))) ** 2
             for x in iv.elems
         )
         ok = ok and w * w <= len(iv) * inner * (1 + 1e-6) + 1e-9

@@ -35,6 +35,7 @@ from fplab.sets import (
     random_set,
     symmetric_interval,
 )
+from library import chi_exponent, chi_value
 
 
 def test_weight_vector_unit_disk():
@@ -92,7 +93,7 @@ def test_inner_sums_match_per_s_referee(case):
         got = _inner_sums(chi, s_set, x_set, beta)
     assert got.shape == (len(s_set),)
     for s, value in zip(s_set, got):
-        want = sum((1 if beta is None else beta[i]) * chi((s + x) % p)
+        want = sum((1 if beta is None else beta[i]) * chi_value(chi, (s + x) % p)
                    for i, x in enumerate(x_set))
         assert abs(value - want) < 1e-12 * len(x_set)
 
@@ -212,7 +213,7 @@ def test_cauchy_step():
         w = abs(bilinear_sum(chi, s, iv, alpha))
         inner = 0.0
         for x in iv.elems:
-            inner += abs(sum(w_a * chi(a + x) for w_a, a in zip(alpha, s.elems))) ** 2
+            inner += abs(sum(w_a * chi_value(chi, a + x) for w_a, a in zip(alpha, s.elems))) ** 2
         assert w * w <= len(iv) * inner * (1 + 1e-6) + 1e-9
 
 
@@ -495,7 +496,7 @@ def _exponent_product_sum(chi, shifts):
     of the plain shifts minus those of the conjugated ones, as a class."""
     p, r = chi.field.p, len(shifts) // 2
     n = p - 1
-    exps = np.array([chi.exponent(x) for x in range(p)], dtype=np.int64)
+    exps = np.array([chi_exponent(chi, x) for x in range(p)], dtype=np.int64)
     e = np.array([exps[(np.arange(p) + z) % p] for z in shifts])
     valid = (e >= 0).all(axis=0)
     acc = e[:r].sum(axis=0) - e[r:].sum(axis=0)

@@ -261,7 +261,8 @@ def test_sweep_workers_agree(tmp_path):
     assert _read(out1 / "sweep.csv") == _read(out2 / "sweep.csv")
     assert _read(out1 / "summary.json") == _read(out2 / "summary.json")
     summary = json.loads((out1 / "summary.json").read_text())
-    assert set(summary["suites"]) >= {"sweep_tabc", "sweep_subgroup"}
+    # every family writes a row here (skip rows count), and nothing else does
+    assert set(summary["suites"]) == {f"sweep_{name}" for name in suites._FAMILIES}
 
 
 def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkeypatch):
@@ -297,7 +298,8 @@ def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkey
     serial_fits, fit_inputs[:] = list(fit_inputs), []
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "pool"),
                  "--workers", "2"]) == 0
-    assert submitted == sorted(submitted, reverse=True) and len(submitted) == 16
+    # four families at each of the three primes, plus the one poly cell
+    assert submitted == sorted(submitted, reverse=True) and len(submitted) == 13
     assert fit_inputs == serial_fits
 
 
@@ -427,7 +429,7 @@ def test_real_character_sums_read_exact_zeros(tmp_path):
 
 
 @pytest.mark.parametrize("flags, pools", [
-    (["--workers", "5000"], [6]),  # one prime: five families plus the poly cell
+    (["--workers", "5000"], [5]),  # one prime: four families plus the poly cell
     (["--workers", "5000", "--max-p", "50"], []),  # no cells: no pool at all
     (["--workers", "2"], [2]),
     ([], []),  # one worker runs the cells in-process

@@ -1,35 +1,22 @@
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import fplab
 from fplab import geometry
-from fplab.errors import (
-    FieldMismatchError,
-    PreconditionViolatedError,
-    TooLargeError,
-)
+from fplab.errors import FieldMismatchError, TooLargeError
 from fplab.field import build_field
 from fplab.geometry import (
+    _incidence_matrix,
     all_planes,
     collinear_triples,
     collinear_triples_bruteforce,
     gram_structure_check,
-    incidence_count,
     line_spectrum,
-    max_collinear_points_3d,
-    misha_residual_report,
-    normalize_plane,
     pair_spectrum_identity,
 )
 from fplab.sets import from_elements, interval, random_set
@@ -49,9 +36,9 @@ def test_plane_census(p):
     # every point lies on p^2 + p + 1 planes
     for pt in ((0, 0, 0), (1, 0, p - 1)):
         assert sum(plane_contains(pl, pt, p) for pl in planes) == p * p + p + 1
-    # normalization is idempotent on the canonical list
+    # canonical form: the first nonzero normal coordinate is 1
     for pl in planes:
-        assert normalize_plane(*pl, p) == pl
+        assert next(n for n in pl[:3] if n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +427,10 @@ def test_collinear_range_bounds():
 # ---------------------------------------------------------------------------
 
 def test_incidence_examples():
+    # every point lies on p^2 + p + 1 planes: 8 * 7 = 56 at p = 2, 13 at p = 3
     points = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
-    count, residual = incidence_count(2, points, all_planes(2))
-    assert count == 56 and residual == 0
-    assert incidence_count(3, [], all_planes(3)) == (0, Fraction(0))
-    count, residual = incidence_count(3, [(1, 2, 0)], all_planes(3))
-    assert count == 13
-    assert residual == Fraction(13) - Fraction(39, 3)
-
-
-def test_incidence_rejects_duplicates():
-    with pytest.raises(ValueError):
-        incidence_count(3, [(0, 0, 0), (0, 0, 0)], all_planes(3))
+    assert _incidence_matrix(2, points, all_planes(2)).sum() == 56
+    assert _incidence_matrix(3, [(1, 2, 0)], all_planes(3)).sum() == 13
 
 
 def test_gram_structure():
@@ -462,132 +441,3 @@ def test_gram_structure():
         gram_structure_check(11)
     with pytest.raises(ValueError):
         gram_structure_check(4)
-
-
-def _max_collinear_pairs(points, p):
-    """Referee for max_collinear_points_3d: count the point pairs on each line,
-    keyed by (normalised direction, base point), and invert m(m-1)/2."""
-    n = len(points)
-    if len({tuple(v % p for v in q) for q in points}) != n:
-        raise ValueError("points must be distinct mod p")
-    if n <= 1:
-        return n
-    pair_counts = {}
-    for i in range(n):
-        qi = points[i]
-        for j in range(i + 1, n):
-            qj = points[j]
-            d = tuple((qj[k] - qi[k]) % p for k in range(3))
-            pivot = next(k for k in range(3) if d[k])
-            scale = pow(d[pivot], p - 2, p)
-            d = tuple(v * scale % p for v in d)
-            t = qi[pivot]
-            base = tuple((qi[k] - t * d[k]) % p for k in range(3))
-            pair_counts[(d, base)] = pair_counts.get((d, base), 0) + 1
-    best = max(pair_counts.values())
-    m = (1 + isqrt(1 + 8 * best)) // 2
-    assert m * (m - 1) // 2 == best
-    return m
-
-
-def test_max_collinear_3d():
-    p = 5
-    line_pts = [(t, 2 * t % p, 3 * t % p) for t in range(p)]
-    assert max_collinear_points_3d(line_pts, p) == 5
-    assert max_collinear_points_3d(line_pts[:2] + [(1, 1, 4)], p) == 2
-    assert max_collinear_points_3d([(0, 0, 0)], p) == 1
-    assert max_collinear_points_3d([], p) == 0
-
-
-@st.composite
-def _points_3d(draw):
-    # at p = 1048573 coordinates sit near 0 and near p - 1, so directions and
-    # the inverses that scale them reach ~p and their products ~2^40; a
-    # planted run base + t * step puts several points on one line
-    p = draw(st.sampled_from([2, 3, 5, 7, 1048573]))
-    if p < 100:
-        coord = st.integers(0, p - 1)
-    else:
-        coord = st.one_of(st.integers(0, 5), st.integers(p - 6, p - 1))
-    point = st.tuples(coord, coord, coord)
-    scattered = draw(st.lists(point, max_size=8))
-    base, step = draw(point), draw(point)
-    run = [tuple(b + t * d for b, d in zip(base, step)) for t in range(draw(st.integers(0, 6)))]
-    return list(dict.fromkeys(tuple(v % p for v in q) for q in run + scattered)), p
-
-
-# the misha cell's 40 points at the cap prime, drawn from the cube
-# [p - 8, p - 1]^3: differences wrap near p, the pair keys reach ~40 * 2p^2,
-# and the cube's grid lines put 4 of the points on one line
-_CAP = 1048573
-_NEAR_CAP = random.Random(5).sample(
-    [(_CAP - 1 - a, _CAP - 1 - b, _CAP - 1 - c) for a in range(8) for b in range(8) for c in range(8)],
-    40,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_points_3d())
-@example(([(0, 0, 0), (1048572, 1, 2), (1048571, 2, 4), (1048570, 3, 6), (5, 1048572, 1)],
-          1048573))
-@example((_NEAR_CAP, _CAP))
-def test_max_collinear_3d_matches_pair_referee(case):
-    points, p = case
-    assert max_collinear_points_3d(points, p) == _max_collinear_pairs(points, p)
-
-
-def test_max_collinear_3d_rejects_duplicates():
-    with pytest.raises(ValueError):
-        max_collinear_points_3d([(1, 2, 3), (1, 2, 3), (0, 0, 1)], 5)
-    with pytest.raises(ValueError):  # equal mod p
-        max_collinear_points_3d([(0, 0, 0), (5, 0, 0), (0, 0, 1)], 5)
-
-
-def test_max_collinear_3d_distinct_past_2_21():
-    # (x p + y) p + z wraps in int64 past p = 2^21: at p = 16777213 these two
-    # distinct points had equal keys and were rejected as duplicates
-    p = 16777213
-    points = [(0, 0, 0), (65536, 393216, 589824)]
-    assert max_collinear_points_3d(points, p) == _max_collinear_pairs(points, p) == 2
-    with pytest.raises(ValueError):
-        max_collinear_points_3d(points + [(65536 + p, 393216, 589824 - p)], p)
-
-
-def test_max_collinear_3d_checks_survive_optimize():
-    code = (
-        "import fplab.geometry as g\n"
-        "try:\n"
-        "    g.max_collinear_points_3d([(1, 2, 3), (1, 2, 3), (0, 0, 1)], 5)\n"
-        "except ValueError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('duplicates accepted')\n"
-    )
-    src = str(Path(fplab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-
-
-def test_misha_report():
-    points = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
-    rep = misha_residual_report(2, points, all_planes(2))
-    assert rep.residual == 0
-    single = misha_residual_report(3, [(0, 1, 2)], all_planes(3))
-    assert incidence_count(3, [(0, 1, 2)], all_planes(3))[0] == 13
-    assert single.residual == Fraction(13) - Fraction(39, 3)
-    with pytest.raises(PreconditionViolatedError):
-        misha_residual_report(3, [(0, 0, 0), (0, 0, 1)], [(0, 0, 1, 0)])
-
-
-def test_misha_report_random_sweep():
-    rng = random.Random(7)
-    for p in (5, 13):
-        pts_all = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
-        planes = all_planes(p)
-        for _ in range(3):
-            pts = rng.sample(pts_all, rng.randint(2, 30))
-            pls = rng.sample(planes, max(len(pts), rng.randint(30, 60)))
-            rep = misha_residual_report(p, pts, pls)
-            assert rep.skeleton > 0

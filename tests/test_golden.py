@@ -26,13 +26,13 @@ from fplab.cli import main
 GOLDEN = {
     "identities": "c50a0dddb75830ae78491d5eaf9499a2e818dd8c34574e8ce0c21d7a917b717b",
     "oracles": "a047e837b8586191c535dda02bd1077b1e7b3cc5bf02d13389c4c12229f74d1b",
-    "sweep": "e4c8e7a99b947381dab935022a567fa0ddc2b8f2e257a9d70db22dfb437cead9",
+    "sweep": "35becedc1c4d7280744eed1ab9509379147f7e5884df195093d42578f5aa9144",
     "regions": "d57b2bf7798a2ad0c3ca65c7a9cf06a86b997c8c30c2ab25999386a470c8565b",
     "charsum": "60f7695ad7ec3ee43610360959746a39715e8f48c4fe52a58aa81c27d41791ad",
 }
 REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
-SWEEP_CAP = "2c2ff11879c45f87f5dd04fef3b0994cea84f324894551adc538e58bf9e216db"
-SWEEP_CEILING = "b17f02bb03e4a061bd7ce8f48bfb25f307c48d185762854684fea8116b16e2dd"
+SWEEP_CAP = "e3f29c237b7eb5247c36b2aac2f3b7d258d8eddeea0de334181192ba90b37357"
+SWEEP_CEILING = "21cbf36367b273da162f31e6c7b2fd6c3d9c51ce9af0b51653939a2ba1bf6ae6"
 CHARSUM_NONREAL = {
     25: "dfb7884bb15f3961a97c1058e3080b4309787a9b754756cf8405324c46fd233e",
     10: "a8e936dbc9a1caf937b34ecfe32cc42b9f5fae2c85e5cfe1e104c16d674386a9",
