@@ -128,7 +128,7 @@ def _fibre_parts(fld: PrimeField, ss, xs, ys):
     the chunks concatenate to the whole fibre, sorted.  The (y, x, s) entries
     are sorted by lambda and cut only where lambda changes, so no key spans
     two chunks.  Each entry pairs with the #S - 1 values t != s, and a chunk
-    holds at most _BLOCK / 4 keys unless one lambda alone has more; memory is
+    holds at most _BLOCK keys unless one lambda alone has more; memory is
     O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys and
     the products (x + s) y^-1 stay below 2p^2 < 2^49 at p < 2^24, in int64.
     """
@@ -141,11 +141,11 @@ def _fibre_parts(fld: PrimeField, ss, xs, ys):
     lam = vals.ravel()[order]
     # the offsets where a run of equal lambda starts, and the end
     bounds = np.flatnonzero(np.diff(lam, prepend=-1, append=p))
-    # _BLOCK / 4 = 2^14 keys a chunk: at the 8191 sweep cell (106k keys) and
+    # _BLOCK = 2^14 keys a chunk: at the 8191 sweep cell (106k keys) and
     # at 5.7M keys, chunks of 2^13 to 2^15 keys ran equally fast within noise
     # and 2^16 no faster, while the tracemalloc peak grows with the chunk
     # (0.7 and 3.6 MB at 2^13, 1.2 and 3.9 MB at 2^14, 3.4 and 7.1 MB at 2^16)
-    per_chunk = max(1, (_BLOCK >> 2) // (len(ss) - 1))
+    per_chunk = max(1, _BLOCK // (len(ss) - 1))
     ts = np.arange(len(ss))
     i = 0
     while i < len(bounds) - 1:

@@ -2,12 +2,13 @@
 
 `MultiplicityFn` is a representation function kept whole (line spectra, the
 amplification fibre): sorted distinct keys and their counts, aligned int64
-arrays.  `_convolve` returns only the second moment of its sum counts, and
-`e3` keeps difference counts on one lag window [-h, h] only.  Counts that
-could pass the 2^62 guard are Python ints, and sums of products run in int64
-only below it, so every count and energy is an exact integer.  Floats count
-only in `e3`'s correlation of 0/1 indicators, exact far below 2^53, and in
-the Fourier cross-check, which bounds the error of the orthogonality identity.
+arrays.  `_convolve` returns only the second moment of its sum counts, taken
+on the sets' own arcs when their sums cannot wrap, and `e3` keeps difference
+counts on one lag window [-h, h] only.  Counts that could pass the 2^62 guard
+are Python ints, and sums of products run in int64 only below it, so every
+count and energy is an exact integer.  Floats count only in `e3`'s
+correlation of 0/1 indicators, exact far below 2^53, and in the Fourier
+cross-check, which bounds the error of the orthogonality identity.
 """
 
 import math
@@ -20,10 +21,12 @@ from .sets import FpSet, _same_field, _sorted_distinct
 
 _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 
-# A _convolve step sorts below p / _SORT_SHARE keys and adds densely
-# otherwise.  Measured at p = 1048573, |S| from 8 to 256: the routes tie near
-# p / 7 keys; sorting is 1.8x faster at p / 16 and 2.3x slower at p / 2.
-_SORT_SHARE = 7
+# A _convolve step over n sums sorts below n / _SORT_SHARE keys and adds
+# densely otherwise.  Measured on one step (best of 5, |S| = 8, 128 and 2048,
+# the int16 accumulator) at n = p = 1048573 and 16777213: sorting is 2.5-2.9x
+# slower at n / 7 keys, 1.2-1.4x at n / 16, 0.75-0.99x at n / 24 and
+# 0.5-0.7x at n / 32, and the same on a window of n = 2^20 at p = 16777213.
+_SORT_SHARE = 20
 
 # A pair in _lag_counts costs _PAIR_COST correlation multiply-adds.  Measured at
 # p = 1048573 (density 0.05-0.6, arcs of 1,000-12,000, h from L/4 to L - 1) the
@@ -59,24 +62,42 @@ class MultiplicityFn:
 
 def _convolve(p: int, first: np.ndarray, others) -> int:
     """sum counts^2 over the counts of x_0 + x_1 + ... mod p on first x
-    others[0] x ... (first sorted, all distinct residues).
+    others[0] x ... (each array sorted distinct residues).
 
-    A step against S sorts the len(support) * |S| keys and sums equal ones
-    below p / _SORT_SHARE keys; otherwise it adds the counts into one dense
-    length-p array, int32 while the total is below 2^31, with one np.add.at
-    (weights of its exact dtype, which keeps it fast) per block of rows of S
-    of at most _BLOCK keys (one row when the support alone is longer).  Sums
-    are reduced by subtracting p * (sum >= p), cheaper than % p.  Counts are
-    int64 below the guard and Python ints past it.  A last dense step is
-    squared in place by _dot, never reduced to its support.
+    As in e3, each distinct array's shortest arc (_arc, of length L_i) is
+    found first.  When the span n = sum (L_i - 1) + 1 is below p, every set
+    is shifted to its arc's start and the sums are taken in the integers,
+    all in [0, n), where none wraps: each count is the count of a sum mod p,
+    moved by the sum of the starts, so the moment is the same.  Otherwise
+    the sums are taken mod p over n = p residues, reduced by subtracting
+    p * (sum >= p), cheaper than % p.  A step against S sorts the
+    len(support) * |S| keys and sums equal ones below n / _SORT_SHARE keys;
+    otherwise it adds the counts into one dense length-n array with one
+    np.add.at (weights of its exact dtype, which keeps it fast) per block of
+    rows of S of at most _BLOCK keys (one row when the support alone is
+    longer).  That array takes the narrowest dtype that holds the step's
+    count bound min(max count * |S|, total): int16 below 2^15, int32 below
+    2^31, the counts' own dtype past that.  Counts are int64 below the guard
+    and Python ints past it.  A last dense step is squared in place by _dot,
+    never reduced to its support.  Any empty set makes every count 0.
     """
-    total = len(first) * math.prod(len(s) for s in others)
+    arrays = [first, *others]
+    total = math.prod(map(len, arrays))
+    if not total:
+        return 0
+    arcs = {id(a): _arc(a, p) for a in arrays}
+    n = sum(arcs[id(a)][1] - 1 for a in arrays) + 1
+    wraps = n >= p
+    if not wraps:
+        arrays = [(a - arcs[id(a)][0]) % p for a in arrays]
+    n = min(n, p)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
-    values = first
-    for step, s in enumerate(others, 1):
-        if len(values) * len(s) * _SORT_SHARE < p:
+    values = arrays[0]
+    for step, s in enumerate(arrays[1:], 1):
+        if len(values) * len(s) * _SORT_SHARE < n:
             keys = values[:, None] + s[None, :]
-            keys -= p * (keys >= p)
+            if wraps:
+                keys -= p * (keys >= p)
             keys = keys.ravel()
             order = np.argsort(keys)
             keys = keys[order]
@@ -84,12 +105,15 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
             counts = np.add.reduceat(np.repeat(counts, len(s))[order], starts)
             values = keys[starts]
         else:
-            dense = np.zeros(p, dtype=np.int32 if total < 1 << 31 else counts.dtype)
+            bound = min(int(counts.max()) * len(s), total)
+            dense = np.zeros(n, dtype=np.int16 if bound < 1 << 15
+                             else np.int32 if bound < 1 << 31 else counts.dtype)
             rows = max(1, _BLOCK // len(values))
             weights = np.tile(counts.astype(dense.dtype, copy=False), min(rows, len(s)))
             for lo in range(0, len(s), rows):
                 keys = s[lo:lo + rows, None] + values[None, :]
-                keys -= p * (keys >= p)
+                if wraps:
+                    keys -= p * (keys >= p)
                 np.add.at(dense, keys.ravel(), weights[:keys.size])
             if step == len(others):
                 return _dot(dense, dense)
@@ -102,9 +126,9 @@ def _dot(*columns) -> int:
     """Exact sum over i of prod_j columns[j][i], for nonnegative count arrays.
 
     sum(columns[0]) * prod(max(columns[1:])) bounds every partial product and
-    the total, so below the guard int64 is exact: np.einsum widens int32
-    columns to int64 in buffer-sized slices, never a whole-column copy.  Past
-    the guard the sum runs in Python ints.
+    the total, so below the guard int64 is exact: np.einsum widens int16 and
+    int32 columns to int64 in buffer-sized slices, never a whole-column copy.
+    Past the guard the sum runs in Python ints.
     """
     if not len(columns[0]):
         return 0

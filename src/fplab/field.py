@@ -29,13 +29,17 @@ P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
 # Kernels whose temporaries would grow with p (the ind and squares builds) or
 # with a whole key matrix (the dense _convolve step, the chi gathers of
-# _inner_sums, the collinear ratio keys) work through them in blocks of at
-# most _BLOCK entries.  Measured at p = 1048573 (best of 5, warm): 2^14 to
-# 2^16 entries are fastest for the dense step and the ind build; 2^18 is up to
-# 1.5x slower on the dense step, and one block of p entries makes the ind
-# build 1.5x slower.  At p = 16777213 the squares build takes 0.31, 0.30 and
-# 0.32 s in blocks of 2^14, 2^16 and 2^18.
-_BLOCK = 1 << 16
+# _inner_sums, the collinear ratio keys, the _fibre_parts chunks) work through
+# them in blocks of at most _BLOCK entries.  2^14 against 2^16 (2 CPUs, best
+# of 5, warm; wall time, then tracemalloc peak): at p = 1048573, poly 26
+# against 20 ms (its T3 dense step makes one np.add.at per row of 8,256 keys)
+# in 2.7 against 3.6 MB, thm11 17 ms either way in 1.9 against 4.2 MB, tabc 8
+# ms in 1.1 against 2.2 MB, nsxy 4 against 10 ms in 1.3 against 4.6 MB, the
+# squares build 7 against 5 ms and the ind build 24 ms either way; at p =
+# 16777213, poly 43 against 44 ms in 13.2 against 14.1 MB, thm11 0.40 s either
+# way in 17.7 against 20.0 MB, the squares build 0.33 s either way and the ind
+# build 0.74 against 0.69 s.
+_BLOCK = 1 << 14
 
 # Witness set makes Miller-Rabin deterministic for n < 3.3e24, far past the cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

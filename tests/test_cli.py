@@ -394,6 +394,26 @@ def test_ceiling_cells_memory_budget(cell, seed, budget):
     assert peak <= budget
 
 
+@pytest.mark.parametrize("cell, p, budget", [
+    (suites._cell_poly, 1048573, 3.5e6),
+    (suites._cell_poly, 16777213, 18e6),
+    (suites._cell_thm11, 1048573, 3e6),
+])
+def test_sweep_cells_memory_budget(cell, p, budget):
+    # field tables included.  The poly cell peaked at 5.8 MB at 1048573,
+    # adding its largest T3 into a length-p int32 array (4.2 MB), and at
+    # 36.3 MB at 16777213, sorting that T3's 1.06M keys mod p; thm11 peaked
+    # at 4.2 MB with chi gathered 2^16 points at a time beside its 1 MB
+    # squares bitmap
+    tracemalloc.start()
+    try:
+        cell(p, 2, DEFAULTS["epsilon"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 def _legendre_sum(s_set, x_len):
     """sum over s in S and x in the interval {1, ..., x_len} of the Legendre
     symbol of s + x, by Euler's criterion with pow."""

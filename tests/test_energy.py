@@ -138,6 +138,15 @@ def test_t_k_examples():
         t_k([])
 
 
+def test_empty_sets_have_no_energy():
+    # an empty set has no arc, and every count over it is 0
+    fld = build_field(1048573)
+    empty, a = from_elements(fld, []), from_elements(fld, [0, 1, 1048572])
+    for sets in ([empty, a], [a, empty], [empty, empty], [a, a, empty]):
+        assert t_k(sets) == 0
+    assert additive_energy(empty) == 0
+
+
 def test_t_k_matches_brute_quadruples():
     fld = build_field(11)
     rng = random.Random(2)
@@ -352,12 +361,13 @@ def test_t_k_property(sets):
     assert _sum_counts(sets)[1].sum() == math.prod(len(s) for s in sets)
 
 
-@pytest.mark.parametrize("p, sizes", [(101, (3, 4, 2)), (7, (3, 4, 2)), (31, (5, 5, 5, 5)),
-                                      (1021, (3, 4, 2))])
+@pytest.mark.parametrize("p, sizes", [(101, (2, 2, 5)), (7, (3, 4, 2)), (31, (5, 5, 5, 5)),
+                                      (1021, (3, 4, 2)), (101, (2, 2, 3))])
 def test_t_k_both_steps(p, sizes):
-    # a step sorts below p / 7 keys: (1021, ...) sorts at every step; (7, ...)
-    # and (31, ...) add densely at every step; (101, ...) sorts 3*4 keys,
-    # then adds densely
+    # a step sorts below n / 20 keys, n = min(span, p): (1021, ...) sorts at
+    # every step (span 950); (7, ...) and (31, ...) add densely at every step;
+    # (101, (2, 2, 5)) sorts 2*2 keys, then adds densely over all of F_p
+    # (span 109), and (101, (2, 2, 3)) the same on its window (span 100)
     fld = build_field(p)
     sets = [random_set(fld, n, seed=n + p) for n in sizes]
     assert t_k(sets) == _t_k_direct(sets)
@@ -390,16 +400,38 @@ def _convolve_inputs(draw):
     return p, arrays
 
 
+def _spanning(p, span, *elems):
+    """A _convolve case: the sorted residues elems as int64 arrays, whose
+    shortest arcs give the span sum (L_i - 1) + 1."""
+    arrays = [np.array(e, dtype=np.int64) for e in elems]
+    assert sum(energy._arc(a, p)[1] - 1 for a in arrays) + 1 == span
+    return p, arrays
+
+
+def _whole_field_arc(arr, p):
+    """Every set's arc as all of F_p from 0: _convolve sums over the residues."""
+    return 0, p
+
+
 @settings(max_examples=60, deadline=None)
 @given(_convolve_inputs(), st.booleans(), st.sampled_from([1, 5, energy._BLOCK]))
 @example((1048573, [np.array([0, 1048571, 1048572]), np.array([1, 2, 5, 1048570, 1048572])]),
          False, 7)
+@example(_spanning(13, 12, [0, 6], [0, 5]), False, 5)  # span p - 1: the window
+@example(_spanning(13, 13, [0, 6], [0, 6]), False, 5)  # span p and p + 1: F_p
+@example(_spanning(13, 14, [0, 6], [0, 1, 7]), True, 1)
+@example(_spanning(1048573, 1048572, [0, 524286], [0, 524285]), True, 1)
+@example(_spanning(1048573, 7, [0, 1, 1048571, 1048572], [0, 2, 1048572]), False, 5)
+@example(_spanning(31, 9, [0, 1, 29, 30], [0, 2, 30], [0, 29]), True, 5)
 def test_convolve_routes_match_dict_referee(case, python_ints, block):
     # the same input down the sorting route at every step, then down the
-    # dense route at every step; residues near p - 1 make every sum wrap.
-    # A block of 1 key adds one row of S per np.add.at; 5 keys leave a short
-    # last block when a support of 1 or 2 gives blocks of 5 or 2 rows that
-    # do not divide |S|, as 7 keys over a support of 3 (2 rows) do for |S| = 5
+    # dense route at every step: first as it comes, on the window of its
+    # arcs when their span is below p (sets through 0 are shifted off it),
+    # then with every arc taken as all of F_p, so that residues near p - 1
+    # make sums wrap.  A block of 1 key adds one row of S per np.add.at; 5
+    # keys leave a short last block when a support of 1 or 2 gives blocks of
+    # 5 or 2 rows that do not divide |S|, as 7 keys over a support of 3 (2
+    # rows) do for |S| = 5
     p, arrays = case
     sums = Counter(sum(combo) % p for combo in itertools.product(*(a.tolist() for a in arrays)))
     with pytest.MonkeyPatch.context() as m:
@@ -408,10 +440,12 @@ def test_convolve_routes_match_dict_referee(case, python_ints, block):
         # _dot's Python-int sum over a dense length-p array takes seconds
         if python_ints and p < 1 << 21:
             m.setattr(energy, "_INT64_SAFE", 0)
-        for share in (0, p + 1):
-            m.setattr(energy, "_SORT_SHARE", share)
-            moment = energy._convolve(p, arrays[0], arrays[1:])
-            assert type(moment) is int and moment == sum(c * c for c in sums.values())
+        for arc in (energy._arc, _whole_field_arc):
+            m.setattr(energy, "_arc", arc)
+            for share in (0, p + 1):
+                m.setattr(energy, "_SORT_SHARE", share)
+                moment = energy._convolve(p, arrays[0], arrays[1:])
+                assert type(moment) is int and moment == sum(c * c for c in sums.values())
 
 
 def _sums_by_steps(p, arrays):
@@ -455,6 +489,30 @@ def test_convolve_accumulator_at_2_31(p, sizes):
         assert max(want[1]) >= 1 << 31  # an int32 accumulator would wrap here
 
 
+@pytest.mark.parametrize("sizes, dtype", [
+    ((217, 367, 151), np.int16),  # count bound 217 * 151 = 2^15 - 1
+    ((256, 384, 128), np.int32),  # count bound 256 * 128 = 2^15
+])
+def test_convolve_accumulator_at_2_15(sizes, dtype):
+    # intervals [0, a) and [0, b), a < b, sum to a plateau of a over b - a + 1
+    # sums, so adding [0, c), c <= b - a + 1, reaches the step's count bound
+    # min(max count * |S|, total) = a * c.  The dense accumulator is int16
+    # only below 2^15: squared at once, a count of 2^15 wrapped to -2^15
+    # would square the same, but one more step, with {0, 1}, adds it to its
+    # smaller neighbours at the plateau's ends
+    p = 1048573
+    edge = [np.arange(n, dtype=np.int64) for n in sizes]
+    assert max(_sums_by_steps(p, [a.tolist() for a in edge])[1]) == sizes[0] * sizes[2]
+    dot, seen = energy._dot, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_SORT_SHARE", p + 1)  # every step dense
+        m.setattr(energy, "_dot", lambda *cols: seen.append(cols[0].dtype) or dot(*cols))
+        for arrays in (edge, [*edge, np.arange(2, dtype=np.int64)]):
+            want = _sums_by_steps(p, [a.tolist() for a in arrays])
+            assert energy._convolve(p, arrays[0], arrays[1:]) == sum(c * c for c in want[1])
+    assert seen[0] == dtype  # squared straight off the step that reaches the bound
+
+
 def test_energies_near_cap_against_python_ints():
     # p close to 2^20 and n = 2048: e3 needs ~2^44 of the 2^62 int64 guard
     # (the route past the guard is checked above); the reference counts
@@ -478,7 +536,8 @@ def test_energies_near_cap_against_python_ints():
 def test_t_k_memory_budget():
     # the poly cell's largest t_k at 2^20: T_3 of the cubic image of
     # [0, 128), whose last step is dense.  Its second moment is read off
-    # the int32 accumulator (4 p bytes) with no sorted support beside it
+    # the int16 accumulator (2 p bytes; its count bound is below 2^15) with
+    # no sorted support beside it
     fld = build_field(1048573)
     img = poly_image([2, 0, 1, 1], interval(fld, 0, 128))
     tracemalloc.start()

@@ -66,7 +66,7 @@ def test_index_round_trip(p):
                                       (8191, 5)])
 def test_index_table_built_in_blocks(p, block, monkeypatch):
     # b = isqrt(p - 1) + 1 rows of powers, _BLOCK // b of them per block:
-    # 16 blocks at 1048573, 2 at 65537 (the last one row), one row each at
+    # 64 blocks at 1048573, 5 at 65537 (the last 4 rows), one row each at
     # block 1, 86 blocks at block 1000 (the last one row), and one row of 91
     # per block at 8191 with block 5, smaller than a row
     shipped = build_field(p).ind  # built in blocks of the shipped _BLOCK
