@@ -6,8 +6,7 @@ arrays.  `_convolve` returns only the second moment of its sum counts, taken
 on the sets' own arcs when their sums cannot wrap, and `e3` keeps difference
 counts on one lag window [-h, h] only.  Counts that could pass the 2^62 guard
 are Python ints, and sums of products run in int64 only below it, so every
-count and energy is an exact integer.  Floats count only in `e3`'s
-correlation of 0/1 indicators, exact far below 2^53, and in the Fourier
+count and energy is an exact integer.  Floats appear only in the Fourier
 cross-check, which bounds the error of the orthogonality identity.
 """
 
@@ -27,11 +26,6 @@ _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 # slower at n / 7 keys, 1.2-1.4x at n / 16, 0.75-0.99x at n / 24 and
 # 0.5-0.7x at n / 32, and the same on a window of n = 2^20 at p = 16777213.
 _SORT_SHARE = 20
-
-# A pair in _lag_counts costs _PAIR_COST correlation multiply-adds.  Measured at
-# p = 1048573 (density 0.05-0.6, arcs of 1,000-12,000, h from L/4 to L - 1) the
-# routes tie at 53-94 (quartiles); 50 leans to pairs, O(_BLOCK + h) in memory.
-_PAIR_COST = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,19 +165,17 @@ def _pairs(arr: np.ndarray, p: int, h: int):
     return int(ends[-1]), blocks
 
 
-def _lag_counts(arr: np.ndarray, p: int, h: int, keys, arc, pairs) -> np.ndarray:
+def _lag_counts(arr: np.ndarray, p: int, h: int, keys, length: int, pairs) -> np.ndarray:
     """#{(x, y) in A^2 : x - y = d mod p} at each of the sorted lags keys in
-    [-h, h], int64.  Below L * (2h + 1) / _PAIR_COST pairs, L the length of
-    A's arc (start, L), the _pairs blocks are added up at their place in
-    keys; otherwise A's 0/1 indicator on its arc is correlated with that on
-    [-h, L + h) around it, L * (2h + 1) multiply-adds, exact in float64."""
-    (start, length), (npairs, blocks) = arc, pairs
-    if npairs * _PAIR_COST >= length * (2 * h + 1):
-        z = np.arange(start - h, start + length + h) % p  # np.isin would import numpy.ma
-        g = (arr[np.searchsorted(arr, z) % len(arr)] == z).astype(float)
-        return np.correlate(g, g[h:h + length], "valid").astype(np.int64)[keys + h]
+    [-h, h], h <= (p - 1)/2, int64.  A set that fills its shortest arc, of
+    length L (an interval), has r(d) = max(0, L - |d|) + max(0, L - (p - |d|)),
+    the second term the pairs that wrap once L > (p + 1)/2; any other set adds
+    up the blocks of its _pairs at their place in keys."""
+    if length == len(arr):
+        d = np.abs(keys)
+        return np.maximum(0, length - d) + np.maximum(0, length - (p - d))
     r = np.zeros(len(keys), dtype=np.int64)
-    for d in blocks():
+    for d in pairs[1]():
         if len(keys) > 2 * h:  # the whole window
             np.add.at(r, d + h, 1)
         else:
@@ -198,19 +190,20 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     Every difference of the set on the shortest cyclic arc, of length L, lies
     in [-h, h], h = min(L - 1, (p - 1) / 2), so E3 is summed over that window
     of the distinct sets' _lag_counts, or over the distinct lags of the set
-    with the fewest pairs there when it has fewer than 2h + 1."""
+    with the fewest pairs there when it has fewer than 2h + 1: only a set
+    that does not fill its arc can, so only such sets are paired."""
     _same_field(u, v, w)
     p = u.field.p
     arrays = {s: s.elems for s in dict.fromkeys((u, v, w))}
     if not all(map(len, arrays.values())):
         return 0
-    arcs = {s: _arc(arr, p) for s, arr in arrays.items()}
-    h = min((p - 1) // 2, *(length - 1 for _, length in arcs.values()))
-    pairs = {s: _pairs(arr, p, h) for s, arr in arrays.items()}
-    npairs, blocks = min(pairs.values(), key=lambda x: x[0])
+    lengths = {s: _arc(arr, p)[1] for s, arr in arrays.items()}
+    h = min((p - 1) // 2, *(length - 1 for length in lengths.values()))
+    pairs = {s: _pairs(arr, p, h) for s, arr in arrays.items() if lengths[s] > len(arr)}
+    npairs, blocks = min(pairs.values(), key=lambda x: x[0], default=(2 * h + 1, None))
     keys = (_sorted_distinct(np.concatenate(list(blocks()))) if npairs < 2 * h + 1
             else np.arange(-h, h + 1))
-    r = {s: _lag_counts(arr, p, h, keys, arcs[s], pairs[s]) for s, arr in arrays.items()}
+    r = {s: _lag_counts(arr, p, h, keys, lengths[s], pairs.get(s)) for s, arr in arrays.items()}
     return _dot(*(r[s] for s in (u, v, w)))
 
 

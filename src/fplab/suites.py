@@ -140,12 +140,14 @@ def run_identity_suite(cfg, timer=None):
                     )
                 )
     with _block(timer, rows):
-        for p in (2, 3, 5):
+        for p in (q for q in (2, 3, 5) if q <= cfg["max_p"]):
             rows.append(_agree("gram_structure", p, "scope=full",
                                geometry.gram_structure_check(p), 0))
     with _block(timer, rows):
-        amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61]
-        for i in range(cfg["amp_trials"]):
+        amp_primes = [p for p in cfg["primes"] if 13 <= p <= 61] or [61] * (61 <= cfg["max_p"])
+        if not amp_primes and cfg["amp_trials"]:
+            rows.append(_skip("amp_total", 0, "requested_p=61;reason=AboveMaxP"))
+        for i in range(cfg["amp_trials"] if amp_primes else 0):
             rng = random.Random(subseed(seed, "amp", i))
             p = rng.choice(amp_primes)
             fld = build_field(p)
@@ -204,9 +206,12 @@ def run_oracle_suite(cfg, timer=None):
                                    f"nU={len(u)};nV={len(v)};nW={len(w)};trial={i}",
                                    fast, brute))
     with _block(timer, rows):
-        for i in range(cfg["oracle_trials"] // 2):
+        cno_primes = [q for q in primes if q <= 61] or [31] * (31 <= cfg["max_p"])
+        if not cno_primes and cfg["oracle_trials"] // 2:
+            rows.append(_skip("count_n_oracle", 0, "requested_p=31;reason=AboveMaxP"))
+        for i in range(cfg["oracle_trials"] // 2 if cno_primes else 0):
             rng = random.Random(subseed(seed, "cno", i))
-            p = rng.choice([q for q in primes if q <= 61] or [31])
+            p = rng.choice(cno_primes)
             fld = build_field(p)
             s = _draw(fld, rng, 2, min(p - 1, AMP_SIZE_CAP))
             radius = rng.randint(2, min(AMP_RADIUS_CAP, (p - 1) // 2))

@@ -516,6 +516,24 @@ def test_every_row_params_grammar(tmp_path, command, body):
     assert not bad, bad
 
 
+@pytest.mark.parametrize("command, max_p, skipped", [
+    ("identities", 12, "amp_total"),  # no prime in [13, 61]; the fallback 61 is above
+    ("identities", 4, "amp_total"),  # and the fixed gram rows stop at p = 3
+    ("oracles", 4, "count_n_oracle"),  # no prime left; the fallback 31 is above
+])
+def test_fallback_primes_stay_within_max_p(tmp_path, command, max_p, skipped):
+    out = tmp_path / "o"
+    assert main([command, "--max-p", str(max_p), "--out", str(out)]) == 0
+    with open(out / f"{command}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(int(row["p"]) <= max_p for row in rows)
+    skips = [row for row in rows if row["suite"] == skipped]
+    assert [row["status"] for row in skips] == ["skip"]
+    fields = skips[0]["params"].split(";")
+    assert all(PARAM.fullmatch(f) for f in fields), fields
+    assert fields[-1] == "reason=AboveMaxP"
+
+
 @pytest.mark.parametrize("x_len, reason", [
     (40, "PreconditionViolatedError"),  # S^2 X > p^2
     (60, "LengthOutOfRangeError"),  # the radius-X symmetric interval exceeds F_p

@@ -608,13 +608,6 @@ def _e3_triples(draw):
     return [{"u": u, "v": v, "w": w}[c] for c in pattern]
 
 
-def _correlation_work(sets):
-    # multiply-adds of correlating the longest arc on e3's lag window
-    p = sets[0].field.p
-    lengths = [energy._arc(s.elems, p)[1] for s in sets]
-    return max(lengths) * (2 * min((p - 1) // 2, min(lengths) - 1) + 1)
-
-
 def _thm11_shape(p=1048573, n=1024, radius=512):
     # |S| = p^0.5 random, X = p^0.45: the sweep's e3(S, S, Ibar) at 2^20
     fld = build_field(p)
@@ -639,27 +632,71 @@ def _at_ceiling():
             symmetric_interval(fld, 20)]
 
 
+def _filling_arcs(p, *lengths):
+    # intervals of the given lengths around 0: each of 2 or more wraps past p - 1
+    fld = build_field(p)
+    return [interval(fld, p - 1 - length // 2, length) for length in lengths]
+
+
+def _whole_field(p):
+    fld = build_field(p)
+    return from_elements(fld, range(p))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_e3_triples())
 @example(_thm11_shape())
 @example(_wrapping_arcs())
 @example(_at_ceiling())
+# arc-filling sets: arcs on both sides of (p + 1)/2, of length p - 1 and all
+# of F_p, under h = (p - 1)/2 or one short of it, where the closed form's
+# wrapped term counts; then the short windows of a 2-interval, a singleton
+# and symmetric intervals at 2^24
+@example(_filling_arcs(5, 4, 3, 4))
+@example([*_filling_arcs(5, 4, 4), _whole_field(5)])
+@example([*_filling_arcs(31, 20, 16), _whole_field(31)])
+@example(_filling_arcs(31, 30, 15, 17))
+@example(_filling_arcs(101, 100, 52, 51))
+@example(_filling_arcs(101, 2, 60, 100))
+@example([from_elements(build_field(31), [7]), *_filling_arcs(31, 30, 1)])  # singletons
+@example([symmetric_interval(build_field(16777213), r) for r in (200, 50, 0)])
+@example([symmetric_interval(build_field(16777213), r) for r in (200, 1, 50)])
 def test_e3_matches_least_support_referee(sets):
     want = _e3_by_least_support(*sets)
     assert e3(*sets) == want
     with pytest.MonkeyPatch.context() as m:
-        # every set pair by pair, in blocks cut every 3 pairs, so long rows
-        # span several cuts
-        m.setattr(energy, "_PAIR_COST", 0)
+        # scattered sets pair by pair in blocks cut every 3 pairs, so long
+        # rows span several cuts
         m.setattr(energy, "_BLOCK", 3)
         assert e3(*sets) == want
-        # every set by correlation, where that is affordable: scattered sets
-        # at 2^20 have arcs near p and h = (p - 1)/2, about 10^12 multiply-adds
-        if _correlation_work(sets) <= 10**8:
-            m.setattr(energy, "_PAIR_COST", 1 << 62)
-            assert e3(*sets) == want
     if max(map(len, sets)) <= 8:
         assert want == e3_bruteforce(*sets)
+
+
+def _arc_filling_sets():
+    """Intervals of every length at p = 5, 31 and 101, through 0, the whole
+    field and singletons there, and symmetric intervals at 16777213."""
+    for p in (5, 31, 101):
+        yield from _filling_arcs(p, *range(1, p))
+        yield _whole_field(p)
+        yield from_elements(build_field(p), [p - 1])
+    fld = build_field(16777213)
+    yield from (symmetric_interval(fld, r) for r in (0, 1, 20, 300))
+
+
+def test_lag_counts_closed_form():
+    # every lag of F_p at p <= 101; at 16777213 every lag of the support and
+    # a few zeros past it, the whole window first and then every third lag
+    for a in _arc_filling_sets():
+        p = a.field.p
+        length = energy._arc(a.elems, p)[1]
+        assert length == len(a)
+        h = min((p - 1) // 2, max(length + 1, 50))
+        want = _diff_counts(a)
+        for keys in (np.arange(-h, h + 1), np.arange(-h, h + 1, 3)):
+            got = energy._lag_counts(a.elems, p, h, keys, length, None)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.at(keys % p).tolist(), (p, length)
 
 
 def _is_cyclic_interval(a):
@@ -693,8 +730,9 @@ def _e3_peak(sets):
 
 
 def test_e3_memory_budget():
-    # thm11: the interval's 2,049 lags by correlation, the random set's ~3k
-    # pairs in that window added up; the dense r_S step took 5.7 MB here.
+    # thm11: the interval's 2,049 lags by their closed form, the random
+    # set's ~3k pairs in that window added up; the dense r_S step took
+    # 5.7 MB here.
     # Three random 8-sets: h = (p - 1)/2, so an accumulator over the whole
     # window would take 8 MB; their 64 pairs each are read at one set's lags
     fld = build_field(1048573)
@@ -710,3 +748,14 @@ def test_e3_memory_budget_at_ceiling():
     got, peak = _e3_peak(_thm11_shape(16777213, 4096, 1783))
     assert got == 59868453906
     assert peak <= 2e6
+
+
+def test_e3_dense_scattered_set_memory_budget():
+    # a set of density 0.3 over all of F_p against an interval of 40: its
+    # 7.7M window pairs are added up a block at a time, where correlating
+    # 0/1 indicators over the arc of length ~p took 40.3 MB
+    fld = build_field(1048573)
+    d = random_set(fld, 314571, 3)
+    got, peak = _e3_peak([d, d, interval(fld, 0, 40)])
+    assert got == 17845386855286
+    assert peak <= 24e6

@@ -18,8 +18,9 @@ outside its own definition: tests, which may reach into private helpers,
 do not count.
 
 The brute-force oracles are also checked to load no name of the production
-routes they referee, and no module but `sets.py` is allowed to convert a
-set's `elems`, already the one int64 array form.
+routes they referee, no module but `sets.py` is allowed to convert a set's
+`elems`, already the one int64 array form, and the exact counting routes of
+`energy.py` load no float.
 """
 
 import ast
@@ -197,3 +198,33 @@ def test_nothing_loads_as_set():
     found = [f"{mod}:{line}" for mod, tree in trees.items()
              for _, name, line in _loads(tree) if name == "as_set"]
     assert not found, f"as_set loaded at {', '.join(found)}"
+
+
+# The routes that count E3 and T_k exactly, and the names that would bring
+# floats into them
+EXACT_COUNTERS = {"e3", "_lag_counts", "_pairs", "_convolve", "_dot"}
+FLOAT_NAMES = {"correlate", "fft", "float", "float64"}
+
+
+def float_loads(tree):
+    """{function: sorted float names it loads or spells as a string} for the
+    top-level functions of tree named in EXACT_COUNTERS."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in EXACT_COUNTERS:
+            names = {name for _, name, _ in _loads(node)}
+            names |= {c.value for c in ast.walk(node)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            found[node.name] = sorted(names & FLOAT_NAMES)
+    return found
+
+
+def test_exact_counting_loads_no_float():
+    for source in ("def _dot(g):\n    return np.correlate(g, g).astype(float)",
+                   "def e3(g):\n    return np.fft.rfft(g)",
+                   "def _pairs(g):\n    return g.astype('float64')"):
+        assert any(float_loads(ast.parse(source)).values()), source
+    found = float_loads(ast.parse((PACKAGE / "energy.py").read_text()))
+    assert set(found) == EXACT_COUNTERS
+    leaks = {name: names for name, names in found.items() if names}
+    assert not leaks, f"exact counting loads floats: {leaks}"
