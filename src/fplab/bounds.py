@@ -8,7 +8,6 @@ exponents (zeta, xi) with X = p^zeta and S (or T) = p^xi.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,20 +17,21 @@ from .errors import (
     PreconditionViolatedError,
 )
 
-def _float_cut(bp: Fraction, strict: bool) -> float:
-    """The largest double c <= bp (c < bp when strict): for every double z,
-    `z <= c` is exactly `z <= bp` (`z < bp`)."""
-    cut = float(bp)
-    if Fraction(cut) > bp or (strict and Fraction(cut) == bp):
+def _float_cut(num: int, den: int, strict: bool) -> float:
+    """The largest double c <= num/den (c < num/den when strict), den > 0: for
+    every double z, `z <= c` is exactly `z <= num/den` (`z < num/den`)."""
+    cut = num / den
+    n, d = cut.as_integer_ratio()
+    if n * den > num * d or (strict and n * den == num * d):
         cut = float(np.nextafter(cut, -np.inf))
     return cut
 
 
 # the exact breakpoints of the subgroup threshold as float cuts: zeta <= 6/25,
 # zeta < 10/31 and zeta < 134/361 are z <= _CUT1, _CUT2 and _CUT3
-_CUT1 = _float_cut(Fraction(6, 25), strict=False)
-_CUT2 = _float_cut(Fraction(10, 31), strict=True)
-_CUT3 = _float_cut(Fraction(134, 361), strict=True)
+_CUT1 = _float_cut(6, 25, strict=False)
+_CUT2 = _float_cut(10, 31, strict=True)
+_CUT3 = _float_cut(134, 361, strict=True)
 
 
 def chang_threshold(zeta):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fplab.bounds import (
     _float_cut,
@@ -205,11 +205,37 @@ def test_float_cuts_match_exact_breakpoints():
     for bp, strict in ((Fraction(6, 25), False), (Fraction(10, 31), True),
                        (Fraction(134, 361), True), (Fraction(1, 4), False),
                        (Fraction(1, 4), True)):
-        cut = _float_cut(bp, strict)
+        cut = _float_cut(bp.numerator, bp.denominator, strict)
         above = float(np.nextafter(cut, np.inf))
         assert (Fraction(cut) < bp) if strict else (Fraction(cut) <= bp)
         assert (Fraction(above) >= bp) if strict else (Fraction(above) > bp)
-    assert _float_cut(Fraction(1, 4), strict=False) == 0.25
+    assert _float_cut(1, 4, strict=False) == 0.25
+
+
+def _fraction_cut(bp: Fraction, strict: bool) -> float:
+    """Referee for _float_cut: the same cut, compared in Fractions."""
+    cut = float(bp)
+    if Fraction(cut) > bp or (strict and Fraction(cut) == bp):
+        cut = float(np.nextafter(cut, -np.inf))
+    return cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-2**64, 2**64),
+    st.one_of(st.integers(1, 2**64), st.integers(0, 64).map(lambda k: 2**k)),
+    st.booleans(),
+)
+@example(1, 4, False)
+@example(1, 4, True)
+@example(0, 1, True)
+@example(2**64, 3, True)
+def test_float_cut_matches_fraction_referee(num, den, strict):
+    bp = Fraction(num, den)
+    cut = _float_cut(num, den, strict)
+    assert cut == _fraction_cut(bp, strict)
+    above = float(np.nextafter(cut, np.inf))
+    assert (Fraction(cut) < bp <= Fraction(above)) if strict else (Fraction(cut) <= bp < Fraction(above))
 
 
 def test_subgroup_region_pinned_breakpoints_and_lines():

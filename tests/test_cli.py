@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import os
 import random
@@ -8,15 +9,18 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fplab
 from fplab import bounds, cli, field, suites
 from fplab.cli import DEFAULTS, main, parse_config_file, resolve_config, write_resolved_config
 from fplab.errors import ConfigError
 from fplab.field import build_field
+from fplab.geometry import collinear_triples
 from fplab.report import ReportRow, count_failures, summarize, write_csv
 from fplab.sets import random_set
 
@@ -324,21 +328,73 @@ def test_every_fit_record_names_a_fit_spec(monkeypatch, sweep_primes):
     assert set(summary["slopes"]) | set(summary.get("failed_fits", {})) == specs
 
 
-def test_sweep_leaves_numpy_ma_unimported(tmp_path):
+def test_commands_leave_unused_modules_unimported(tmp_path):
     # numpy 2.x imports numpy.ma (about 10 ms) the first time a bare
-    # np.unique or an np.unique(axis=...) runs; the default sweep runs neither
+    # np.unique or an np.unique(axis=...) runs; the default sweep runs neither.
+    # No command needs hashlib (OpenSSL's libcrypto, about 3.6 MB) or
+    # fractions and decimal (about 0.4 MB), so no process pays for them
+    unused = ["numpy.ma", "hashlib", "_hashlib", "fractions", "decimal"]
     code = (
         "import sys\n"
         "from fplab.cli import main\n"
-        f"if main(['sweep', '--out', {str(tmp_path)!r}]) != 0:\n"
+        f"if main(['sweep', '--out', {str(tmp_path / 'sweep')!r}]) != 0:\n"
         "    raise SystemExit('sweep failed')\n"
         "if 'numpy.ma' in sys.modules:\n"
         "    raise SystemExit('numpy.ma imported')\n"
+        "for command in ['identities', 'oracles', 'regions', 'charsum']:\n"
+        f"    if main([command, '--out', {str(tmp_path)!r} + '/' + command]) != 0:\n"
+        "        raise SystemExit(command + ' failed')\n"
+        f"imported = [name for name in {unused!r} if name in sys.modules]\n"
+        "if imported:\n"
+        "    raise SystemExit(f'imported: {imported}')\n"
     )
     src = str(Path(fplab.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(-2**70, -1), st.just(0), st.integers(2**64, 2**70), st.integers()),
+    st.lists(st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",)))),
+             max_size=4),
+)
+def test_subseed_is_sha256_prefix(master, parts):
+    # referee: the first 16 hex digits of hashlib's SHA-256 of the |-joined parts
+    text = "|".join(str(x) for x in (master, *parts))
+    assert suites.subseed(master, *parts) == int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
+
+
+def test_subseed_pinned_values():
+    assert suites.subseed(1000, "sw_tabc", 1048573, 2) == 12140595170225197533
+    assert suites.subseed(13, "sw_thm11", 1021) == 9631163229440233484
+    assert suites.subseed(-1, 7, "a|b") == 16167355168178841572
+
+
+def test_tabc_deviation_matches_fraction_referee():
+    # dev = |t - (|A||B||C|)^2 / p|, rounded once from the exact rational
+    for p in (8191, 1048573):
+        fld = build_field(p)
+        target = max(2, round(p**0.3))
+        rows, _ = suites._cell_tabc(p, 1000, None)
+        for i in range(3):
+            rng = random.Random(suites.subseed(1000, "sw_tabc", p, i))
+            a, b, c = (suites._draw(fld, rng, max(1, target // 2), target) for _ in range(3))
+            abc = len(a) * len(b) * len(c)
+            dev = float(abs(Fraction(collinear_triples(a, b, c)) - Fraction(abc * abc, p)))
+            assert [row.measured for row in rows[3 * i:3 * i + 3]] == [dev] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 16777213), st.integers(1, 2**40), st.integers(-2**20, 2**20))
+@example(16777213, 3 * 2**31, 0)
+@example(16777213, 3 * 2**31, 1)
+@example(16777213, 2**40, -2**20)
+def test_integer_deviation_matches_fraction(p, abc, offset):
+    # the tabc cell's dev in ints, at t near abc^2 / p, with abc^2 past 2^63
+    t = max(0, abc * abc // p + offset)
+    assert abs(t * p - abc * abc) / p == float(abs(Fraction(t) - Fraction(abc * abc, p)))
 
 
 CAP_PRIMES = [65521, 262139, 1048573]
