@@ -14,12 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (
-    EmptyPrimeWindowError,
-    InadmissibleYZError,
-    SupportMismatchError,
-    ZeroDenominatorError,
-)
+from .errors import InadmissibleYZError, SupportMismatchError, ZeroDenominatorError
 from .energy import MultiplicityFn
 from .field import _BLOCK, Character, PrimeField
 from .sets import FpSet, _same_field, primes_upto, symmetric_interval
@@ -109,10 +104,9 @@ class AmplificationParams:
 
 
 def prime_window(params: AmplificationParams, p: int) -> list:
-    """Primes of [y, 2y] reduced mod p (all nonzero residues required)."""
+    """Primes of [y, 2y] reduced mod p (all nonzero residues required); by
+    Bertrand's postulate there is at least one for every y >= 1."""
     qs = [q for q in primes_upto(2 * params.y) if q >= params.y]
-    if not qs:
-        raise EmptyPrimeWindowError(f"no primes in [{params.y}, {2 * params.y}]")
     for q in qs:
         if q % p == 0:
             raise ZeroDenominatorError(f"window prime {q} vanishes mod {p}")

@@ -41,7 +41,6 @@ DEFAULTS = {
     "identity_trials": 8,
     "amp_trials": 6,
     "oracle_trials": 10,
-    "oracle_max_size": 8,
     "region_check_grid": 200,
     "region_table_grid": 24,
     "timings": False,
@@ -160,7 +159,7 @@ def resolve_config(args, dropped=None) -> dict:
     if args.command == "charsum" and p > cfg["max_p"]:
         raise ConfigError(f"charsum_p: {p} is above max_p = {cfg['max_p']}")
     for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2),
-                       ("charsum_n", 1), ("charsum_x", 1), ("oracle_max_size", 1),
+                       ("charsum_n", 1), ("charsum_x", 1),
                        ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0),
                        ("charsum_m", 0), ("charsum_r", 1), ("charsum_subgroup", 0)):
         if cfg[key] < least:

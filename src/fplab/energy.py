@@ -176,11 +176,8 @@ def _lag_counts(arr: np.ndarray, p: int, h: int, keys, length: int, pairs) -> np
         return np.maximum(0, length - d) + np.maximum(0, length - (p - d))
     r = np.zeros(len(keys), dtype=np.int64)
     for d in pairs[1]():
-        if len(keys) > 2 * h:  # the whole window
-            np.add.at(r, d + h, 1)
-        else:
-            i = np.searchsorted(keys, d)
-            np.add.at(r, i[keys[i % len(keys)] == d], 1)
+        i = np.searchsorted(keys, d)
+        np.add.at(r, i[keys[i % len(keys)] == d], 1)
     return r
 
 

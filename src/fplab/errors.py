@@ -47,10 +47,6 @@ class SupportMismatchError(FplabError):
     pass
 
 
-class EmptyPrimeWindowError(FplabError):
-    pass
-
-
 class InadmissibleYZError(FplabError):
     pass
 

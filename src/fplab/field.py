@@ -105,7 +105,7 @@ class PrimeField:
     gather from it at the points they use and widen what they gathered to
     int64 before multiplying; the scalar accessors return Python ints.
     squares[x] is True exactly for the nonzero squares x, read-only bool.
-    Equal by p; safe to share across workers, which build their own tables.
+    Safe to share across workers, which build their own tables.
     """
 
     def __init__(self, p: int, g: int):
@@ -122,12 +122,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
 
 def _index_table(p: int, g: int) -> np.ndarray:
@@ -202,16 +196,6 @@ class Character:
     def __repr__(self):
         return f"Character(p={self.field.p}, m={self.m})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and other.field.p == self.field.p
-            and other.m == self.m
-        )
-
-    def __hash__(self):
-        return hash(("Character", self.field.p, self.m))
-
     @property
     def is_principal(self) -> bool:
         return self.m == 0
@@ -222,16 +206,15 @@ class Character:
         n = self.field.p - 1
         return n // math.gcd(self.m, n) if self.m else 1
 
-    def roots(self, ks=None) -> np.ndarray:
-        """The values exp(2*pi*i*k*step/(p-1)) of chi at the classes ks, all
-        order of them by default; step = (p-1)/order, and every exponent
-        m * ind[x] mod (p-1) is a multiple of it.  Exact at orders 1, 2 and
-        4, where np.exp leaves 1e-16 parts that should be 0."""
-        ks = np.arange(self.order) if ks is None else ks
+    def roots(self) -> np.ndarray:
+        """The values exp(2*pi*i*k*step/(p-1)) of chi at every class k in
+        [0, order); step = (p-1)/order, and every exponent m * ind[x] mod
+        (p-1) is a multiple of it.  Exact at orders 1, 2 and 4, where np.exp
+        leaves 1e-16 parts that should be 0."""
         if self.order in _EXACT_ROOTS:
-            return np.array(_EXACT_ROOTS[self.order], dtype=np.complex128)[ks]
+            return np.array(_EXACT_ROOTS[self.order], dtype=np.complex128)
         n = self.field.p - 1
-        return np.exp(2j * np.pi * (ks * (n // self.order)) / n)
+        return np.exp(2j * np.pi * (np.arange(self.order) * (n // self.order)) / n)
 
     def classes(self, xs: np.ndarray) -> np.ndarray:
         """The class k in [0, order) of chi(x), chi(x) = roots()[k], for every

@@ -75,16 +75,22 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
-    # T = sum_l R(l)^2 where R(l) counts (x, y, z) in A x B x C with
-    # x - z = l * (y - z) and y != z; exact, O(#A #B #C) time.  R is keyed by
-    # l = (x - z) * (y - z)^-1 mod p itself, with one Fermat inverse for each
-    # of the #B #C differences y - z != 0; each product is below p^2 < 2^48.
-    # The keys are made for blocks of (y, z) rows, at most _BLOCK keys each
-    # (one row when A alone is longer).  Below p / _RATIO_SORT_SHARE keys they
-    # are all sorted at once as int32 and no length-p array is made; above it
-    # each block is added into one length-p count array, int32 while
-    # #A #B #C < 2^31 bounds R(l).
+def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
+    """Number of solutions of (a1-c1)(b2-c2) = (a2-c2)(b1-c1) with
+    b1 != c1, b2 != c2.
+
+    Counted exactly in O(#A #B #C) time through the ratio fibration
+    T = sum_l R(l)^2, where R(l) is the number of (x, y, z) in A x B x C with
+    x - z = l (y - z), y != z.
+    """
+    # R is keyed by l = (x - z) * (y - z)^-1 mod p itself, with one Fermat
+    # inverse for each of the #B #C differences y - z != 0; each product is
+    # below p^2 < 2^48.  The keys are made for blocks of (y, z) rows, at most
+    # _BLOCK keys each (one row when A alone is longer).  Below
+    # p / _RATIO_SORT_SHARE keys they are all sorted at once as int32 and no
+    # length-p array is made; above it each block is added into one length-p
+    # count array, int32 while #A #B #C < 2^31 bounds R(l).
+    _same_field(a, b, c)
     p = a.field.p
     xs, ys, cs = a.elems, b.elems, c.elems
     iy, iz = np.nonzero(ys[:, None] != cs[None, :])  # the (y, z) pairs with y != z
@@ -113,17 +119,6 @@ def _triple_cross_from_ratios(a: FpSet, b: FpSet, c: FpSet) -> int:
     for _, keys in blocks():
         np.add.at(counts, keys, one)  # fast only with the counts' dtype
     return _dot(counts, counts)
-
-
-def collinear_triples(a: FpSet, b: FpSet, c: FpSet) -> int:
-    """Number of solutions of (a1-c1)(b2-c2) = (a2-c2)(b1-c1) with
-    b1 != c1, b2 != c2.
-
-    Counted exactly through the ratio fibration T = sum_l R(l)^2, where R(l)
-    is the number of (x, y, z) in A x B x C with x - z = l (y - z), y != z.
-    """
-    _same_field(a, b, c)
-    return _triple_cross_from_ratios(a, b, c)
 
 
 def collinear_triples_bruteforce(a: FpSet, b: FpSet, c: FpSet) -> int:

@@ -180,7 +180,6 @@ def run_identity_suite(cfg, timer=None):
 def run_oracle_suite(cfg, timer=None):
     rows = []
     seed = cfg["seed"]
-    size_cap = cfg["oracle_max_size"]
     primes = [p for p in cfg["primes"] if p >= 5]
     for p in primes:
         with _block(timer, rows):
@@ -189,13 +188,9 @@ def run_oracle_suite(cfg, timer=None):
             if p > ORACLE_PRIME_CAP:
                 rows.append(_skip("collinear_oracle", p, f"requested_p={p};reason=TooLarge"))
                 trials = ()
-            elif size_cap > ORACLE_SIZE_CAP and trials:
-                rows.append(_skip("collinear_oracle", p,
-                                  f"requested_size={size_cap};reason=TooLarge"))
-                trials = ()
             for i in trials:
                 rng = random.Random(subseed(seed, "tri", p, i))
-                a, b, c = (_draw(fld, rng, 1, min(p, size_cap)) for _ in range(3))
+                a, b, c = (_draw(fld, rng, 1, min(p, ORACLE_SIZE_CAP)) for _ in range(3))
                 fast = geometry.collinear_triples(a, b, c)
                 brute = geometry.collinear_triples_bruteforce(a, b, c)
                 rows.append(_agree("collinear_oracle", p,
@@ -263,10 +258,7 @@ def _cell_nsxy(p, seed, epsilon):
         return rows, fits
     s = random_set(fld, nS, rng.randrange(2**31))
     xset = interval(fld, 0, x_len)
-    ys = [q for q in primes_upto(y_bound) if q < p]
-    if not ys:
-        rows.append(_skip("sweep_nsxy", p, f"Y={y_bound};reason=empty_window"))
-        return rows, fits
+    ys = [q for q in primes_upto(y_bound) if q < p]  # holds 2: y_bound >= 3, p > 16
     yset = from_elements(fld, ys)
     measured = charsums.count_n(s, xset, yset)
     e3v = energy.e3(s, s, xset)

@@ -51,4 +51,4 @@ def chi_value(chi, x) -> complex:
     e = chi_exponent(chi, x)
     if e < 0:
         return 0j
-    return complex(chi.roots(e // ((chi.field.p - 1) // chi.order)))
+    return complex(chi.roots()[e // ((chi.field.p - 1) // chi.order)])

@@ -170,7 +170,7 @@ def test_config_rejects_repeated_prime(tmp_path, key):
 def test_resolved_config_round_trips(tmp_path):
     off = {"primes": [7, 11], "sweep_primes": [61], "seed": 5, "workers": 2, "epsilon": 0.25,
            "max_p": 1000, "out": "elsewhere", "identity_trials": 3, "amp_trials": 2,
-           "oracle_trials": 4, "oracle_max_size": 5, "region_check_grid": 10,
+           "oracle_trials": 4, "region_check_grid": 10,
            "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
            "charsum_n": 5, "charsum_x": 7, "charsum_r": 2, "charsum_subgroup": 12}
     assert off.keys() == DEFAULTS.keys()
@@ -206,10 +206,6 @@ def test_oracles_reproducible_and_skips(tmp_path):
     # the e3 referee's cost does not grow with p, so it runs at p = 37 too
     assert [line.split(",")[-2] for line in text.splitlines()
             if line.startswith("e3_oracle,37,")] == ["pass", "pass"]
-    cfg_big = _write_cfg(tmp_path, "primes = 7\noracle_trials = 2\noracle_max_size = 12\n")
-    out3 = tmp_path / "o3"
-    assert main(["oracles", "--config", cfg_big, "--out", str(out3)]) == 0
-    assert ",skip," in (out3 / "oracles.csv").read_text()
 
 
 def test_sweep_max_p_50_reports_dropped_primes(tmp_path):
@@ -657,7 +653,7 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     (None, [], "missing.cfg: No such file or directory"),
     ("", ["--set-size", "0"], "charsum_n: need >= 1, got 0"),
     ("charsum_x = 0\n", [], "charsum_x: need >= 1, got 0"),
-    ("oracle_max_size = 0\n", [], "oracle_max_size: need >= 1, got 0"),
+    ("oracle_max_size = 8\n", [], "unknown config key 'oracle_max_size'"),
     ("identity_trials = -1\n", [], "identity_trials: need >= 0, got -1"),
     ("amp_trials = -1\n", [], "amp_trials: need >= 0, got -1"),
     ("oracle_trials = -1\n", [], "oracle_trials: need >= 0, got -1"),

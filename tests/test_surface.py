@@ -140,7 +140,7 @@ def test_every_private_definition_is_reached():
 PRODUCTION_NAMES = {
     "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
     "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_fibre_parts",
-    "_triple_cross_from_ratios", "line_spectrum",
+    "collinear_triples", "line_spectrum",
 }
 REFEREES = {
     "geometry": "collinear_triples_bruteforce",
