@@ -96,8 +96,6 @@ def _coerce(key, value):
         raise ConfigError(f"unknown config key {key!r}")
     kind = type(DEFAULTS[key])
     if kind is list:
-        if isinstance(value, list):
-            return value
         items = [t for t in str(value).replace(",", " ").split() if t]
         try:
             return [int(t) for t in items]

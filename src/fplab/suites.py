@@ -4,17 +4,17 @@ and exponent-region tables.
 A suite is a pure function from a resolved configuration to (rows, fits): a
 list of ReportRow and the slope fits by name, {} for every suite but the
 sweep.  Randomness is derived per row from (seed, suite, p, index) so
-suites reproduce regardless of execution order; sweep cells may run in a
-process pool and are re-sorted before emission.  The sweep plan is the
-`_FAMILIES` table: each family's cell runner, the primes its cells run at,
-and the slope fits that read its records.
+suites reproduce regardless of execution order; with workers > 1 the sweep
+cells run in forked worker processes (`_fork_map`, POSIX os.fork only), and
+their results go back into task order before emission.  The sweep plan is
+the `_FAMILIES` table: each family's cell runner, the primes its cells run
+at, and the slope fits that read its records.
 """
 
+import os
+import pickle
 import random
 import time
-# imported eagerly on purpose: importing it in run_sweep's pool branch saves
-# 1-2 MB of peak RSS but adds 17-31 ms to each pooled sweep's wall time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import Callable, NamedTuple
 # builtin SHA-256, as random.py takes sha512: hashlib maps OpenSSL (3.6 MB)
@@ -371,6 +371,97 @@ def _run_cell(args):
     return rows, fits, _ms_since(t0)
 
 
+_STOP = b"\xff" * 4  # the task message that ends a worker
+
+
+def _serve(fn, items, task_r, result_w):
+    """A worker's loop: read an item index, send back fn's result or its
+    exception, until the stop message or EOF."""
+    with open(result_w, "wb") as out:
+        while (index := os.read(task_r, 4)) not in (_STOP, b""):
+            try:
+                reply = True, fn(items[int.from_bytes(index, "little")])
+            except Exception as exc:
+                reply = False, exc
+            pickle.dump(reply, out)
+            out.flush()
+
+
+def _fork_map(fn, items, workers):
+    """[fn(item) for item in items] on `workers` forked processes, in item
+    order; a free worker takes the next item.
+
+    Each worker has a task pipe that carries one 4-byte index at a time and a
+    result pipe that carries one pickled reply, and the parent waits on the
+    result pipes with select, so neither side can block the other at any
+    item count.  An exception in fn is re-raised here; a worker that dies
+    without a result raises ChildProcessError.  Workers leave by os._exit and
+    are all reaped before this returns or raises, so their rusage counts in
+    the parent's RUSAGE_CHILDREN."""
+    # imported here, so that only a pooled sweep pays for them
+    import select
+    import signal
+
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    pool, busy = {}, {}  # result reader -> (pid, task fd); reader -> its item
+    done = False
+
+    def hand_out(reader):
+        k = next(pending, None)
+        if k is not None:
+            os.write(pool[reader][1], k.to_bytes(4, "little"))
+            busy[reader] = k
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _serve(fn, items, task_r, result_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(task_r)
+            os.close(result_w)
+            reader = open(result_r, "rb")
+            pool[reader] = pid, task_w
+            hand_out(reader)
+        while busy:
+            for reader in select.select(list(busy), [], [])[0]:
+                k = busy.pop(reader)
+                try:
+                    ok, value = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    pid, task_w = pool.pop(reader)
+                    reader.close()
+                    os.close(task_w)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    cause = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise ChildProcessError(
+                        f"sweep worker {pid} died without a result ({cause})") from None
+                if not ok:
+                    raise value
+                results[k] = value
+                hand_out(reader)
+        done = True
+        return results
+    finally:
+        # after the last result every worker is idle and reads the stop
+        # message; after a failure (Ctrl-C included) the rest are killed
+        for reader, (pid, task_w) in pool.items():
+            if done:
+                os.write(task_w, _STOP)
+            else:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
+            os.close(task_w)
+
+
 def run_sweep(cfg, timer=None):
     """Run every cell of _FAMILIES; returns (rows, fits) with fits mapping
     each fit name to its FitResult, or to the reason the fit failed."""
@@ -378,15 +469,14 @@ def run_sweep(cfg, timer=None):
     tasks = [(family, p, cfg["seed"], cfg["epsilon"])
              for family, spec in _FAMILIES.items() for p in spec.primes(cfg)]
     tasks.sort(key=lambda task: primes.index(task[1]))
-    workers = min(cfg["workers"], len(tasks))  # a pool forks all its workers up front
+    workers = min(cfg["workers"], len(tasks))  # every worker is forked up front
     if workers > 1:
         # largest p first, so no big cell starts last; results go back into
         # task order, which the fits' record order depends on
         order = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
         results = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, result in zip(order, pool.map(_run_cell, [tasks[k] for k in order])):
-                results[k] = result
+        for k, result in zip(order, _fork_map(_run_cell, [tasks[k] for k in order], workers)):
+            results[k] = result
     else:
         results = [_run_cell(t) for t in tasks]
     rows, fitrecords = [], []

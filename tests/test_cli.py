@@ -168,7 +168,8 @@ def test_config_rejects_repeated_prime(tmp_path, key):
 
 
 def test_resolved_config_round_trips(tmp_path):
-    off = {"primes": [7, 11], "sweep_primes": [61], "seed": 5, "workers": 2, "epsilon": 0.25,
+    # list keys as the comma strings that a flag or a config file carries
+    off = {"primes": "7,11", "sweep_primes": "61", "seed": 5, "workers": 2, "epsilon": 0.25,
            "max_p": 1000, "out": "elsewhere", "identity_trials": 3, "amp_trials": 2,
            "oracle_trials": 4, "region_check_grid": 10,
            "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
@@ -179,7 +180,7 @@ def test_resolved_config_round_trips(tmp_path):
     for cfg in (resolve_config(_Args()), resolve_config(_Args(**off))):
         write_resolved_config(cfg, path)
         assert resolve_config(_Args(config=str(path))) == cfg
-    assert cfg == off
+    assert cfg == {**off, "primes": [7, 11], "sweep_primes": [61]}
     # a config file line ends at '#', so an out path holding one would not read back
     with pytest.raises(ConfigError, match="out: 'o#1'"):
         resolve_config(_Args(out="o#1"))
@@ -270,20 +271,9 @@ def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkey
     # back into task order before any fit sees them
     submitted, fit_inputs = [], []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            submitted.extend(p for _, p, *_ in tasks)
-            return map(fn, tasks)
+    def recording_fork_map(fn, tasks, workers):
+        submitted.extend(p for _, p, *_ in tasks)
+        return [fn(task) for task in tasks]
 
     real_fit = bounds.exponent_fit
 
@@ -291,7 +281,7 @@ def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkey
         fit_inputs.append((quantity, driver, list(recs)))
         return real_fit(recs, quantity, driver)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites, "_fork_map", recording_fork_map)
     monkeypatch.setattr(bounds, "exponent_fit", recording_fit)
     cfg = _write_cfg(tmp_path, "sweep_primes = 61,127,251\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
@@ -327,9 +317,11 @@ def test_every_fit_record_names_a_fit_spec(monkeypatch, sweep_primes):
 def test_commands_leave_unused_modules_unimported(tmp_path):
     # numpy 2.x imports numpy.ma (about 10 ms) the first time a bare
     # np.unique or an np.unique(axis=...) runs; the default sweep runs neither.
-    # No command needs hashlib (OpenSSL's libcrypto, about 3.6 MB) or
-    # fractions and decimal (about 0.4 MB), so no process pays for them
-    unused = ["numpy.ma", "hashlib", "_hashlib", "fractions", "decimal"]
+    # No command needs hashlib (OpenSSL's libcrypto, about 3.6 MB),
+    # fractions and decimal (about 0.4 MB), or a pool library (about 1.3 MB:
+    # the sweep forks its workers itself), so no process pays for them
+    unused = ["numpy.ma", "hashlib", "_hashlib", "fractions", "decimal",
+              "concurrent.futures", "multiprocessing"]
     code = (
         "import sys\n"
         "from fplab.cli import main\n"
@@ -340,6 +332,8 @@ def test_commands_leave_unused_modules_unimported(tmp_path):
         "for command in ['identities', 'oracles', 'regions', 'charsum']:\n"
         f"    if main([command, '--out', {str(tmp_path)!r} + '/' + command]) != 0:\n"
         "        raise SystemExit(command + ' failed')\n"
+        f"if main(['sweep', '--workers', '2', '--out', {str(tmp_path / 'pool')!r}]) != 0:\n"
+        "    raise SystemExit('pooled sweep failed')\n"
         f"imported = [name for name in {unused!r} if name in sys.modules]\n"
         "if imported:\n"
         "    raise SystemExit(f'imported: {imported}')\n"
@@ -511,23 +505,76 @@ def test_sweep_pool_never_outnumbers_cells(tmp_path, monkeypatch, flags, pools):
     # cell count; the fake records the size and runs the cells in-process
     made = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
+    def recording_fork_map(fn, tasks, workers):
+        made.append(workers)
+        return [fn(task) for task in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites, "_fork_map", recording_fork_map)
     cfg = _write_cfg(tmp_path, "sweep_primes = 61\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 0
     assert made == pools
+
+
+_FORK_MAP_CASES = {
+    # 20,000 four-byte indices are past a pipe's 64 KiB
+    "order": (
+        "assert suites._fork_map(lambda x: -x, range(20000), 2) == [-x for x in range(20000)]\n"
+    ),
+    "exception": (
+        "def fn(x):\n"
+        "    if x == 7:\n"
+        "        raise ValueError('cell 7 failed')\n"
+        "    return x\n"
+        "try:\n"
+        "    suites._fork_map(fn, range(20), 3)\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc) == 'cell 7 failed', exc\n"
+        "else:\n"
+        "    raise AssertionError('no error')\n"
+    ),
+    "exit": (
+        "def fn(x):\n"
+        "    if x == 7:\n"
+        "        os._exit(3)\n"
+        "    return x\n"
+        "try:\n"
+        "    suites._fork_map(fn, range(20), 3)\n"
+        "except ChildProcessError as exc:\n"
+        "    assert 'exit status 3' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no error')\n"
+    ),
+    "signal": (
+        "import signal\n"
+        "try:\n"
+        "    suites._fork_map(lambda x: os.kill(os.getpid(), signal.SIGKILL), range(4), 2)\n"
+        "except ChildProcessError as exc:\n"
+        "    assert f'signal {signal.SIGKILL:d}' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no error')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORK_MAP_CASES))
+def test_fork_map_returns_raises_and_reaps(case):
+    # in a subprocess with a timeout, so a deadlock fails the test instead of
+    # stalling the suite; afterwards no worker may be left unreaped
+    code = (
+        "import os\n"
+        "from fplab import suites\n"
+        + _FORK_MAP_CASES[case]
+        + "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a worker is left unreaped')\n"
+    )
+    src = str(Path(fplab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_regions_command(tmp_path):
