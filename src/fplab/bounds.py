@@ -191,11 +191,16 @@ class FitResult:
 
 
 def exponent_fit(rows, quantity: str, driver: str) -> FitResult:
-    """Least-squares slope of log(quantity) against log(driver).
+    """Least-squares slope of log(quantity) against log(driver), and the rms
+    of its residuals.
 
     rows is any iterable of mappings; rows missing either key or with
     nonpositive values are dropped.  Requires at least 4 usable rows whose
-    driver spans at least one decade.
+    driver spans at least one decade.  The fit is exact least squares on the
+    float logs: every log is a dyadic rational, so scaled to the largest
+    denominator they are integers, and the slope is one int/int division,
+    correctly rounded (the residual is the sqrt of a correctly rounded mean
+    square).  So it does not depend on the order of the rows.
     """
     xs, ys = [], []
     for row in rows:
@@ -206,11 +211,18 @@ def exponent_fit(rows, quantity: str, driver: str) -> FitResult:
             continue
         xs.append(math.log(dr))
         ys.append(math.log(q))
-    if len(xs) < 4:
-        raise InsufficientDataError(f"need >= 4 usable rows, have {len(xs)}")
+    n = len(xs)
+    if n < 4:
+        raise InsufficientDataError(f"need >= 4 usable rows, have {n}")
     if max(xs) - min(xs) < math.log(10):
         raise InsufficientDataError("driver must span at least one decade")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * np.asarray(xs) + intercept
-    residual = float(np.sqrt(np.mean((np.asarray(ys) - fitted) ** 2)))
-    return FitResult(float(slope), residual, len(xs))
+    ratios = [v.as_integer_ratio() for v in xs + ys]
+    scale = max(den for _, den in ratios)  # every den is a power of 2
+    ints = [num * (scale // den) for num, den in ratios]
+    xs, ys = ints[:n], ints[n:]
+    sx, sy = sum(xs), sum(ys)
+    dxx = n * sum(x * x for x in xs) - sx * sx
+    dxy = n * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    c = sy * dxx - sx * dxy  # n * dxx times the intercept, in units of 1/scale
+    square = sum((n * dxx * y - n * dxy * x - c) ** 2 for x, y in zip(xs, ys))
+    return FitResult(dxy / dxx, math.sqrt(square / (n * (n * dxx * scale) ** 2)), n)

@@ -47,12 +47,15 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     array aligned with X, or None for unit weights.
 
     chi's classes at s + x are gathered for blocks of rows of S, at most
-    _BLOCK points each (one row when X alone is longer), and index its roots
-    with a 0 appended for x = 0; every row keeps its own np.dot, which a
-    matrix product would not match bit for bit.
+    _BLOCK points each (one row when X alone is longer).  A real chi with
+    unit weights sums each row as the integer #{k = 0} - #{k = 1}.  Any
+    other chi or weights index its roots, with a 0 appended for x = 0, and
+    every row keeps its own np.dot, which a matrix product would not match
+    bit for bit.
     """
     p = chi.field.p
     xs, ss = x_set.elems, s_set.elems
+    real = chi.order <= 2 and beta is None
     bv = beta if beta is not None else np.ones(len(xs))
     values = np.append(chi.roots(), 0)
     out = np.empty(len(ss), dtype=np.complex128)
@@ -60,8 +63,12 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     for lo in range(0, len(ss), rows):
         pts = ss[lo:lo + rows, None] + xs[None, :]
         pts -= p * (pts >= p)
-        for i, row in enumerate(values[chi.classes(pts)], lo):
-            out[i] = np.dot(bv, row)
+        k = chi.classes(pts)
+        if real:
+            out[lo:lo + rows] = np.count_nonzero(k == 0, axis=1) - np.count_nonzero(k == 1, axis=1)
+        else:
+            for i, row in enumerate(values[k], lo):
+                out[i] = np.dot(bv, row)
     return out
 
 

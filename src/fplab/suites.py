@@ -451,12 +451,14 @@ def _fork_map(fn, items, workers):
         return results
     finally:
         # after the last result every worker is idle and reads the stop
-        # message; after a failure (Ctrl-C included) the rest are killed
-        for reader, (pid, task_w) in pool.items():
+        # message; after a failure (Ctrl-C included) the rest are killed.
+        # All are told before any is reaped, so they exit in parallel
+        for pid, task_w in pool.values():
             if done:
                 os.write(task_w, _STOP)
             else:
                 os.kill(pid, signal.SIGKILL)
+        for reader, (pid, task_w) in pool.items():
             os.waitpid(pid, 0)
             reader.close()
             os.close(task_w)
@@ -472,7 +474,7 @@ def run_sweep(cfg, timer=None):
     workers = min(cfg["workers"], len(tasks))  # every worker is forked up front
     if workers > 1:
         # largest p first, so no big cell starts last; results go back into
-        # task order, which the fits' record order depends on
+        # task order, so the fits read the records in the serial run's order
         order = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
         results = [None] * len(tasks)
         for k, result in zip(order, _fork_map(_run_cell, [tasks[k] for k in order], workers)):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fplab.bounds import (
+    FitResult,
     _float_cut,
     _threshold_array,
     exponent_fit,
@@ -420,3 +421,54 @@ def test_exponent_fit():
     with pytest.raises(InsufficientDataError):
         exponent_fit(narrow, "q", "x")
 
+
+
+def _fit_referee(rows, quantity, driver):
+    """Least squares in Fractions, by the intercept: (slope, residual)."""
+    pts = [(Fraction(math.log(r[driver])), Fraction(math.log(r[quantity]))) for r in rows]
+    n = len(pts)
+    mx = sum(x for x, _ in pts) / n
+    my = sum(y for _, y in pts) / n
+    slope = sum((x - mx) * (y - my) for x, y in pts) / sum((x - mx) ** 2 for x, _ in pts)
+    intercept = my - slope * mx
+    square = sum((y - slope * x - intercept) ** 2 for x, y in pts) / n
+    return float(slope), math.sqrt(square)
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e12)
+_fit_rows = st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e7), _positive),
+                     min_size=4, max_size=8).filter(
+    lambda pts: max(d for d, _ in pts) >= 10.5 * min(d for d, _ in pts)).map(
+    lambda pts: [{"q": q, "x": d} for d, q in pts])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_rows, st.randoms(use_true_random=False))
+@example([{"q": x * x, "x": x} for x in (1, 3, 10, 30, 100)], random.Random(0))
+@example([{"q": 0.5 * x**1.5, "x": x} for x in (61, 127, 251, 509, 1021, 2039, 4093, 8191)],
+         random.Random(0))
+def test_exponent_fit_is_exact_least_squares(rows, rnd):
+    fit = exponent_fit(rows, "q", "x")
+    assert (fit.slope, fit.residual) == _fit_referee(rows, "q", "x")
+    assert fit.n == len(rows)
+    # exact sums: any order of the records gives the same bits
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert exponent_fit(shuffled, "q", "x") == fit
+    # np.polyfit, a float referee, agrees to rounding
+    xs = np.log([r["x"] for r in rows])
+    ys = np.log([r["q"] for r in rows])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    residual = np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2))
+    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fit_rows)
+def test_exponent_fit_exact_lines_have_zero_residual(rows):
+    # log q = log x and log q = log 3.7 are lines in the float logs themselves
+    assert exponent_fit([{"q": r["x"], "x": r["x"]} for r in rows], "q", "x") == (
+        FitResult(1.0, 0.0, len(rows)))
+    assert exponent_fit([{"q": 3.7, "x": r["x"]} for r in rows], "q", "x") == (
+        FitResult(0.0, 0.0, len(rows)))

@@ -12,6 +12,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -267,8 +268,9 @@ def test_sweep_workers_agree(tmp_path):
 
 
 def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkeypatch):
-    # polyfit's last bits can depend on record order, so the pool's results go
-    # back into task order before any fit sees them
+    # the pool takes the largest p first, and its results go back into task
+    # order, so every fit reads the serial run's records in the serial order
+    # (the fit's own order independence is tested in test_bounds)
     submitted, fit_inputs = [], []
 
     def recording_fork_map(fn, tasks, workers):
@@ -388,6 +390,24 @@ def test_integer_deviation_matches_fraction(p, abc, offset):
 
 
 CAP_PRIMES = [65521, 262139, 1048573]
+
+
+def test_default_commands_reach_no_blas_or_lapack(tmp_path, monkeypatch):
+    # the slope fits are exact integer least squares and a real character's
+    # sums are integer counts, so no default command loads LAPACK (np.polyfit
+    # through numpy.linalg.lstsq) or calls a BLAS dot
+    def no_blas(*args, **kw):
+        raise AssertionError("reached BLAS or LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", no_blas)
+    monkeypatch.setattr(np.linalg, "lstsq", no_blas)
+    monkeypatch.setattr(np, "dot", no_blas)
+    cap = _write_cfg(tmp_path, f"sweep_primes = {','.join(map(str, CAP_PRIMES))}\n")
+    assert main(["sweep", "--workers", "1", "--out", str(tmp_path / "s")]) == 0
+    assert main(["sweep", "--config", cap, "--workers", "1", "--out", str(tmp_path / "c")]) == 0
+    assert main(["charsum", "--out", str(tmp_path / "ch")]) == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["slopes"]
 
 
 def test_cap_sweep_builds_no_index_table(tmp_path, monkeypatch):
