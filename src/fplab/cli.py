@@ -10,15 +10,17 @@ file values.  With the default settings output files are byte-identical for
 identical (config, seed); --timings stamps each row with the wall time of
 the block that produced it (a sweep cell, or one loop of a suite) and adds
 per-suite totals to the summary, at the cost of that byte-stability.
+Flag names are exact (no abbreviations), and -h prints the commands or one
+command's flags.  Usage and config errors exit 2.
 """
 
-import argparse
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from .errors import ConfigError, FplabError
+from .errors import ConfigError, FplabError, UsageError
 from .field import DEFAULT_CAP, P_CEILING, is_prime
 from .report import count_failures, summarize, write_csv, write_json
 from .suites import (
@@ -70,6 +72,25 @@ COMMANDS = {
     "charsum": ("single bilinear character-sum evaluation",
                 lambda cfg, timer: run_charsum(cfg, timer)),
 }
+
+# flag: (config key, metavar, help).  Only `fplab charsum` takes the flags of
+# the charsum_* keys; --timings, the one bool key, takes no value.
+FLAGS = {
+    "--config": ("config", "PATH", "path to a key = value config file"),
+    "--seed": ("seed", "N", "master seed for all randomness"),
+    "--workers": ("workers", "N", "parallel workers for sweep cells"),
+    "--out": ("out", "DIR", "output directory"),
+    "--epsilon": ("epsilon", "F", "exponent standing in for p^o(1)"),
+    "--max-p": ("max_p", "N", "drop primes above this"),
+    "--timings": ("timings", None, "stamp wall times into rows (breaks byte-identical outputs)"),
+    "--p": ("charsum_p", "N", "the prime p"),
+    "--m": ("charsum_m", "N", "character index in [0, p - 2]"),
+    "--set-size": ("charsum_n", "N", "random-set size"),
+    "--x-len": ("charsum_x", "N", "interval length"),
+    "--r": ("charsum_r", "N", "the parameter r of the main bound"),
+    "--subgroup-order": ("charsum_subgroup", "N", "S is the subgroup of this order when nonzero"),
+}
+_USAGE = "usage: fplab {} [--flag VALUE | --flag=VALUE | --timings] ..."
 
 
 def parse_config_file(path) -> dict:
@@ -136,9 +157,9 @@ def resolve_config(args, dropped=None) -> dict:
     if args.config:
         for key, value in parse_config_file(args.config).items():
             cfg[key] = _coerce(key, value)
-    # each flag's dest is its config key; an unset --timings is False
+    # each given flag sits under its config key, as the string a file carries
     for key, value in vars(args).items():
-        if key in DEFAULTS and value is not None and value is not False:
+        if key in DEFAULTS:
             cfg[key] = _coerce(key, value)
     if cfg["max_p"] > P_CEILING:
         raise ConfigError(f"max_p: need <= {P_CEILING}, got {cfg['max_p']}")
@@ -183,39 +204,57 @@ def write_resolved_config(cfg, path):
             fh.write(f"{key} = {value}\n")
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="path to a key = value config file")
-    sp.add_argument("--seed", type=int, help="master seed for all randomness")
-    sp.add_argument("--workers", type=int, help="parallel workers for sweep cells")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--epsilon", type=float, help="exponent standing in for p^o(1)")
-    sp.add_argument("--max-p", dest="max_p", type=int, help="drop primes above this")
-    sp.add_argument(
-        "--timings", action="store_true", default=False,
-        help="stamp wall times into rows (breaks byte-identical outputs)",
-    )
+def _help(command):
+    """The commands, or the flags that one command takes."""
+    if command is None:
+        rows = [(name, doc) for name, (doc, _) in COMMANDS.items()]
+    else:
+        rows = [(f"{flag} {metavar or ''}", doc) for flag, (key, metavar, doc) in FLAGS.items()
+                if command == "charsum" or not key.startswith("charsum_")]
+    about = COMMANDS[command][0] if command else "exact-counting suites over prime fields"
+    lines = [_USAGE.format(command or "<command>"), "", about, ""]
+    return "\n".join(lines + [f"  {name:<22}{doc}" for name, doc in rows])
+
+
+def _parse_args(argv):
+    """The command, and each given flag's value under its config key as the
+    raw string a config file would carry; None once -h or --help, anywhere
+    in argv, has printed the help."""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command if command in COMMANDS else None))
+        return None
+    if command not in COMMANDS:
+        got = repr(command) if argv else "none"
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {got}")
+    args, rest = SimpleNamespace(command=command, config=None), iter(argv[1:])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag not in FLAGS or FLAGS[flag][0].startswith("charsum_") and command != "charsum":
+            raise UsageError(f"fplab {command} takes no flag {token!r}")
+        key, metavar, _ = FLAGS[flag]
+        if metavar is None:
+            if eq:
+                raise UsageError(f"{flag} takes no value, got {token!r}")
+            value = "true"
+        elif not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        setattr(args, key, value)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fplab",
-        description="exact-counting suites, oracles and bound sweeps over prime fields",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (doc, _) in COMMANDS.items():
-        sp = sub.add_parser(name, help=doc)
-        _add_common(sp)
-        if name == "charsum":
-            sp.add_argument("--p", dest="charsum_p", type=int)
-            sp.add_argument("--m", dest="charsum_m", type=int)
-            sp.add_argument("--set-size", dest="charsum_n", type=int)
-            sp.add_argument("--x-len", dest="charsum_x", type=int)
-            sp.add_argument("--r", dest="charsum_r", type=int)
-            sp.add_argument("--subgroup-order", dest="charsum_subgroup", type=int)
-    args = parser.parse_args(argv)
     dropped = {}
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
         cfg = resolve_config(args, dropped)
+    except UsageError as exc:
+        print(f"usage error: {exc}\n{_USAGE.format('<command>')}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -73,3 +73,7 @@ class InsufficientDataError(FplabError):
 
 class ConfigError(FplabError):
     pass
+
+
+class UsageError(FplabError):
+    pass

@@ -321,9 +321,10 @@ def test_commands_leave_unused_modules_unimported(tmp_path):
     # np.unique or an np.unique(axis=...) runs; the default sweep runs neither.
     # No command needs hashlib (OpenSSL's libcrypto, about 3.6 MB),
     # fractions and decimal (about 0.4 MB), or a pool library (about 1.3 MB:
-    # the sweep forks its workers itself), so no process pays for them
+    # the sweep forks its workers itself), or argparse with the gettext and
+    # locale it imports (about 5.5 ms a command), so no process pays for them
     unused = ["numpy.ma", "hashlib", "_hashlib", "fractions", "decimal",
-              "concurrent.futures", "multiprocessing"]
+              "concurrent.futures", "multiprocessing", "argparse", "gettext", "locale"]
     code = (
         "import sys\n"
         "from fplab.cli import main\n"
@@ -715,7 +716,7 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("epsilon = abc\n", [], "epsilon: expected a number, got 'abc'"),
     ("epsilon = nan\n", [], "epsilon: expected a finite number, got 'nan'"),
     ("epsilon = inf\n", [], "epsilon: expected a finite number, got 'inf'"),
-    ("", ["--epsilon", "inf"], "epsilon: expected a finite number, got inf"),
+    ("", ["--epsilon", "inf"], "epsilon: expected a finite number, got 'inf'"),
     ("timings = maybe\n", [], "timings: expected true or false, got 'maybe'"),
     (None, [], "missing.cfg: No such file or directory"),
     ("", ["--set-size", "0"], "charsum_n: need >= 1, got 0"),
@@ -735,12 +736,17 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("", ["--subgroup-order", "7"], "charsum_subgroup: 7 does not divide charsum_p - 1 = 100"),
     ("charsum_subgroup = -4\n", [], "charsum_subgroup: need >= 0, got -4"),
     ("max_p = 16777217\n", [], "max_p: need <= 16777216, got 16777217"),
+    ("", ["--seed", "abc"], "seed: expected an integer, got 'abc'"),
+    ("", ["--epsilon", "abc"], "epsilon: expected a number, got 'abc'"),
+    ("", ["--workers", "2.5"], "workers: expected an integer, got '2.5'"),
+    ("", ["--workers", "-1"], "workers: need >= 1, got -1"),
 ], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
         "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
         "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
         "charsum_m_above", "charsum_m_below", "charsum_r_below", "charsum_x_above",
         "charsum_n_above", "charsum_subgroup_not_divisor", "charsum_subgroup_below",
-        "max_p_above_ceiling"])
+        "max_p_above_ceiling", "seed_flag", "epsilon_flag", "workers_flag_float",
+        "workers_flag_negative"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
     if body is not None:
@@ -749,6 +755,69 @@ def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_flag_value_and_flag_equals_value_agree(tmp_path):
+    out = tmp_path / "o"
+    flags = {"--seed": "5", "--epsilon": "0.25", "--max-p": "1000", "--p": "61", "--m": "30",
+             "--set-size": "5", "--x-len": "7", "--r": "2", "--subgroup-order": "12",
+             "--out": str(out)}
+    assert main(["charsum"] + [t for pair in flags.items() for t in pair]) == 0
+    spaced = _read(out / "resolved.cfg")
+    assert main(["charsum"] + [f"{flag}={value}" for flag, value in flags.items()]) == 0
+    assert _read(out / "resolved.cfg") == spaced
+    assert b"charsum_subgroup = 12" in spaced
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "expected a command"),
+    (["bogus", "--out", "o"], "'bogus'"),
+    (["sweep", "--bogus", "1", "--out", "o"], "'--bogus'"),
+    (["sweep", "--p", "61", "--out", "o"], "fplab sweep takes no flag '--p'"),
+    (["charsum", "--set", "5", "--out", "o"], "'--set'"),
+    (["sweep", "--out", "o", "--seed"], "--seed needs a value"),
+    (["sweep", "--seed", "--out", "o"], "--seed needs a value"),
+    (["sweep", "--out", "o", "--timings=yes"], "'--timings=yes'"),
+], ids=["no_command", "unknown_command", "unknown_flag", "charsum_flag_on_sweep",
+        "abbreviation", "missing_last_value", "value_is_a_flag", "switch_with_value"])
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, token):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert token in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["charsum", "-h"], ["charsum", "--help"],
+                                  ["sweep", "-h"], ["sweep", "--seed", "3", "--help"]],
+                         ids=["h", "help", "charsum_h", "charsum_help", "sweep_h",
+                              "sweep_help_after_a_flag"])
+def test_help_lists_commands_and_flags(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    if len(argv) == 1:
+        assert all(f"\n  {name} " in text for name in cli.COMMANDS)
+        return
+    command = argv[0]
+    listed = {flag for flag in cli.FLAGS if f"\n  {flag} " in text}
+    want = {flag for flag, (key, _, _) in cli.FLAGS.items()
+            if command == "charsum" or not key.startswith("charsum_")}
+    assert listed == want and len(want) == (13 if command == "charsum" else 7)
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    # `python -m fplab.cli` runs sys.exit(main()) on sys.argv
+    src = str(Path(fplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-m", "fplab.cli"]
+    done = subprocess.run(run + ["--help"], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and "charsum" in done.stdout
+    done = subprocess.run(run + ["sweep", "--bogus"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "'--bogus'" in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):
