@@ -216,13 +216,23 @@ def _help(command):
     return "\n".join(lines + [f"  {name:<22}{doc}" for name, doc in rows])
 
 
+def _print(text):
+    """print, flushed.  A reader that has closed stdout (`fplab -h | head -1`)
+    is no error: stdout then goes to os.devnull, and the command keeps its
+    own exit status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _parse_args(argv):
     """The command, and each given flag's value under its config key as the
     raw string a config file would carry; None once -h or --help, anywhere
     in argv, has printed the help."""
     command = argv[0] if argv else None
     if "-h" in argv or "--help" in argv:
-        print(_help(command if command in COMMANDS else None))
+        _print(_help(command if command in COMMANDS else None))
         return None
     if command not in COMMANDS:
         got = repr(command) if argv else "none"
@@ -283,17 +293,13 @@ def main(argv=None) -> int:
     write_json(summary, os.path.join(cfg["out"], "summary.json"))
     write_resolved_config(cfg, os.path.join(cfg["out"], "resolved.cfg"))
 
-    for suite in sorted(summary["suites"]):
-        counts = summary["suites"][suite]
-        print(
-            f"{suite}: pass={counts['pass']} fail={counts['fail']} "
-            f"skip={counts['skip']} report={counts['report']}"
-        )
-    for name in sorted(summary["slopes"]):
-        fit = summary["slopes"][name]
-        print(f"slope {name}: {fit['slope']:.4f} (rms {fit['residual']:.4f}, n={fit['n']})")
+    lines = [f"{suite}: pass={counts['pass']} fail={counts['fail']} "
+             f"skip={counts['skip']} report={counts['report']}"
+             for suite, counts in sorted(summary["suites"].items())]
+    lines += [f"slope {name}: {fit['slope']:.4f} (rms {fit['residual']:.4f}, n={fit['n']})"
+              for name, fit in sorted(summary["slopes"].items())]
     failures = count_failures(rows)
-    print(f"wrote {csv_path} ({len(rows)} rows); failures: {failures}")
+    _print("\n".join(lines + [f"wrote {csv_path} ({len(rows)} rows); failures: {failures}"]))
     return 1 if failures else 0
 
 

@@ -268,13 +268,17 @@ def test_sweep_workers_agree(tmp_path):
 
 
 def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkeypatch):
-    # the pool takes the largest p first, and its results go back into task
-    # order, so every fit reads the serial run's records in the serial order
-    # (the fit's own order independence is tested in test_bounds)
-    submitted, fit_inputs = [], []
+    # the serial and the pooled sweep run one task list, largest p first, so
+    # every fit reads the same records in the same order (the fit's own order
+    # independence is tested in test_bounds)
+    ran, fit_inputs = [], []
+    run_cell = suites._run_cell
 
-    def recording_fork_map(fn, tasks, workers):
-        submitted.extend(p for _, p, *_ in tasks)
+    def recording_run_cell(task):
+        ran.append(task[:2])
+        return run_cell(task)
+
+    def in_process_fork_map(fn, tasks, workers):
         return [fn(task) for task in tasks]
 
     real_fit = bounds.exponent_fit
@@ -283,15 +287,20 @@ def test_sweep_pool_runs_largest_p_first_and_fits_in_task_order(tmp_path, monkey
         fit_inputs.append((quantity, driver, list(recs)))
         return real_fit(recs, quantity, driver)
 
-    monkeypatch.setattr(suites, "_fork_map", recording_fork_map)
+    monkeypatch.setattr(suites, "_run_cell", recording_run_cell)
+    monkeypatch.setattr(suites, "_fork_map", in_process_fork_map)
     monkeypatch.setattr(bounds, "exponent_fit", recording_fit)
     cfg = _write_cfg(tmp_path, "sweep_primes = 61,127,251\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-    serial_fits, fit_inputs[:] = list(fit_inputs), []
+    serial_cells, serial_fits = list(ran), list(fit_inputs)
+    ran[:], fit_inputs[:] = [], []
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "pool"),
                  "--workers", "2"]) == 0
     # four families at each of the three primes, plus the one poly cell
-    assert submitted == sorted(submitted, reverse=True) and len(submitted) == 13
+    families = ["tabc", "nsxy", "subgroup", "thm11"]
+    want = ([(f, 251) for f in families] + [("poly", 251)]
+            + [(f, p) for p in (127, 61) for f in families])
+    assert serial_cells == ran == want and len(want) == 13
     assert fit_inputs == serial_fits
 
 
@@ -335,6 +344,9 @@ def test_commands_leave_unused_modules_unimported(tmp_path):
         "for command in ['identities', 'oracles', 'regions', 'charsum']:\n"
         f"    if main([command, '--out', {str(tmp_path)!r} + '/' + command]) != 0:\n"
         "        raise SystemExit(command + ' failed')\n"
+        "serial = [name for name in ('select', 'signal') if name in sys.modules]\n"
+        "if serial:\n"
+        "    raise SystemExit(f'imported by a serial command: {serial}')\n"
         f"if main(['sweep', '--workers', '2', '--out', {str(tmp_path / 'pool')!r}]) != 0:\n"
         "    raise SystemExit('pooled sweep failed')\n"
         f"imported = [name for name in {unused!r} if name in sys.modules]\n"
@@ -537,9 +549,15 @@ def test_sweep_pool_never_outnumbers_cells(tmp_path, monkeypatch, flags, pools):
 
 
 _FORK_MAP_CASES = {
-    # 20,000 four-byte indices are past a pipe's 64 KiB
+    # the 20,000 replies, about 100 bytes each, are 30 times a pipe's 64 KiB,
+    # so the workers fill their result pipes before the parent reads them
     "order": (
-        "assert suites._fork_map(lambda x: -x, range(20000), 2) == [-x for x in range(20000)]\n"
+        "got = suites._fork_map(lambda x: [-x] * 16, range(20000), 2)\n"
+        "assert got == [[-x] * 16 for x in range(20000)]\n"
+    ),
+    # the idle workers read the end token and leave
+    "more_workers_than_items": (
+        "assert suites._fork_map(lambda x: -x - 1, range(1), 3) == [-1]\n"
     ),
     "exception": (
         "def fn(x):\n"
@@ -562,6 +580,19 @@ _FORK_MAP_CASES = {
         "    suites._fork_map(fn, range(20), 3)\n"
         "except ChildProcessError as exc:\n"
         "    assert 'exit status 3' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no error')\n"
+    ),
+    # a worker that exits with status 0 mid-item still returns no result
+    "exit0": (
+        "def fn(x):\n"
+        "    if x == 7:\n"
+        "        os._exit(0)\n"
+        "    return x\n"
+        "try:\n"
+        "    suites._fork_map(fn, range(20), 3)\n"
+        "except ChildProcessError as exc:\n"
+        "    assert 'exit status 0' in str(exc), exc\n"
         "else:\n"
         "    raise AssertionError('no error')\n"
     ),
@@ -818,6 +849,27 @@ def test_module_entry_point_reads_sys_argv(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and "'--bogus'" in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["charsum", "-h"], ["regions", "--out", "o"]],
+                         ids=["help", "regions"])
+def test_closed_stdout_is_no_error(tmp_path, argv, unbuffered):
+    # `fplab charsum -h | head -1`: the reader may close the pipe before fplab
+    # writes; under PYTHONUNBUFFERED the print itself meets the closed pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(fplab.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fplab.cli", *argv], env=env,
+                              cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_unwritable_out_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):
