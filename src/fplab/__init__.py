@@ -3,6 +3,11 @@ character sums over prime fields: energies, collinear triples, the
 amplification transform, the point-plane Gram check, and evaluators for every
 bound skeleton the harness monitors."""
 
+import os
+
+# No command calls BLAS, and an idle OpenBLAS pool thread spins on the CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .field import Character, PrimeField, build_field, character, is_prime

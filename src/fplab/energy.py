@@ -3,11 +3,13 @@
 `MultiplicityFn` is a representation function kept whole (line spectra, the
 amplification fibre): sorted distinct keys and their counts, aligned int64
 arrays.  `_convolve` returns only the second moment of its sum counts, taken
-on the sets' own arcs when their sums cannot wrap, and `e3` keeps difference
-counts on one lag window [-h, h] only.  Counts that could pass the 2^62 guard
-are Python ints, and sums of products run in int64 only below it, so every
-count and energy is an exact integer.  Floats appear only in the Fourier
-cross-check, which bounds the error of the orthogonality identity.
+on the sets' own arcs when their sums cannot wrap; a dense step adds its
+counts as shifted slices where its support is dense and scatters them by
+np.add.at where it is sparse.  `e3` keeps difference counts on one lag window
+[-h, h] only.  Counts that could pass the 2^62 guard are Python ints, and sums
+of products run in int64 only below it, so every count and energy is an exact
+integer.  Floats appear only in the Fourier cross-check, which bounds the error
+of the orthogonality identity.
 """
 
 import math
@@ -26,6 +28,18 @@ _INT64_SAFE = 1 << 62  # exactness guard for int64 counts and sums of products
 # slower at n / 7 keys, 1.2-1.4x at n / 16, 0.75-0.99x at n / 24 and
 # 0.5-0.7x at n / 32, and the same on a window of n = 2^20 at p = 16777213.
 _SORT_SHARE = 20
+
+# A dense step adds its support's counts at each x in S: as one slice of
+# w = max(support) + 1 entries (two where sums wrap) when
+# w + _SHIFT_CALL < _SHIFT_SHARE * len(support), by np.add.at otherwise.
+# Measured on one step (best of 7-25, |S| = 128, int16, random supports): a
+# slice add costs about 1 us a call plus 0.08-0.16 ns an entry, a scattered
+# key 2.5-5 ns, so _SHIFT_CALL is one call in entries.  Shifting is 1.0x as
+# fast at w / 32 keys at w = 2^16 and 2^20, 1.3-1.6x at w / 16 and 0.5x at
+# w / 64; at w = 2^13 it breaks even near 512 keys (w / 16), and at w = 2^10
+# it is 0.33x as fast at 128 keys and 2.2x at 512.
+_SHIFT_SHARE = 32
+_SHIFT_CALL = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +80,19 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
     the sums are taken mod p over n = p residues, reduced by subtracting
     p * (sum >= p), cheaper than % p.  A step against S sorts the
     len(support) * |S| keys and sums equal ones below n / _SORT_SHARE keys;
-    otherwise it adds the counts into one dense length-n array with one
-    np.add.at (weights of its exact dtype, which keeps it fast) per block of
-    rows of S of at most _BLOCK keys (one row when the support alone is
-    longer).  That array takes the narrowest dtype that holds the step's
-    count bound min(max count * |S|, total): int16 below 2^15, int32 below
-    2^31, the counts' own dtype past that.  Counts are int64 below the guard
-    and Python ints past it.  A last dense step is squared in place by _dot,
-    never reduced to its support.  Any empty set makes every count 0.
+    otherwise it adds the counts into one dense length-n array, in one of two
+    forms.  Where the support fills most of its width w = max(support) + 1,
+    w + _SHIFT_CALL < _SHIFT_SHARE * len(support), the counts are laid out
+    densely over [0, w) once and added at each x in S as one contiguous
+    slice, or two where the sums wrap past p.  Otherwise one np.add.at
+    (weights of the array's exact dtype, which keeps it fast) scatters them
+    per block of rows of S of at most _BLOCK keys (one row when the support
+    alone is longer).  The dense array takes the narrowest dtype that holds
+    the step's count bound min(max count * |S|, total): int16 below 2^15,
+    int32 below 2^31, the counts' own dtype past that.  Counts are int64
+    below the guard and Python ints past it.  A last dense step is squared in
+    place by _dot, never reduced to its support.  Any empty set makes every
+    count 0.
     """
     arrays = [first, *others]
     total = math.prod(map(len, arrays))
@@ -102,13 +121,23 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
             bound = min(int(counts.max()) * len(s), total)
             dense = np.zeros(n, dtype=np.int16 if bound < 1 << 15
                              else np.int32 if bound < 1 << 31 else counts.dtype)
-            rows = max(1, _BLOCK // len(values))
-            weights = np.tile(counts.astype(dense.dtype, copy=False), min(rows, len(s)))
-            for lo in range(0, len(s), rows):
-                keys = s[lo:lo + rows, None] + values[None, :]
-                if wraps:
-                    keys -= p * (keys >= p)
-                np.add.at(dense, keys.ravel(), weights[:keys.size])
+            width = int(values.max()) + 1  # the first step's values are unsorted
+            if width + _SHIFT_CALL < _SHIFT_SHARE * len(values):
+                src = np.zeros(width, dtype=dense.dtype)
+                src[values] = counts
+                for x in s.tolist():
+                    head = min(width, n - x)  # below width only where sums wrap
+                    dense[x:x + head] += src[:head]
+                    if head < width:
+                        dense[:width - head] += src[head:]
+            else:
+                rows = max(1, _BLOCK // len(values))
+                weights = np.tile(counts.astype(dense.dtype, copy=False), min(rows, len(s)))
+                for lo in range(0, len(s), rows):
+                    keys = s[lo:lo + rows, None] + values[None, :]
+                    if wraps:
+                        keys -= p * (keys >= p)
+                    np.add.at(dense, keys.ravel(), weights[:keys.size])
             if step == len(others):
                 return _dot(dense, dense)
             values = np.flatnonzero(dense)

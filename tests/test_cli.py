@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -623,10 +624,33 @@ def test_fork_map_returns_raises_and_reaps(case):
         "else:\n"
         "    raise AssertionError('a worker is left unreaped')\n"
     )
+    # in its own session, so a timeout kills the forked workers with it
     src = str(Path(fplab.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{case} did not finish in 60 s")
+    assert proc.returncode == 0, err
+
+
+@pytest.mark.parametrize("value, threads", [(None, 1), ("2", 2)])
+def test_openblas_pool_is_one_thread_unless_set(value, threads):
+    # importing fplab caps OpenBLAS at one thread, so numpy starts no pool
+    # thread, and keeps a cap the caller set
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    env["PYTHONPATH"] = str(Path(fplab.__file__).resolve().parents[1])
+    code = "import os, fplab.cli\nprint(len(os.listdir('/proc/self/task')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == threads
 
 
 def test_regions_command(tmp_path):

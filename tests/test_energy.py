@@ -373,20 +373,28 @@ def test_t_k_both_steps(p, sizes):
     assert t_k(sets) == _t_k_direct(sets)
 
 
+def _step_routes(p):
+    """(_SORT_SHARE, _SHIFT_SHARE) pins that send every _convolve step at p
+    down one route: sorted, then dense and scattered by np.add.at, then dense
+    and added as shifted slices."""
+    return (0, 0), (p + 1, 0), (p + 1, 1 << 40)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_fields_and_sets(count=3, max_size=7), st.integers(1, 3))
 def test_python_int_route_past_guard(sets, k):
     # a zero guard sends every count into Python ints and every sum of
     # products through the Python-int route; results must not move.  The
     # second moments of t_k and additive_energy are also taken with every
-    # step sorted, then with every step dense, whose last step is squared
-    # straight off its accumulator
+    # step sorted, then with every step dense, scattered and then shifted,
+    # whose last step is squared straight off its accumulator
     want_e3, want_e2, want_tk = e3(*sets), additive_energy(sets[0]), t_k(sets[:k])
     with pytest.MonkeyPatch.context() as m:
         m.setattr(energy, "_INT64_SAFE", 0)
         assert e3(*sets) == want_e3
-        for share in (0, sets[0].field.p + 1):
+        for share, shift in _step_routes(sets[0].field.p):
             m.setattr(energy, "_SORT_SHARE", share)
+            m.setattr(energy, "_SHIFT_SHARE", shift)
             assert additive_energy(sets[0]) == want_e2
             assert t_k(sets[:k]) == want_tk
 
@@ -425,13 +433,14 @@ def _whole_field_arc(arr, p):
 @example(_spanning(31, 9, [0, 1, 29, 30], [0, 2, 30], [0, 29]), True, 5)
 def test_convolve_routes_match_dict_referee(case, python_ints, block):
     # the same input down the sorting route at every step, then down the
-    # dense route at every step: first as it comes, on the window of its
-    # arcs when their span is below p (sets through 0 are shifted off it),
-    # then with every arc taken as all of F_p, so that residues near p - 1
-    # make sums wrap.  A block of 1 key adds one row of S per np.add.at; 5
-    # keys leave a short last block when a support of 1 or 2 gives blocks of
-    # 5 or 2 rows that do not divide |S|, as 7 keys over a support of 3 (2
-    # rows) do for |S| = 5
+    # dense route at every step, scattered and then shifted: first as it
+    # comes, on the window of its arcs when their span is below p (sets
+    # through 0 are shifted off it), then with every arc taken as all of F_p,
+    # so that residues near p - 1 make sums wrap (a shifted slice that passes
+    # p is added in two parts).  A block of 1 key adds one row of S per
+    # np.add.at; 5 keys leave a short last block when a support of 1 or 2
+    # gives blocks of 5 or 2 rows that do not divide |S|, as 7 keys over a
+    # support of 3 (2 rows) do for |S| = 5
     p, arrays = case
     sums = Counter(sum(combo) % p for combo in itertools.product(*(a.tolist() for a in arrays)))
     with pytest.MonkeyPatch.context() as m:
@@ -442,8 +451,9 @@ def test_convolve_routes_match_dict_referee(case, python_ints, block):
             m.setattr(energy, "_INT64_SAFE", 0)
         for arc in (energy._arc, _whole_field_arc):
             m.setattr(energy, "_arc", arc)
-            for share in (0, p + 1):
+            for share, shift in _step_routes(p):
                 m.setattr(energy, "_SORT_SHARE", share)
+                m.setattr(energy, "_SHIFT_SHARE", shift)
                 moment = energy._convolve(p, arrays[0], arrays[1:])
                 assert type(moment) is int and moment == sum(c * c for c in sums.values())
 
@@ -474,16 +484,19 @@ def test_convolve_accumulator_at_2_31(p, sizes):
     want = _sums_by_steps(p, [a.tolist() for a in arrays])
     moment = sum(c * c for c in want[1])
     with pytest.MonkeyPatch.context() as m:
-        for share in (0, p + 1):  # every step sorted, then every step dense
+        # every step sorted, then every step dense, scattered and then shifted
+        for share, shift in _step_routes(p):
             m.setattr(energy, "_SORT_SHARE", share)
+            m.setattr(energy, "_SHIFT_SHARE", shift)
             # squared off the int32 or int64 accumulator; at 3^21 the squares
             # pass 2^63 and are summed in Python ints
             assert energy._convolve(p, arrays[0], arrays[1:]) == moment
         # counts as Python ints, as past 2^62: from a total of 2^31 on, the
         # dense accumulator holds them too
         m.setattr(energy, "_INT64_SAFE", 0)
-        for share in (0, p + 1):
+        for share, shift in _step_routes(p):
             m.setattr(energy, "_SORT_SHARE", share)
+            m.setattr(energy, "_SHIFT_SHARE", shift)
             assert energy._convolve(p, arrays[0], arrays[1:]) == moment
     if math.prod(sizes) > 1 << 32:
         assert max(want[1]) >= 1 << 31  # an int32 accumulator would wrap here
@@ -505,12 +518,15 @@ def test_convolve_accumulator_at_2_15(sizes, dtype):
     assert max(_sums_by_steps(p, [a.tolist() for a in edge])[1]) == sizes[0] * sizes[2]
     dot, seen = energy._dot, []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(energy, "_SORT_SHARE", p + 1)  # every step dense
         m.setattr(energy, "_dot", lambda *cols: seen.append(cols[0].dtype) or dot(*cols))
-        for arrays in (edge, [*edge, np.arange(2, dtype=np.int64)]):
-            want = _sums_by_steps(p, [a.tolist() for a in arrays])
-            assert energy._convolve(p, arrays[0], arrays[1:]) == sum(c * c for c in want[1])
-    assert seen[0] == dtype  # squared straight off the step that reaches the bound
+        for share, shift in _step_routes(p)[1:]:  # every step dense: scattered, then shifted
+            m.setattr(energy, "_SORT_SHARE", share)
+            m.setattr(energy, "_SHIFT_SHARE", shift)
+            for arrays in (edge, [*edge, np.arange(2, dtype=np.int64)]):
+                want = _sums_by_steps(p, [a.tolist() for a in arrays])
+                assert energy._convolve(p, arrays[0], arrays[1:]) == sum(c * c for c in want[1])
+    # squared straight off the step that reaches the bound, on either route
+    assert seen[0] == seen[2] == dtype
 
 
 def test_energies_near_cap_against_python_ints():
@@ -531,6 +547,53 @@ def test_energies_near_cap_against_python_ints():
     assert additive_energy(u) == sum(c * c for c in ru)
     assert e3(u, v, w) == sum(a * b * c for a, b, c in zip(ru, rv, rw))
     assert e3(u, u, u) == sum(c**3 for c in ru)
+
+
+def _count_scattered_keys(monkeypatch):
+    """The lengths of the key arrays energy scatters by np.add.at, call by call."""
+    calls = []
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def at(self, a, indices, b):
+            calls.append(len(indices))
+            np.add.at(a, indices, b)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(energy, "np", Numpy())
+    return calls
+
+
+def test_dense_step_route_follows_support_width(monkeypatch):
+    # the route rule, with no timing in it, on the poly cell's T_3 at two
+    # primes.  At p = 8191 the quadratic image of [0, 128) is 128 residues
+    # spread over F_p, so its first, dense step scatters its 128 * 128 keys
+    # in one call; the second step's support fills most of F_p and is added
+    # as shifted slices, with no np.add.at.  At 1048573 the cubic image's
+    # first step sorts, and its pair sums stay sparse in F_p (about 8,200 of
+    # p), so the second step scatters them, one row of S at a time
+    calls = _count_scattered_keys(monkeypatch)
+    img = poly_image([1, 1, 1], interval(build_field(8191), 0, 128))
+    got = t_k([img] * 3)
+    assert calls == [128 * 128]
+    monkeypatch.setattr(energy, "_SHIFT_SHARE", 0)  # every dense step scattered
+    assert t_k([img] * 3) == got and len(calls) > 1
+    monkeypatch.undo()
+
+    calls = _count_scattered_keys(monkeypatch)
+    fld = build_field(1048573)
+    img = poly_image([2, 0, 1, 1], interval(fld, 0, 128))
+    assert t_k([img] * 3) == 17246000
+    arr = img.elems
+    support = len(np.unique((arr[:, None] + arr[None, :]) % fld.p))
+    assert calls == [support] * 128
 
 
 def test_t_k_memory_budget():
