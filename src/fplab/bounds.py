@@ -2,8 +2,11 @@
 
 Skeletons are the explicit bound expressions with implied constants and
 p^{o(1)} factors stripped; comparisons against them are report-only ratios,
-never assertions.  Region predicates are exact strict inequalities in the
-exponents (zeta, xi) with X = p^zeta and S (or T) = p^xi.
+never assertions.  Region predicates are strict inequalities in the
+exponents (zeta, xi) = (a/den, b/den), X = p^zeta and S (or T) = p^xi, taken
+on the int64 numerators a, b: Karatsuba's xi > (1 - zeta)/2 is 2b > den - a.
+The subgroup and Karatsuba ones keep b's term alone on the left, so over an
+(n, 1) column of a and a row of b only their comparison is n x n.
 """
 
 import math
@@ -17,91 +20,93 @@ from .errors import (
     PreconditionViolatedError,
 )
 
-def _float_cut(num: int, den: int, strict: bool) -> float:
-    """The largest double c <= num/den (c < num/den when strict), den > 0: for
-    every double z, `z <= c` is exactly `z <= num/den` (`z < num/den`)."""
-    cut = num / den
-    n, d = cut.as_integer_ratio()
-    if n * den > num * d or (strict and n * den == num * d):
-        cut = float(np.nextafter(cut, -np.inf))
-    return cut
+# den < 2^28 keeps every product below 2^63: the largest, b(6k - 8) and
+# (3k - 2) den with k = den // a <= den, are under 6 den^2 < 2^59
+_DEN_LIMIT = 2**28
 
 
-# the exact breakpoints of the subgroup threshold as float cuts: zeta <= 6/25,
-# zeta < 10/31 and zeta < 134/361 are z <= _CUT1, _CUT2 and _CUT3
-_CUT1 = _float_cut(6, 25, strict=False)
-_CUT2 = _float_cut(10, 31, strict=True)
-_CUT3 = _float_cut(134, 361, strict=True)
+def _numerators(a, b, den):
+    """a and b as int64 arrays; DomainViolationError, naming the value, unless
+    den is an integer in [1, 2^28) and every numerator lies in (0, den]."""
+    if not isinstance(den, (int, np.integer)) or not 1 <= den < _DEN_LIMIT:
+        raise DomainViolationError(f"den: need an integer in [1, 2^28), got {den!r}")
+    out = []
+    for name, v in (("a", np.asarray(a)), ("b", np.asarray(b))):
+        bad = v[(v < 1) | (v > den)] if v.dtype.kind in "iu" else [f"dtype {v.dtype}"]
+        if len(bad):
+            raise DomainViolationError(f"{name}: need int64 numerators in (0, {den}], got {bad[0]}")
+        out.append(v.astype(np.int64))
+    return out
 
 
-def chang_threshold(zeta):
-    """Elementwise (3k - 2 - 4k zeta) / (6k - 8) with k = floor(1/zeta), over
-    float64 zeta in (0, 1]; NaN where k = 1 makes 6k - 8 negative.
-
-    Where zeta <= 2^-53, so k >= 2^53, it is divided through by k, with 1/k
-    taken as zeta (they differ by less than one part in 2^53): 1/zeta
-    overflows for subnormal zeta and 6k near zeta = 1e-308.
-    """
-    z = np.asarray(zeta, dtype=np.float64)
-    tiny = z <= 2.0**-53
-    k = np.floor(1 / np.where(tiny, 1.0, z))
-    full = np.where(k > 1, (3 * k - 2 - 4 * k * z) / (6 * k - 8), np.nan)
-    return np.where(tiny, (3 - 6 * z) / (6 - 8 * z), full)
+def _chang(a, den):
+    """Chang's threshold (3k - 2 - 4k zeta)/(6k - 8), k = floor(1/zeta), at a/den
+    as (r, q): b/den lies above it exactly when b q > r; defined where q > 0."""
+    k = den // a
+    return (3 * k - 2) * den - 4 * k * a, 6 * k - 8
 
 
-def _threshold_array(z):
-    """Piecewise xi-threshold at each float64 zeta; NaN outside (6/25, 1/2)."""
-    thr = np.where(z <= _CUT3, (6 - 9 * z) / 16, (20 - 40 * z) / 31)
-    thr = np.where(z <= _CUT2, 1 - 2.5 * z, thr)
-    return np.where((z <= _CUT1) | (z >= 0.5), np.nan, thr)
+def karatsuba_below_chang(a, den):
+    """Elementwise over numerators a of zeta = a/den: Chang is defined and
+    (1 - zeta)/2 lies strictly below its threshold, by one cross-multiplication
+    (den - a)(6k - 8) < 2((3k - 2) den - 4k a)."""
+    a, _ = _numerators(a, 1, den)
+    r, q = _chang(a, den)
+    return (q > 0) & ((den - a) * q < 2 * r)
 
 
-def _subgroup_domain(zeta, xi):
-    z, x = np.asarray(zeta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
-    if not (np.all((0 < z) & (z < 0.5)) and np.all((0 < x) & (x < 0.4))):
+def _above(a, b, den):
+    """xi = b/den strictly above the piecewise subgroup threshold at zeta = a/den in
+    (6/25, 1/2): 1 - 5 zeta/2 below 10/31, (6 - 9 zeta)/16 below 134/361, else
+    (20 - 40 zeta)/31."""
+    return np.where(31 * a < 10 * den, 2 * b > 2 * den - 5 * a,
+                    np.where(361 * a < 134 * den, 16 * b > 6 * den - 9 * a,
+                             31 * b > 20 * den - 40 * a))
+
+
+def _subgroup_domain(a, b, den):
+    a, b = _numerators(a, b, den)
+    if not (np.all(2 * a < den) and np.all(5 * b < 2 * den)):
         raise DomainViolationError("need 0 < zeta < 1/2 and 0 < xi < 2/5")
-    return z, x
+    return a, b
 
 
-def subgroup_inside(zeta, xi):
-    """Elementwise, over broadcast arrays or scalars: xi lies strictly above
-    the piecewise subgroup threshold.  Needs 0 < zeta < 1/2, 0 < xi < 2/5."""
-    z, x = _subgroup_domain(zeta, xi)
-    return x > _threshold_array(z)
+def subgroup_inside(a, b, den):
+    """Elementwise, over broadcast numerators of (zeta, xi) = (a/den, b/den):
+    xi lies strictly above the piecewise subgroup threshold, defined for
+    6/25 < zeta < 1/2.  Needs 0 < zeta < 1/2 and 0 < xi < 2/5."""
+    a, b = _subgroup_domain(a, b, den)
+    return (25 * a > 6 * den) & _above(a, b, den)
 
 
-def subgroup_inside_raw(zeta, xi):
+def subgroup_inside_raw(a, b, den):
     """Elementwise, same domain: the raw system the threshold was distilled
-    from, (5z + 2x > 2 and z + x > 1/2) and (40z + 31x > 20 or
-    (9z + 16x > 6 and 36z + 55x > 21))."""
-    z, x = _subgroup_domain(zeta, xi)
-    cond1 = (5 * z + 2 * x > 2) & (z + x > 0.5)
-    cond2 = 40 * z + 31 * x > 20
-    cond3 = (9 * z + 16 * x > 6) & (36 * z + 55 * x > 21)
+    from, (5 zeta + 2 xi > 2 and zeta + xi > 1/2) and (40 zeta + 31 xi > 20 or
+    (9 zeta + 16 xi > 6 and 36 zeta + 55 xi > 21)), times den."""
+    a, b = _subgroup_domain(a, b, den)
+    cond1 = (2 * b > 2 * den - 5 * a) & (2 * b > den - 2 * a)
+    cond2 = 31 * b > 20 * den - 40 * a
+    cond3 = (16 * b > 6 * den - 9 * a) & (55 * b > 21 * den - 36 * a)
     return cond1 & (cond2 | cond3)
 
 
-def subgroup_agreement(zeta, xi):
+def subgroup_agreement(a, b, den):
     """Elementwise: the piecewise and raw classifications agree."""
-    return subgroup_inside(zeta, xi) == subgroup_inside_raw(zeta, xi)
+    return subgroup_inside(a, b, den) == subgroup_inside_raw(a, b, den)
 
 
-def region_marks(zeta, xi):
-    """Elementwise over broadcast float64 arrays in (0, 1]: the Chang,
-    Karatsuba and subgroup region-table marks, three string arrays of "T"
-    (xi strictly above the region's threshold), "F" (at or below it) or "-"
-    (undefined).  The thresholds are chang_threshold, (1 - zeta)/2 and the
-    piecewise subgroup threshold.  Chang is "-" where k = floor(1/zeta) = 1;
-    Karatsuba is never "-"; subgroup is "-" where zeta <= 6/25, zeta >= 1/2
-    or xi >= 2/5."""
-    z, x = np.broadcast_arrays(np.asarray(zeta, dtype=np.float64),
-                               np.asarray(xi, dtype=np.float64))
-    chang_thr = chang_threshold(z)
-    chang = np.where(np.isnan(chang_thr), "-", np.where(x > chang_thr, "T", "F"))
-    karatsuba = np.where(x > (1 - z) / 2, "T", "F")
-    sub_thr = _threshold_array(z)
-    defined = (0 < x) & (x < 0.4) & ~np.isnan(sub_thr)
-    sub = np.where(defined, np.where(x > sub_thr, "T", "F"), "-")
+def region_marks(a, b, den):
+    """Elementwise over broadcast numerators of (zeta, xi) = (a/den, b/den) in
+    (0, 1]: the Chang, Karatsuba and subgroup table marks, string arrays of
+    "T" (xi strictly above the region's threshold), "F" (at or below it) or
+    "-" (undefined: Chang where k = floor(1/zeta) = 1, subgroup where
+    zeta <= 6/25, zeta >= 1/2 or xi >= 2/5)."""
+    a, b = _numerators(a, b, den)
+    r, q = _chang(a, den)
+    chang = np.where(q > 0, np.where(b * q > r, "T", "F"), "-")
+    karatsuba = np.where(2 * b > den - a, "T", "F")
+    defined = (25 * a > 6 * den) & (2 * a < den) & (5 * b < 2 * den)
+    sub = np.where(defined, np.where(_above(a, b, den), "T", "F"), "-")
     return chang, karatsuba, sub
 
 

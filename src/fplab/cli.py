@@ -54,6 +54,10 @@ DEFAULTS = {
     "charsum_subgroup": 0,
 }
 
+# the largest region grid side: n x n int64 temporaries of at most 32 MiB, and
+# a den = 100 (n - 1) far below the 2^28 that `bounds` accepts
+REGION_GRID_MAX = 2048
+
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -183,6 +187,9 @@ def resolve_config(args, dropped=None) -> dict:
                        ("charsum_m", 0), ("charsum_r", 1), ("charsum_subgroup", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")
+    for key in ("region_check_grid", "region_table_grid"):
+        if cfg[key] > REGION_GRID_MAX:
+            raise ConfigError(f"{key}: need <= {REGION_GRID_MAX} (grid budget), got {cfg[key]}")
     for key, most in (("charsum_m", p - 2), ("charsum_n", p), ("charsum_x", p - 1)):
         if cfg[key] > most:
             raise ConfigError(f"{key}: need <= {most} at charsum_p = {p}, got {cfg[key]}")

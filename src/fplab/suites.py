@@ -499,63 +499,50 @@ def run_sweep(cfg, timer=None):
 def run_region_suite(cfg, timer=None):
     rows = []
     with _block(timer, rows):
-        # each threshold on the diagonal zeta = xi, just above and just below
-        diag = np.array([7 / 22 + 1e-9, 7 / 22 - 1e-9, 1 / 3 + 1e-9, 1 / 3 - 1e-9,
-                         2 / 7 + 1e-6, 2 / 7 - 1e-6])
-        chang, kar, sub = (m.tolist() for m in bounds.region_marks(diag, diag))
+        # each threshold on the diagonal zeta = xi: one step of 1/den above it, then at it
+        den = 462 * 10**5
+        diag = np.array([t + step for t in (7 * den // 22, den // 3, 2 * den // 7)
+                         for step in (1, 0)])
+        chang, kar, sub = (m.tolist() for m in bounds.region_marks(diag, diag, den))
         for name, marks, thr in (("chang_diag", chang[0:2], 7 / 22),
                                  ("karatsuba_diag", kar[2:4], 1 / 3)):
-            above, below = (mark == "T" for mark in marks)
+            above, at = (mark == "T" for mark in marks)
             rows.append(ReportRow("region_boundary", 0, f"which={name};thr={thr:.9f}",
-                                  int(above), int(not below), None,
-                                  "pass" if above and not below else "fail"))
+                                  int(above), int(not at), None,
+                                  "pass" if above and not at else "fail"))
         words = {"T": "inside", "F": "outside", "-": "out_of_domain"}
         inside, outside = words[sub[4]], words[sub[5]]
         rows.append(ReportRow("region_boundary", 0, "which=subgroup_diag;thr=2/7",
                               inside, outside, None,
                               "pass" if inside == "inside" and outside == "outside" else "fail"))
     with _block(timer, rows):
-        # Karatsuba strictly dominates Chang on the open window (1/4, 2/7)
+        # Karatsuba strictly dominates Chang on the open window (1/4, 2/7):
+        # the samples 1/4 + (2/7 - 1/4) i/65 are (455 + i)/1820
         samples = 64
-        z = 0.25 + (2 / 7 - 0.25) * np.arange(1, samples + 1) / (samples + 1)
-        wins = int(np.count_nonzero((1 - z) / 2 < bounds.chang_threshold(z)))
+        a = 455 + np.arange(1, samples + 1)
+        wins = int(np.count_nonzero(bounds.karatsuba_below_chang(a, 1820)))
         rows.append(_agree("region_window", 0, f"window=(1/4,2/7);samples={samples}",
                            wins, samples))
     with _block(timer, rows):
+        # zeta = 0.01 + 0.47 i/(n - 1) down the rows, xi = 0.01 + 0.37 j/(n - 1)
+        # across the columns, both over den = 100 (n - 1)
         n = cfg["region_check_grid"]
-        # zeta varies down the rows and xi across the columns, so nonzero()
-        # lists disagreements in the order of an i-then-j loop
-        steps = np.arange(n, dtype=np.float64)
-        zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
-        xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
-        rows_i, cols_j = np.nonzero(~bounds.subgroup_agreement(zeta, xi))
-        rows.append(ReportRow("region_agreement", 0, f"grid={n}x{n}",
-                              len(rows_i), n * n, None, "report"))
-        for i, j in zip(rows_i[:100], cols_j[:100]):
-            rows.append(
-                ReportRow(
-                    "region_agreement", 0,
-                    f"flag=disagree;zeta={float(zeta[i, 0]):.6f};xi={float(xi[0, j]):.6f}",
-                    None, None, None, "report",
-                )
-            )
+        a, b = (n - 1) + 47 * np.arange(n)[:, None], (n - 1) + 37 * np.arange(n)
+        disagree = int(np.count_nonzero(~bounds.subgroup_agreement(a, b, 100 * (n - 1))))
+        rows.append(_agree("region_agreement", 0, f"grid={n}x{n}", disagree, 0))
     with _block(timer, rows):
+        # the i-th exponent is (2 (m - 1) + 96 i)/(100 (m - 1)); its label alone is the
+        # float 0.02 + 0.96 i/(m - 1): a/den prints another 4th decimal at m = 257, 513, 769
         m = cfg["region_table_grid"]
-        # the i-th exponent is 0.02 + 0.96 * i / (m - 1), evaluated in that order
-        grid = 0.02 + 0.96 * np.arange(m, dtype=np.float64) / (m - 1)
-        marks = bounds.region_marks(grid[:, None], grid[None, :])
-        chang, kar, sub = (a.tolist() for a in marks)
-        exponents = grid.tolist()
-        for i, zeta in enumerate(exponents):
-            for j, xi in enumerate(exponents):
-                rows.append(
-                    ReportRow(
-                        "region_table", 0,
-                        f"zeta={zeta:.4f};xi={xi:.4f};chang={chang[i][j]};"
-                        f"karatsuba={kar[i][j]};subgroup={sub[i][j]}",
-                        None, None, None, "report",
-                    )
-                )
+        a = 2 * (m - 1) + 96 * np.arange(m)
+        chang, kar, sub = (x.tolist() for x in bounds.region_marks(a[:, None], a, 100 * (m - 1)))
+        labels = (0.02 + 0.96 * np.arange(m) / (m - 1)).tolist()
+        for i, zeta in enumerate(labels):
+            for j, xi in enumerate(labels):
+                rows.append(ReportRow("region_table", 0,
+                                      f"zeta={zeta:.4f};xi={xi:.4f};chang={chang[i][j]};"
+                                      f"karatsuba={kar[i][j]};subgroup={sub[i][j]}",
+                                      None, None, None, "report"))
     return rows, {}
 
 

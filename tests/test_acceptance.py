@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -212,26 +213,24 @@ def test_criterion_08_weil_check():
 
 def test_criterion_09_region_predicates():
     t0 = time.perf_counter()
-    eps = 1e-9
-    diag = np.array([7 / 22 + eps, 7 / 22 - eps, 1 / 3 + eps, 1 / 3 - eps])
-    chang, kar, _ = (marks.tolist() for marks in bounds.region_marks(diag, diag))
+    # the Chang and Karatsuba thresholds 7/22 and 1/3 on the diagonal, over
+    # den = 462: one step of 1/den above each, then at it
+    diag = np.array([148, 147, 155, 154])
+    chang, kar, _ = (marks.tolist() for marks in bounds.region_marks(diag, diag, 462))
     ok = chang[:2] == ["T", "F"] and kar[2:] == ["T", "F"]
     for i in range(100):
-        z = 0.25 + (2 / 7 - 0.25) * (i + 1) / 101
+        z = Fraction(1, 4) + (Fraction(2, 7) - Fraction(1, 4)) * (i + 1) / 101
         k = math.floor(1 / z)
         chang_thr = (3 * k - 2 - 4 * k * z) / (6 * k - 8)
         ok = ok and (1 - z) / 2 < chang_thr
     n = 200
-    steps = np.arange(n, dtype=np.float64)
-    zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
-    xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
-    disagreements = int((~bounds.subgroup_agreement(zeta, xi)).sum())
-    if disagreements:
-        # disagreement is not a failure if the report flags it
-        rows, _ = run_region_suite({"region_check_grid": 200, "region_table_grid": 2})
-        flagged = [r for r in rows if "flag=disagree" in r.params]
-        ok = ok and len(flagged) > 0
-        print(f"criterion 09 note: {disagreements} grid disagreements, flagged")
+    steps = np.arange(n)
+    a, b = (n - 1) + 47 * steps[:, None], (n - 1) + 37 * steps[None, :]
+    disagreements = int((~bounds.subgroup_agreement(a, b, 100 * (n - 1))).sum())
+    ok = ok and disagreements == 0
+    rows, _ = run_region_suite({"region_check_grid": n, "region_table_grid": 2})
+    ok = ok and [(r.measured, r.skeleton, r.status) for r in rows
+                 if r.suite == "region_agreement"] == [(0, 0, "pass")]
     _finish(9, "region predicates", ok, t0, 10)
 
 

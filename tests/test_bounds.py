@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fplab.bounds import (
     FitResult,
-    _float_cut,
-    _threshold_array,
     exponent_fit,
+    karatsuba_below_chang,
     poly_energy_skeletons,
     poly_t_index,
     region_marks,
@@ -31,303 +32,288 @@ from fplab.field import build_field
 from fplab.sets import interval, poly_image, subgroup
 from fplab.suites import run_region_suite
 
-EPS = 1e-9
-
-
-def _diagonal_marks(which, *zetas):
-    """The marks of one region at the diagonal points zeta = xi."""
-    diag = np.array(zetas)
-    return region_marks(diag, diag)[which].tolist()
-
-
-def test_chang_region():
-    assert _diagonal_marks(0, 7 / 22 + EPS, 7 / 22 - EPS) == ["T", "F"]
-    # k = floor(1/zeta) = 1 degenerates the threshold denominator
-    assert region_marks(0.9, 0.5)[0] == "-"
-    # direct evaluation at (0.26, 0.4): k = 3, threshold (7 - 12*0.26)/10
-    assert region_marks(0.26, 0.4)[0] == ("T" if 0.4 > (7 - 12 * 0.26) / 10 else "F")
-
-
-def test_karatsuba_region():
-    assert _diagonal_marks(1, 1 / 3 + EPS, 1 / 3 - EPS) == ["T", "F"]
-    # defined where both others are not: zeta >= 1/2 and k = 1
-    assert [m.item() for m in region_marks(1.0, 0.01)] == ["-", "T", "-"]
-
-
-def test_karatsuba_beats_chang_on_window():
-    for i in range(200):
-        z = 0.25 + (2 / 7 - 0.25) * (i + 1) / 201
-        k = math.floor(1 / z)
-        assert k == 3
-        chang_thr = (3 * k - 2 - 4 * k * z) / (6 * k - 8)
-        kar_thr = (1 - z) / 2
-        assert kar_thr < chang_thr
-
-
-def test_subgroup_region_examples():
-    assert _diagonal_marks(2, 2 / 7 + 1e-6, 2 / 7 - 1e-6) == ["T", "F"]
-    # undefined at zeta <= 6/25, zeta >= 1/2 and xi >= 2/5
-    zeta, xi = np.array([0.23, 0.6, 0.3]), np.array([0.3, 0.3, 0.45])
-    assert region_marks(zeta, xi)[2].tolist() == ["-", "-", "-"]
-
-
-def _threshold(z):
-    return float(_threshold_array(np.float64(z)))
-
-
-def test_subgroup_threshold_continuity():
-    for z in (10 / 31, 134 / 361):
-        assert abs(_threshold(z - 1e-12) - _threshold(z + 1e-12)) < 1e-9
-    # spot values on each piece
-    assert abs(_threshold(0.25) - (1 - 2.5 * 0.25)) < 1e-12
-    assert abs(_threshold(0.35) - (6 - 9 * 0.35) / 16) < 1e-12
-    assert abs(_threshold(0.45) - (20 - 40 * 0.45) / 31) < 1e-12
-    assert math.isnan(_threshold(0.2))
-
-
-def test_subgroup_region_matches_raw_conditions():
-    n = 120
-    steps = np.arange(n, dtype=np.float64)
-    zeta = (0.01 + (0.49 - 0.02) * steps / (n - 1))[:, None]
-    xi = (0.01 + (0.39 - 0.02) * steps / (n - 1))[None, :]
-    assert subgroup_agreement(zeta, xi).all()
-
-
-def test_subgroup_region_raw_spot():
-    # deep inside: zeta = xi = 0.35 satisfies cond1 and cond3
-    assert subgroup_inside_raw(0.35, 0.35)
-    assert not subgroup_inside_raw(0.30, 0.05)
-
-
 # ---------------------------------------------------------------------------
-# subgroup region: the array classifiers against a per-point referee that
-# compares with the exact rational breakpoints
+# region predicates: one referee in Fractions at (a/den, b/den)
 # ---------------------------------------------------------------------------
 
-def _ref_threshold(zeta):
-    if zeta <= Fraction(6, 25) or zeta >= Fraction(1, 2):
-        return None
-    if zeta < Fraction(10, 31):
-        return 1 - 2.5 * zeta
-    if zeta < Fraction(134, 361):
-        return (6 - 9 * zeta) / 16
-    return (20 - 40 * zeta) / 31
+DEN_LIMIT = 2**28
+CLASSIFIERS = (subgroup_inside, subgroup_inside_raw, subgroup_agreement)
+# the raw subgroup system's lines u zeta + v xi = c, as (u, v, c)
+RAW_LINES = ((5, 2, 2), (1, 1, Fraction(1, 2)), (40, 31, 20), (9, 16, 6), (36, 55, 21))
 
 
-def _ref_region(z, x):
-    if not (z < 0.5 and x < 0.4):
-        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
-    thr = _ref_threshold(z)
-    if thr is None:
-        return "out_of_domain"
-    return "inside" if x > thr else "outside"
+@functools.lru_cache(maxsize=4096)
+def _thresholds(a, den):
+    """At zeta = a/den: the Chang threshold (None where k = floor(1/zeta) is
+    1), Karatsuba's, the piecewise subgroup threshold (None outside
+    6/25 < zeta < 1/2) and the xi = (c - u zeta)/v of each raw line."""
+    z = Fraction(a, den)
+    k = math.floor(1 / z)
+    chang = None if k == 1 else (3 * k - 2 - 4 * k * z) / (6 * k - 8)
+    if z <= Fraction(6, 25) or z >= Fraction(1, 2):
+        sub = None
+    elif z < Fraction(10, 31):
+        sub = 1 - Fraction(5, 2) * z
+    elif z < Fraction(134, 361):
+        sub = (6 - 9 * z) / 16
+    else:
+        sub = (20 - 40 * z) / 31
+    return z, chang, (1 - z) / 2, sub, tuple((c - u * z) / v for u, v, c in RAW_LINES)
 
 
-def _ref_raw(z, x):
-    if not (z < 0.5 and x < 0.4):
-        raise DomainViolationError("need zeta < 1/2 and xi < 2/5")
-    cond1 = 5 * z + 2 * x > 2 and z + x > 0.5
-    cond2 = 40 * z + 31 * x > 20
-    cond3 = 9 * z + 16 * x > 6 and 36 * z + 55 * x > 21
-    return cond1 and (cond2 or cond3)
-
-
-def _ref_agree(z, x):
-    return (_ref_region(z, x) == "inside") == _ref_raw(z, x)
+def _referee(a, b, den):
+    """The (chang, karatsuba, subgroup) marks at (a/den, b/den), and the raw
+    subgroup system's verdict there: None outside the classifiers' domain
+    0 < zeta < 1/2, 0 < xi < 2/5."""
+    x = Fraction(b, den)
+    z, chang, kar, sub, (l1, l2, l3, l4, l5) = _thresholds(a, den)
+    marks = ("-" if chang is None else "TF"[x <= chang], "TF"[x <= kar],
+             "-" if sub is None or x >= Fraction(2, 5) else "TF"[x <= sub])
+    if z >= Fraction(1, 2) or x >= Fraction(2, 5):
+        return marks, None
+    return marks, x > l1 and x > l2 and (x > l3 or (x > l4 and x > l5))
 
 
 def _outcome(fn, *args):
     try:
-        return fn(*args)
+        return fn(*args).tolist()
     except DomainViolationError:
         return DomainViolationError
 
 
-def _ref_subgroup_mark(z, x):
-    """The region-table mark: "-" where the referee is out of its domain."""
-    return {"inside": "T", "outside": "F"}.get(_outcome(_ref_region, z, x), "-")
+def _expected(marks, raw):
+    """What subgroup_inside, subgroup_inside_raw and subgroup_agreement give."""
+    if raw is None:
+        return [DomainViolationError] * 3
+    inside = marks[2] == "T"
+    return [inside, raw, inside == raw]
 
 
-def _check_against_referee(points):
-    """Each point alone (0-d arrays for the classifiers), then the subgroup
-    marks on all points and the array classifiers on the in-domain points as
-    one batch each."""
-    for z, x in points:
-        ref = _ref_threshold(z)
-        assert math.isnan(_threshold(z)) if ref is None else _threshold(z) == ref
-        assert region_marks(z, x)[2] == _ref_subgroup_mark(z, x)
-        assert _outcome(subgroup_inside_raw, z, x) == _outcome(_ref_raw, z, x)
-        assert _outcome(subgroup_agreement, z, x) == _outcome(_ref_agree, z, x)
-    zs = np.array([z for z, _ in points], dtype=np.float64)
-    xs = np.array([x for _, x in points], dtype=np.float64)
-    assert region_marks(zs, xs)[2].tolist() == [_ref_subgroup_mark(z, x) for z, x in points]
-    batch = [(z, x) for z, x in points if z < 0.5 and x < 0.4]
-    zs = np.array([z for z, _ in batch], dtype=np.float64)
-    xs = np.array([x for _, x in batch], dtype=np.float64)
-    assert subgroup_inside(zs, xs).tolist() == [_ref_region(z, x) == "inside" for z, x in batch]
-    assert subgroup_inside_raw(zs, xs).tolist() == [_ref_raw(z, x) for z, x in batch]
-    assert subgroup_agreement(zs, xs).tolist() == [_ref_agree(z, x) for z, x in batch]
+def _check_against_referee(den, points):
+    """Each point alone, as scalars, then all points in one call of
+    region_marks and the in-domain points in one call of each classifier."""
+    refs = [_referee(a, b, den) for a, b in points]
+    for (a, b), (marks, raw) in zip(points, refs):
+        assert tuple(m.item() for m in region_marks(a, b, den)) == marks
+        assert [_outcome(fn, a, b, den) for fn in CLASSIFIERS] == _expected(marks, raw)
+        assert karatsuba_below_chang(a, den).item() == (
+            marks[0] != "-" and _thresholds(a, den)[2] < _thresholds(a, den)[1])
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*points))
+    assert list(zip(*(m.tolist() for m in region_marks(a, b, den)))) == [m for m, _ in refs]
+    inside = [i for i, (_, raw) in enumerate(refs) if raw is not None]
+    if inside:
+        got = [fn(a[inside], b[inside], den).tolist() for fn in CLASSIFIERS]
+        assert list(map(list, zip(*got))) == [_expected(*refs[i]) for i in inside]
 
 
-def _ulps(value, k=2):
-    """value and its k nearest doubles on either side."""
-    out = [float(value)]
-    for direction in (-np.inf, np.inf):
-        v = float(value)
-        for _ in range(k):
-            v = float(np.nextafter(v, direction))
-            out.append(v)
-    return sorted(out)
+def _steps(z, x):
+    """(den, points): the point (z, x) over the least den that holds both,
+    times 10, and its neighbours one step of 1/den away in either coordinate."""
+    den = 10 * math.lcm(z.denominator, x.denominator)
+    a, b = int(z * den), int(x * den)
+    return den, [(a + i, b + j) for i in (-1, 0, 1) for j in (-1, 0, 1)
+                 if 1 <= a + i <= den and 1 <= b + j <= den]
 
 
-_LINES = (
-    lambda z: (20 - 40 * z) / 31,
-    lambda z: (2 - 5 * z) / 2,
-    lambda z: 0.5 - z,
-    lambda z: (6 - 9 * z) / 16,
-    lambda z: (21 - 36 * z) / 55,
-)
+def _chang_line(z):
+    k = math.floor(1 / z)
+    return None if k == 1 else (3 * k - 2 - 4 * k * z) / (6 * k - 8)
 
 
-def _pinned_points():
-    points = []
-    for bp in (Fraction(6, 25), Fraction(10, 31), Fraction(134, 361), Fraction(1, 2)):
-        for z in _ulps(bp):
-            thr = _ref_threshold(z)
-            xis = [0.3, 0.39] + ([] if thr is None else _ulps(thr, 1))
-            points += [(z, x) for x in xis]
-    for z in (0.26, 0.3, 1 / 3, 0.36, 0.4, 0.45, 0.49, float(Fraction(134, 361))):
-        for line in _LINES:
-            points += [(z, x) for x in _ulps(line(z), 1) if 0 < x <= 1]
-    return points
+# each raw line, Karatsuba's and Chang's lines, and the edge xi = 2/5
+LINES = tuple(lambda z, u=u, v=v, c=c: (c - u * z) / v for u, v, c in RAW_LINES) + (
+    lambda z: (1 - z) / 2, _chang_line, lambda z: Fraction(2, 5))
+BREAKPOINTS = (Fraction(6, 25), Fraction(10, 31), Fraction(134, 361), Fraction(1, 2))
+# the breakpoints, the Chang k-edges 1/4, 1/3 and 1/2, the diagonal
+# thresholds 7/22 and 2/7, and points inside each piece
+ZETAS = BREAKPOINTS + tuple(Fraction(n, d) for n, d in (
+    (1, 4), (1, 3), (7, 22), (2, 7), (13, 50), (3, 10), (9, 25), (2, 5), (9, 20), (49, 100),
+    (1, 1)))
 
 
-def test_float_cuts_match_exact_breakpoints():
-    for bp, strict in ((Fraction(6, 25), False), (Fraction(10, 31), True),
-                       (Fraction(134, 361), True), (Fraction(1, 4), False),
-                       (Fraction(1, 4), True)):
-        cut = _float_cut(bp.numerator, bp.denominator, strict)
-        above = float(np.nextafter(cut, np.inf))
-        assert (Fraction(cut) < bp) if strict else (Fraction(cut) <= bp)
-        assert (Fraction(above) >= bp) if strict else (Fraction(above) > bp)
-    assert _float_cut(1, 4, strict=False) == 0.25
-
-
-def _fraction_cut(bp: Fraction, strict: bool) -> float:
-    """Referee for _float_cut: the same cut, compared in Fractions."""
-    cut = float(bp)
-    if Fraction(cut) > bp or (strict and Fraction(cut) == bp):
-        cut = float(np.nextafter(cut, -np.inf))
-    return cut
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(-2**64, 2**64),
-    st.one_of(st.integers(1, 2**64), st.integers(0, 64).map(lambda k: 2**k)),
-    st.booleans(),
-)
-@example(1, 4, False)
-@example(1, 4, True)
-@example(0, 1, True)
-@example(2**64, 3, True)
-def test_float_cut_matches_fraction_referee(num, den, strict):
-    bp = Fraction(num, den)
-    cut = _float_cut(num, den, strict)
-    assert cut == _fraction_cut(bp, strict)
-    above = float(np.nextafter(cut, np.inf))
-    assert (Fraction(cut) < bp <= Fraction(above)) if strict else (Fraction(cut) <= bp < Fraction(above))
+def _pinned():
+    cases = []
+    for z in ZETAS:
+        for line in LINES:
+            x = line(z)
+            if x is not None and 0 < x <= 1:
+                cases.append(_steps(z, x))
+        cases += [_steps(z, Fraction(3, 10)), _steps(z, Fraction(39, 100))]
+    return cases
 
 
 def test_subgroup_region_pinned_breakpoints_and_lines():
-    points = _pinned_points()
-    assert len(points) > 150
-    _check_against_referee(points)
+    cases = _pinned()
+    assert sum(len(points) for _, points in cases) > 500
+    for den, points in cases:
+        _check_against_referee(den, points)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(
-        st.floats(0, 0.5, exclude_min=True, exclude_max=True),
-        st.floats(0, 0.4, exclude_min=True, exclude_max=True),
-    ),
-    min_size=1, max_size=20,
-))
-def test_subgroup_region_property(points):
-    _check_against_referee(points)
+_dens = st.one_of(st.integers(1, DEN_LIMIT - 1), st.integers(DEN_LIMIT - 2**10, DEN_LIMIT - 1))
 
 
-def _ref_chang_mark(z, x):
-    """The Chang mark in exact rationals: k = floor(1/zeta) and the threshold
-    (3k - 2 - 4k zeta) / (6k - 8) from the doubles' exact values."""
-    z = Fraction(z)
-    k = math.floor(1 / z)
-    if 6 * k - 8 <= 0:
-        return "-"
-    return "T" if Fraction(x) > (3 * k - 2 - 4 * k * z) / (6 * k - 8) else "F"
+def _numerators(den):
+    """Anywhere in (0, den], and often near either end, where k = den // a is
+    largest or the products nearest the int64 guard."""
+    return st.one_of(st.integers(1, den), st.integers(1, min(den, 64)),
+                     st.integers(max(1, den - 64), den))
+
+
+_region_cases = _dens.flatmap(lambda den: st.tuples(
+    st.just(den), st.lists(st.tuples(_numerators(den), _numerators(den)), min_size=1,
+                           max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_region_cases)
+@example((DEN_LIMIT - 1, [(1, 1), (1, DEN_LIMIT - 1), (DEN_LIMIT - 1, DEN_LIMIT - 1),
+                          (2, 1), (DEN_LIMIT // 2, DEN_LIMIT // 3)]))
+@example((1, [(1, 1)]))
+@example((2, [(1, 1), (1, 2), (2, 1)]))
+def test_subgroup_region_property(case):
+    # all four classifiers, and karatsuba_below_chang, near the den guard too
+    _check_against_referee(*case)
+
+
+@pytest.mark.parametrize("dens", [range(1, 33), range(33, 65)], ids=["1-32", "33-64"])
+def test_region_classifiers_on_every_point_of_small_dens(dens):
+    # every (a, b) in (0, den]^2, where each k = den // a, breakpoint and line
+    # falls on or next to a grid point
+    for den in dens:
+        a = np.arange(1, den + 1)
+        refs = [[_referee(i, j, den) for j in range(1, den + 1)] for i in range(1, den + 1)]
+        marks = [m.tolist() for m in region_marks(a[:, None], a, den)]
+        assert [[tuple(m[i][j] for m in marks) for j in range(den)] for i in range(den)] == [
+            [marks for marks, _ in row] for row in refs]
+        below = [karatsuba_below_chang(i, den).item() for i in range(1, den + 1)]
+        assert below == [row[0][0][0] != "-" and _thresholds(i, den)[2] < _thresholds(i, den)[1]
+                         for i, row in zip(range(1, den + 1), refs)]
+        za, xb = a[2 * a < den], a[5 * a < 2 * den]
+        if za.size and xb.size:
+            got = [fn(za[:, None], xb, den).tolist() for fn in CLASSIFIERS]
+            assert [[[g[i][j] for g in got] for j in range(len(xb))] for i in range(len(za))] == [
+                [_expected(*refs[i - 1][j - 1]) for j in xb.tolist()] for i in za.tolist()]
+
+
+def test_chang_region():
+    # 7/22 = 70/220 on the diagonal: one step above, then at the threshold
+    assert region_marks([71, 70], [71, 70], 220)[0].tolist() == ["T", "F"]
+    # k = floor(1/zeta) = 1 degenerates the threshold denominator
+    assert region_marks(9, 5, 10)[0] == "-"
+    # at (0.26, 0.4): k = 3, threshold (7 - 12 * 0.26) / 10 = 0.388
+    assert region_marks(26, 40, 100)[0] == "T"
+    assert region_marks(26, 38, 100)[0] == "F"
+
+
+def test_karatsuba_region():
+    assert region_marks([11, 10], [11, 10], 30)[1].tolist() == ["T", "F"]
+    # defined where both others are not: zeta >= 1/2 and k = 1
+    assert [m.item() for m in region_marks(100, 1, 100)] == ["-", "T", "-"]
+
+
+def test_karatsuba_beats_chang_on_window():
+    # zeta = 1/4 + (2/7 - 1/4) i/201 is (1407 + i)/5628, and k = 3 throughout
+    a = 1407 + np.arange(1, 201)
+    assert karatsuba_below_chang(a, 5628).all()
+    for i in range(1, 201):
+        z = Fraction(1, 4) + (Fraction(2, 7) - Fraction(1, 4)) * i / 201
+        k = math.floor(1 / z)
+        assert z == Fraction(1407 + i, 5628) and k == 3
+        assert (1 - z) / 2 < (3 * k - 2 - 4 * k * z) / (6 * k - 8)
+    # the two meet at 2/7, Chang's is the lower above it, and undefined at k = 1
+    assert not karatsuba_below_chang([1608, 1609, 5628], 5628).any()
+
+
+def test_subgroup_region_examples():
+    assert region_marks([21, 20], [21, 20], 70)[2].tolist() == ["T", "F"]
+    # undefined at zeta <= 6/25, zeta >= 1/2 and xi >= 2/5
+    assert region_marks([24, 50, 30], [30, 30, 40], 100)[2].tolist() == ["-", "-", "-"]
+
+
+def _check_grid(n):
+    """The check grid's numerators: zeta = 0.01 + 0.47 i/(n - 1) down the rows
+    and xi = 0.01 + 0.37 j/(n - 1) across, over den = 100 (n - 1)."""
+    steps = np.arange(n)
+    return (n - 1) + 47 * steps[:, None], (n - 1) + 37 * steps[None, :], 100 * (n - 1)
+
+
+def test_subgroup_region_matches_raw_conditions():
+    assert subgroup_agreement(*_check_grid(120)).all()
+
+
+def test_subgroup_region_raw_spot():
+    # deep inside: zeta = xi = 0.35 satisfies cond1 and cond3
+    assert subgroup_inside_raw(35, 35, 100)
+    assert not subgroup_inside_raw(30, 5, 100)
 
 
 def test_region_marks_match_scalar_predicates():
-    # the default table's grid, the k = 1 / k = 2 edge at zeta = 1/2, the
-    # subgroup cut points and the 1/2 and 2/5 domain edges, and random points
+    # the default table's grid over 2300, the breakpoints and edges, and
+    # random points, all over one den that holds them
+    den = 2300 * 3 * 31 * 361
     rng = random.Random(11)
-    edges = [0.5, np.nextafter(0.5, 0), 1 / 3, 6 / 25, 10 / 31, 134 / 361, 0.4, 1.0]
-    zs = [0.02 + 0.96 * i / 23 for i in range(24)] + edges + [rng.uniform(1e-3, 1) for _ in range(30)]
-    xs = [0.02 + 0.96 * j / 23 for j in range(24)] + edges + [rng.uniform(1e-3, 1) for _ in range(30)]
-    chang, kar, sub = region_marks(np.array(zs)[:, None], np.array(xs)[None, :])
+    grid = [(46 + 96 * i) * (den // 2300) for i in range(24)]
+    edges = [den * n // d for n, d in ((1, 2), (1, 3), (6, 25), (10, 31), (134, 361), (2, 5),
+                                       (1, 1))]
+    edges += [den // 2 - 1, den // 2 + 1]
+    zs = grid + edges + [rng.randint(1, den) for _ in range(30)]
+    xs = grid + edges + [rng.randint(1, den) for _ in range(30)]
+    chang, kar, sub = region_marks(np.array(zs)[:, None], np.array(xs)[None, :], den)
     assert chang.shape == kar.shape == sub.shape == (len(zs), len(xs))
-    for i, z in enumerate(zs):
-        for j, x in enumerate(xs):
-            assert chang[i, j] == _ref_chang_mark(z, x)
-            assert kar[i, j] == ("T" if x > (1 - z) / 2 else "F")
-            assert sub[i, j] == _ref_subgroup_mark(z, x)
+    for i, a in enumerate(zs):
+        for j, b in enumerate(xs):
+            assert (chang[i, j], kar[i, j], sub[i, j]) == _referee(a, b, den)[0]
     assert set(chang.ravel()) == set(sub.ravel()) == {"T", "F", "-"}
 
 
-@pytest.mark.filterwarnings("error")
-def test_chang_marks_at_tiny_zeta():
-    # 1/zeta overflows at the least subnormal, 6k near 1e-308; the threshold
-    # sits within 2^-53 below 1/2 there, so the xi avoid that last ulp
-    zs = np.array([5e-324, 1e-308, 2.0**-60])[:, None]
-    xs = np.array([1e-3, 0.3, 0.4999, 0.5001, 1.0])[None, :]
-    chang = region_marks(zs, xs)[0]
-    assert chang.tolist() == [[_ref_chang_mark(z, x) for x in xs[0]] for z in zs[:, 0]]
-    assert set(chang.ravel()) == {"T", "F"}
-
-
 def test_subgroup_classifiers_broadcast_and_reject_domain():
-    zeta = np.array([[0.25], [0.3], [0.45]])
-    xi = np.array([[0.1, 0.3, 0.39]])
-    grid = subgroup_inside(zeta, xi)
+    zs, xs = [25, 30, 45], [10, 30, 39]
+    grid = subgroup_inside(np.array(zs)[:, None], np.array(xs)[None, :], 100)
     assert grid.shape == (3, 3)
-    assert grid.tolist() == [[_ref_region(z, x) == "inside" for x in xi[0]] for z in zeta[:, 0]]
-    assert subgroup_inside(0.35, 0.35).shape == ()
-    for fn in (subgroup_inside, subgroup_inside_raw, subgroup_agreement):
-        with pytest.raises(DomainViolationError):
-            fn(np.array([0.3, 0.5]), np.array([0.3, 0.3]))
-        with pytest.raises(DomainViolationError):
-            fn(np.array([0.3, 0.3]), np.array([0.3, 0.4]))
-        with pytest.raises(DomainViolationError):
-            fn(0.0, 0.3)
+    assert grid.tolist() == [[_referee(z, x, 100)[0][2] == "T" for x in xs] for z in zs]
+    assert subgroup_inside(35, 35, 100).shape == ()
+    for fn in CLASSIFIERS:
+        with pytest.raises(DomainViolationError, match="zeta < 1/2"):
+            fn(np.array([30, 50]), np.array([30, 30]), 100)
+        with pytest.raises(DomainViolationError, match="xi < 2/5"):
+            fn(np.array([30, 30]), np.array([30, 40]), 100)
 
 
-@pytest.mark.parametrize("n", [2, 3, 82, 128])
+@pytest.mark.parametrize("a, b, den, message", [
+    (1, 1, 0, "den: need an integer in [1, 2^28), got 0"),
+    (1, 1, DEN_LIMIT, f"den: need an integer in [1, 2^28), got {DEN_LIMIT}"),
+    (1, 1, 10.0, "den: need an integer in [1, 2^28), got 10.0"),
+    (0, 1, 10, "a: need int64 numerators in (0, 10], got 0"),
+    ([3, -2], 1, 10, "a: need int64 numerators in (0, 10], got -2"),
+    (1, [[1], [11]], 10, "b: need int64 numerators in (0, 10], got 11"),
+    (2**70, 1, 10, "a: need int64 numerators in (0, 10], got dtype object"),
+    (1, np.array([0.5]), 10, "b: need int64 numerators in (0, 10], got dtype float64"),
+], ids=["den_zero", "den_limit", "den_float", "a_zero", "a_negative", "b_above_den",
+        "a_huge", "b_float"])
+def test_region_guards_name_the_value(a, b, den, message):
+    for fn in (region_marks, *CLASSIFIERS):
+        with pytest.raises(DomainViolationError, match=re.escape(message)):
+            fn(a, b, den)
+    if b == 1:
+        with pytest.raises(DomainViolationError, match=re.escape(message)):
+            karatsuba_below_chang(a, den)
+
+
+@pytest.mark.parametrize("n", [2, 3, 82, 128, 200, 400])
 def test_region_agreement_grid_matches_referee(n):
-    expected = []
-    for i in range(n):
-        for j in range(n):
-            zeta = 0.01 + (0.49 - 0.02) * i / (n - 1)
-            xi = 0.01 + (0.39 - 0.02) * j / (n - 1)
-            if not _ref_agree(zeta, xi):
-                expected.append(f"flag=disagree;zeta={zeta:.6f};xi={xi:.6f}")
+    # the float predicates found one disagreement at n = 82 and one at 128,
+    # both on a raw line; in exact arithmetic there is none
+    a, b, den = _check_grid(n)
+    expected = sum(raw != (marks[2] == "T")
+                   for i in a[:, 0].tolist() for j in b[0].tolist()
+                   for marks, raw in [_referee(i, j, den)])
+    assert expected == 0
     rows, _ = run_region_suite({"region_check_grid": n, "region_table_grid": 2})
-    head, *flags = [r for r in rows if r.suite == "region_agreement"]
-    assert head.params == f"grid={n}x{n}"
-    assert (head.measured, head.skeleton) == (len(expected), n * n)
-    assert type(head.measured) is int
-    assert [r.params for r in flags] == expected[:100]
-    if n == 82:
-        assert expected == ["flag=disagree;zeta=0.282716;xi=0.293210"]
+    agreement = [r for r in rows if r.suite == "region_agreement"]
+    assert [(r.params, r.measured, r.skeleton, r.status) for r in agreement] == [
+        (f"grid={n}x{n}", 0, 0, "pass")]
+    assert type(agreement[0].measured) is int
+    assert not [r for r in rows if "flag" in r.params]
 
 
 def test_thm11_preconditions_named():

@@ -70,6 +70,21 @@ def test_config_rejects_bad_values(tmp_path):
             resolve_config(_Args(config=str(cfg_file)))
 
 
+@pytest.mark.parametrize("key", ["region_check_grid", "region_table_grid"])
+@pytest.mark.parametrize("n", [cli.REGION_GRID_MAX + 1, 10**12])
+def test_config_rejects_region_grid_past_budget(tmp_path, key, n):
+    # rejected before any grid is built; the budget's largest grid keeps its
+    # den = 100 (n - 1) inside the guard of `bounds`, and its n x n int64
+    # temporaries at 32 MiB
+    largest = cli.REGION_GRID_MAX
+    assert 100 * (largest - 1) < bounds._DEN_LIMIT and 8 * largest**2 <= 32 * 2**20
+    cfg_file = tmp_path / "grid.cfg"
+    cfg_file.write_text(f"{key} = {n}\n")
+    message = f"{key}: need <= {largest} (grid budget), got {n}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_config(_Args(command="regions", config=str(cfg_file)))
+
+
 def test_every_flag_overrides_its_key(tmp_path):
     # each flag at a value other than its default; resolve_config must carry
     # every one of them into resolved.cfg

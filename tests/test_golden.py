@@ -5,9 +5,11 @@ one run of the command with the default configuration (seed 1).  A change
 that moves any of them changes what fplab reports; if that is intended, say
 so and re-pin the digest in the same change.
 
-The default 200x200 region grid has no disagreement between the piecewise
-and raw subgroup regions, so it writes no `flag=disagree` row; the 82x82 grid
-writes exactly one (zeta=0.282716;xi=0.293210) and pins that path.  The cap
+The region predicates compare integers over one denominator, so the
+piecewise and raw subgroup regions agree exactly on every check grid: the
+default 200x200 grid, and the 82x82 and 128x128 grids, where float64 once
+made one disagreement each on a raw line, write one `region_agreement` row
+that passes with 0 disagreements.  The 82x82 grid's digest pins that.  The cap
 sweep (`sweep_primes = 65521,262139,1048573`) pins the kernels at p near 2^20,
 where the int64 guards and the length-p routes are closest to their limits;
 the ceiling sweep (`sweep_primes = 4194301,16777213`, `max_p = 2^24`) pins
@@ -27,10 +29,10 @@ GOLDEN = {
     "identities": "c50a0dddb75830ae78491d5eaf9499a2e818dd8c34574e8ce0c21d7a917b717b",
     "oracles": "a047e837b8586191c535dda02bd1077b1e7b3cc5bf02d13389c4c12229f74d1b",
     "sweep": "35becedc1c4d7280744eed1ab9509379147f7e5884df195093d42578f5aa9144",
-    "regions": "d57b2bf7798a2ad0c3ca65c7a9cf06a86b997c8c30c2ab25999386a470c8565b",
+    "regions": "90564bb691ef1c214403f5be9b2c21fe8665bc0cf140edfbebe8d539f474ac25",
     "charsum": "60f7695ad7ec3ee43610360959746a39715e8f48c4fe52a58aa81c27d41791ad",
 }
-REGIONS_GRID_82 = "994a206c643f849800746a629866a2e1d458e5f11165c320c50f4ab9eebe4db5"
+REGIONS_GRID_82 = "d2878dba97114b032818e5babf21657152cbf977ba761513ae0868f8a3ea1058"
 SWEEP_CAP = "e3f29c237b7eb5247c36b2aac2f3b7d258d8eddeea0de334181192ba90b37357"
 SWEEP_CEILING = "21cbf36367b273da162f31e6c7b2fd6c3d9c51ce9af0b51653939a2ba1bf6ae6"
 CHARSUM_NONREAL = {
@@ -59,15 +61,18 @@ def test_nonreal_charsum_digest(m, tmp_path):
     assert _digest(tmp_path, "charsum") == CHARSUM_NONREAL[m]
 
 
-def test_regions_flag_row_digest(tmp_path):
+@pytest.mark.parametrize("n", [82, 128])
+def test_regions_grid_agrees_exactly(n, tmp_path):
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text("region_check_grid = 82\n")
+    cfg.write_text(f"region_check_grid = {n}\n")
     out = tmp_path / "out"
     assert main(["regions", "--config", str(cfg), "--out", str(out)]) == 0
-    flags = [line for line in (out / "regions.csv").read_text().splitlines()
-             if "flag=disagree" in line]
-    assert flags == ["region_agreement,0,flag=disagree;zeta=0.282716;xi=0.293210,,,,report,0"]
-    assert _digest(out, "regions") == REGIONS_GRID_82
+    lines = (out / "regions.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("region_agreement,")] == [
+        f"region_agreement,0,grid={n}x{n},0,0,,pass,0"]
+    assert not [line for line in lines if "flag=" in line]
+    if n == 82:
+        assert _digest(out, "regions") == REGIONS_GRID_82
 
 
 def test_cap_sweep_digest(tmp_path):

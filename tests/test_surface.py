@@ -20,7 +20,7 @@ do not count.
 The brute-force oracles are also checked to load no name of the production
 routes they referee, no module but `sets.py` is allowed to convert a set's
 `elems`, already the one int64 array form, and the exact counting routes of
-`energy.py` load no float.
+`energy.py` and the region predicates of `bounds.py` load no float.
 """
 
 import ast
@@ -200,31 +200,59 @@ def test_nothing_loads_as_set():
     assert not found, f"as_set loaded at {', '.join(found)}"
 
 
-# The routes that count E3 and T_k exactly, and the names that would bring
+# The routes that count E3 and T_k exactly, the region predicates, which
+# compare integers over one denominator, and the names that would bring
 # floats into them
 EXACT_COUNTERS = {"e3", "_lag_counts", "_pairs", "_convolve", "_dot"}
+REGION_PREDICATES = {"region_marks", "subgroup_inside", "subgroup_inside_raw",
+                     "subgroup_agreement", "karatsuba_below_chang", "_chang", "_above",
+                     "_numerators", "_subgroup_domain"}
 FLOAT_NAMES = {"correlate", "fft", "float", "float64"}
 
 
-def float_loads(tree):
-    """{function: sorted float names it loads or spells as a string} for the
-    top-level functions of tree named in EXACT_COUNTERS."""
+def float_loads(tree, names):
+    """{function: sorted float names it loads or spells as a string, with
+    "literal" for a float literal and "/" for a true division} for the
+    top-level functions of tree named in names."""
     found = {}
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in EXACT_COUNTERS:
-            names = {name for _, name, _ in _loads(node)}
-            names |= {c.value for c in ast.walk(node)
-                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
-            found[node.name] = sorted(names & FLOAT_NAMES)
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            floats = {name for _, name, _ in _loads(node)} & FLOAT_NAMES
+            for c in ast.walk(node):
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    floats |= {c.value} & FLOAT_NAMES
+                elif isinstance(c, ast.Constant) and isinstance(c.value, float):
+                    floats.add("literal")
+                elif isinstance(c, (ast.BinOp, ast.AugAssign)) and isinstance(c.op, ast.Div):
+                    floats.add("/")
+            found[node.name] = sorted(floats)
     return found
+
+
+def _assert_no_float(module, names):
+    found = float_loads(ast.parse((PACKAGE / module).read_text()), names)
+    assert set(found) == names
+    leaks = {name: floats for name, floats in found.items() if floats}
+    assert not leaks, f"{module} loads floats: {leaks}"
 
 
 def test_exact_counting_loads_no_float():
     for source in ("def _dot(g):\n    return np.correlate(g, g).astype(float)",
                    "def e3(g):\n    return np.fft.rfft(g)",
                    "def _pairs(g):\n    return g.astype('float64')"):
-        assert any(float_loads(ast.parse(source)).values()), source
-    found = float_loads(ast.parse((PACKAGE / "energy.py").read_text()))
-    assert set(found) == EXACT_COUNTERS
-    leaks = {name: names for name, names in found.items() if names}
-    assert not leaks, f"exact counting loads floats: {leaks}"
+        assert any(float_loads(ast.parse(source), EXACT_COUNTERS).values()), source
+    _assert_no_float("energy.py", EXACT_COUNTERS)
+
+
+def test_region_predicates_load_no_float():
+    for source, floats in (("def region_marks(a, b, den):\n    return a / den > b", ["/"]),
+                           ("def _chang(a, den):\n    k = den\n    k /= a\n    return k", ["/"]),
+                           ("def subgroup_inside(a, b, den):\n    return b > 0.4 * den",
+                            ["literal"]),
+                           ("def _above(a, b, den):\n    return np.float64(a) > b", ["float64"]),
+                           ("def _numerators(a, b, den):\n    return a.astype('float')",
+                            ["float"])):
+        assert list(float_loads(ast.parse(source), REGION_PREDICATES).values()) == [floats], source
+    assert float_loads(ast.parse("def _chang(a, den):\n    return den // a, 6 * a - 8"),
+                       REGION_PREDICATES) == {"_chang": []}
+    _assert_no_float("bounds.py", REGION_PREDICATES)
