@@ -6,7 +6,10 @@ with weights in the closed unit disk, each given as a complex array aligned
 with its set's sorted elems (None for unit weights).  The amplification
 transform substitutes x -> x + y*z over a prime window y in [Y, 2Y] and a
 shift range z in (Z, 2Z], which turns the inner sums into complete sums over
-F_p whose size the Weil bound controls.
+F_p whose size the Weil bound controls.  Its map of (lambda, mu) is the
+lambda-chunked fibre of _fibre_parts; its solution count count_n is summed
+over pairs of rows (y, x) from the intersections of their value sets
+{(x + s)/y : s in S}, in _row_meets.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InadmissibleYZError, SupportMismatchError, ZeroDenominatorError
-from .energy import MultiplicityFn
+from .energy import MultiplicityFn, _dot
 from .field import _BLOCK, Character, PrimeField
 from .sets import FpSet, _same_field, primes_upto, symmetric_interval
 
@@ -120,6 +123,14 @@ def prime_window(params: AmplificationParams, p: int) -> list:
     return [q % p for q in qs]
 
 
+def _values(p: int, ss, xs, ys) -> np.ndarray:
+    """(x + s) y^-1 mod p over the int64 arrays ss, xs and ys, shaped
+    (#Y, #X, #S); y must be nonzero mod p.  The products stay below
+    2p^2 < 2^49 at p < 2^24, in int64."""
+    yinv = np.array([pow(y, p - 2, p) for y in ys.tolist()], dtype=np.int64)
+    return (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p
+
+
 def _fibre_parts(fld: PrimeField, ss, xs, ys):
     """Multiplicities of the keys lambda * p + mu over (s, t, x, y) in the
     int64 arrays ss, xs and ys with s != t, lambda = (x + s)/y and
@@ -130,14 +141,13 @@ def _fibre_parts(fld: PrimeField, ss, xs, ys):
     are sorted by lambda and cut only where lambda changes, so no key spans
     two chunks.  Each entry pairs with the #S - 1 values t != s, and a chunk
     holds at most _BLOCK keys unless one lambda alone has more; memory is
-    O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys and
-    the products (x + s) y^-1 stay below 2p^2 < 2^49 at p < 2^24, in int64.
+    O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys
+    stay below p^2 < 2^48 at p < 2^24, in int64.
     """
     p = fld.p
     if len(ss) < 2:
         return
-    yinv = np.array([pow(y, p - 2, p) for y in ys.tolist()], dtype=np.int64)
-    vals = ((xs[:, None] + ss[None, :]) * yinv[:, None, None] % p).reshape(-1, len(ss))
+    vals = _values(p, ss, xs, ys).reshape(-1, len(ss))
     order = np.argsort(vals, axis=None)
     lam = vals.ravel()[order]
     # the offsets where a run of equal lambda starts, and the end
@@ -175,15 +185,62 @@ def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) 
     return MultiplicityFn(np.concatenate(values), np.concatenate(counts))
 
 
+def _row_meets(fld: PrimeField, ss, xs, ys):
+    """The intersection sizes M[r, r'] = |V_r & V_r'| over the rows
+    r = (y, x) of Y x X, where V_r = {(x + s) y^-1 : s in S} for the int64
+    arrays ss, xs and ys; y must be nonzero mod p.
+
+    Yields one np.bincount per block of first rows r, over the keys
+    (r - first row of the block) * #rows + r'.  The #Y #X #S values are
+    sorted once.  s -> (x + s) y^-1 is injective, so a run of d equal values
+    lambda holds d distinct rows, and the entry (r, lambda) meets each of
+    them once: a block's pairs (r, r') are the runs of its entries, laid out
+    by np.repeat, sum d(lambda)^2 pairs in all.  A block holds at most _BLOCK
+    pairs and _BLOCK counts, or a single row; it may cut a run of equal
+    lambda, as each of its entries takes its whole run.
+    """
+    n_s, n_rows = len(ss), len(ys) * len(xs)
+    vals = _values(fld.p, ss, xs, ys).ravel()
+    if not len(vals):
+        return
+    order = np.argsort(vals)
+    starts = np.flatnonzero(np.diff(vals[order], prepend=-1))
+    runs = np.diff(starts, append=len(vals))
+    # each entry's run of equal lambda, its first sorted entry and length, in
+    # (y, x, s) order; vals is not read again, so first takes its buffer
+    first, deg = vals, np.empty_like(order)
+    first[order] = np.repeat(starts, runs)
+    deg[order] = np.repeat(runs, runs)
+    pairs = deg.reshape(n_rows, n_s).sum(axis=1)  # each row's pairs
+    ends = np.cumsum(pairs)
+    per_block = max(1, _BLOCK // n_rows)
+    lo = 0
+    while lo < n_rows:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = min(lo + per_block,
+                 max(lo + 1, int(np.searchsorted(ends, done + _BLOCK, side="right"))))
+        d = deg[lo * n_s:hi * n_s]
+        # pair j of an entry is the sorted entry first + j, of row order[...] // n_s
+        at = np.arange(int(ends[hi - 1]) - done) + np.repeat(
+            first[lo * n_s:hi * n_s] - (np.cumsum(d) - d), d)
+        rows = np.repeat(np.arange(hi - lo) * n_rows, pairs[lo:hi])
+        yield np.bincount(rows + order[at] // n_s)
+        lo = hi
+
+
 def count_n(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:
     """Solutions of (x1+s1)/y1 = (x2+s2)/y2 and (x1+t1)/y1 = (x2+t2)/y2
-    with s1 != t1, s2 != t2, counted through the (lambda, mu) fibration:
-    the sum of nu(lambda, mu)^2, one lambda chunk at a time."""
+    with s1 != t1, s2 != t2, counted by row intersections.
+
+    A solution is a pair of rows r1 = (y1, x1), r2 = (y2, x2) with two
+    distinct common values lambda != mu of V_r1 and V_r2, each of which
+    fixes its s and t, so the count is sum M (M - 1) over _row_meets' M,
+    one block of first rows at a time."""
     _same_field(s_set, x_set, y_set)
     if 0 in y_set:
         raise ZeroDenominatorError("denominator set contains 0")
-    return sum(part.second_moment
-               for part in _fibre_parts(s_set.field, s_set.elems, x_set.elems, y_set.elems))
+    return sum(_dot(m, m) - int(m.sum())
+               for m in _row_meets(s_set.field, s_set.elems, x_set.elems, y_set.elems))
 
 
 def count_n_bruteforce(s_set: FpSet, x_set: FpSet, y_set: FpSet) -> int:

@@ -29,12 +29,13 @@ P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
 # Kernels whose temporaries would grow with p (the ind and squares builds) or
 # with a whole key matrix (the dense _convolve step, the chi gathers of
-# _inner_sums, the collinear ratio keys, the _fibre_parts chunks) work through
-# them in blocks of at most _BLOCK entries.  2^14 against 2^16 (2 CPUs, best
-# of 5, warm; wall time, then tracemalloc peak): at p = 1048573, poly 26
-# against 20 ms (its T3 dense step makes one np.add.at per row of 8,256 keys)
-# in 2.7 against 3.6 MB, thm11 17 ms either way in 1.9 against 4.2 MB, tabc 8
-# ms in 1.1 against 2.2 MB, nsxy 4 against 10 ms in 1.3 against 4.6 MB, the
+# _inner_sums, the collinear ratio keys, the _fibre_parts chunks, the row pairs
+# and counts of _row_meets) work through them in blocks of at most _BLOCK
+# entries.  2^14 against 2^16 (2 CPUs, best of 5, warm; wall time, then
+# tracemalloc peak): at p = 1048573, poly 26 against 20 ms (its T3 dense step
+# makes one np.add.at per row of 8,256 keys) in 2.7 against 3.6 MB, thm11 17 ms
+# either way in 1.9 against 4.2 MB, tabc 8 ms in 1.1 against 2.2 MB, nsxy
+# (count_n's row blocks) 0.55 against 0.45 ms in 0.6 against 1.0 MB, the
 # squares build 7 against 5 ms and the ind build 24 ms either way; at p =
 # 16777213, poly 43 against 44 ms in 13.2 against 14.1 MB, thm11 0.40 s either
 # way in 17.7 against 20.0 MB, the squares build 0.33 s either way and the ind

@@ -167,7 +167,8 @@ def run_identity_suite(cfg, timer=None):
             base = f"n={n};X={radius};Y={params.y};trial={i}"
             rows.append(_agree("amp_total", p, base, m.total, expected))
             yset = from_elements(fld, window)
-            # the referee, as count_n streams amplification_map's own _fibre_parts
+            # the brute-force referee: count_n's row intersections would also
+            # match, but the row stays independent of both production routes
             brute = charsums.count_n_bruteforce(s, symmetric_interval(fld, radius), yset)
             rows.append(_agree("amp_second_moment", p, base, m.second_moment, brute))
     return rows, {}

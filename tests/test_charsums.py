@@ -20,7 +20,7 @@ from fplab.charsums import (
     weil_applicable,
     weil_bound,
 )
-from fplab.energy import e3
+from fplab.energy import e3, t_k
 from fplab.errors import (
     FieldMismatchError,
     InadmissibleYZError,
@@ -33,6 +33,7 @@ from fplab.sets import (
     interval,
     primes_upto,
     random_set,
+    subgroup,
     symmetric_interval,
 )
 from library import chi_exponent, chi_value
@@ -287,6 +288,8 @@ def test_count_n_edges():
     xset = interval(fld, 0, 4)
     yset = from_elements(fld, [2, 3])
     assert count_n(single, xset, yset) == 0
+    empty = from_elements(fld, [])
+    assert count_n(empty, xset, yset) == count_n(single, empty, yset) == count_n(single, xset, empty) == 0
     with pytest.raises(ZeroDenominatorError):
         count_n(single, xset, from_elements(fld, [0, 2]))
     for fn in (count_n, count_n_bruteforce):
@@ -302,8 +305,8 @@ def test_count_n_edges():
 
 @st.composite
 def _nsxy_sets(draw):
-    # at p = 1048573, S, X and Y sit near p - 1, where the lambda * p + mu
-    # keys of the fibre are largest (~2^40)
+    # at p = 1048573, S, X and Y sit near p - 1, where the products
+    # (x + s) y^-1 are largest (~2^41)
     p = draw(st.sampled_from([7, 13, 31, 1048573]))
     low = max(1, p - 10)
     fld = build_field(p)
@@ -402,11 +405,12 @@ def _fibre_one_shot(s_set, x_set, y_set):
 
 @st.composite
 def _fibre_cases(draw):
-    # p = 7 and 31 give long runs of equal lambda; at p = 1048573 elements sit
-    # near 0 and p - 1, where lambda * p + mu approaches 2^40; Y = {y, 2y}
-    # makes (x + s)/y = (x' + s')/(2y) collide across y.  amplification_map
-    # needs 4Y <= X and 2X + 1 <= p, which no X meets at p = 7.
-    p = draw(st.sampled_from([7, 31, 1048573]))
+    # p = 7 and 31 give long runs of equal lambda; at p = 1048573 and at the
+    # 2^24 ceiling elements sit near 0 and p - 1, where lambda * p + mu
+    # approaches 2^48 and (x + s) y^-1 2^49; Y = {y, 2y} makes
+    # (x + s)/y = (x' + s')/(2y) collide across y.  amplification_map needs
+    # 4Y <= X and 2X + 1 <= p, which no X meets at p = 7.
+    p = draw(st.sampled_from([7, 31, 1048573, 16777213]))
     fld = build_field(p)
     elems = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1), st.integers(0, p - 1))
     s = from_elements(fld, draw(st.lists(elems, min_size=1, max_size=6)))
@@ -423,20 +427,33 @@ def _fibre_cases(draw):
 def _long_run_case():
     # Y = {1, 2}: lambda = 3 comes from the 3 pairs x + s = 3 at y = 1 and the
     # 4 pairs x + s = 6 at y = 2, 7 entries of 5 keys each, so the run spans
-    # several chunks of 2 or 16 keys
+    # several chunks of 2 or 16 keys, and 7 rows, so blocks of 2 or 16 pairs
+    # cut it
     fld = build_field(1048573)
     return (from_elements(fld, range(6)), from_elements(fld, range(1, 5)),
             from_elements(fld, [1, 2]), (4, AmplificationParams(y=1, z=1)))
+
+
+def _wide_row_case():
+    # S = {0, ..., 7}, X = {0, 1, 2}, Y = {1}: the row x = 0 meets 1, 2 and
+    # 3 rows at lambda = 0, 1 and 2..7, 21 pairs, which pass a block of 16
+    # alone, so that row is a block of its own
+    fld = build_field(1048573)
+    return (from_elements(fld, range(8)), from_elements(fld, range(3)),
+            from_elements(fld, [1]), (4, AmplificationParams(y=1, z=1)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_fibre_cases(), st.sampled_from([1, 2, 16, 1 << 40]))
 @example(_long_run_case(), 2)
 @example(_long_run_case(), 16)
+@example(_wide_row_case(), 16)
 def test_fibre_chunks_match_one_shot_referee(case, block):
-    # _BLOCK keys a chunk: 1 gives one entry a chunk, 2 and 16 give 2 and 16
-    # keys, 2^40 the whole fibre; a chunk cut inside a run of equal lambda
-    # would split a key's count in two
+    # _BLOCK keys a fibre chunk: 1 gives one entry a chunk, 2 and 16 give 2
+    # and 16 keys, 2^40 the whole fibre; a chunk cut inside a run of equal
+    # lambda would split a key's count in two.  count_n's row blocks hold
+    # _BLOCK pairs and counts, or one row: 1 and 2 give a row a block, 16 cut
+    # runs of equal lambda between blocks, 2^40 takes every row at once
     s, xset, yset, amp = case
     fld = s.field
     _, counts = _fibre_one_shot(s, xset, yset)
@@ -454,8 +471,9 @@ def test_fibre_chunks_match_one_shot_referee(case, block):
 
 
 def test_count_n_memory_budget():
-    # 11 window primes x 128 x 64 x 63 = 5.7M fibre keys, which the one-shot
-    # fibre held at once (a 233 MB tracemalloc peak); N is the count it gave
+    # 11 window primes x 128 x 64 = 90k entries, whose 5.7M (s, t, x, y)
+    # tuples a one-shot fibre held at once (a 233 MB tracemalloc peak); the
+    # row blocks hold _BLOCK pairs, and N is the count the one-shot fibre gave
     fld = build_field(1048573)
     sets = random_set(fld, 64, 7), interval(fld, 0, 128), from_elements(fld, primes_upto(32))
     tracemalloc.start()
@@ -466,6 +484,66 @@ def test_count_n_memory_budget():
         tracemalloc.stop()
     assert got == 5677068
     assert peak <= 8e6
+
+
+def test_count_n_interval_memory_budget():
+    # an interval S gives every y runs of up to 64 equal lambda, as the rows
+    # of one y share up to 64 values: 7.0M row pairs in all, where the random
+    # S of the budget above gives 97k; N is the count the lambda-chunked
+    # fibre gave
+    fld = build_field(1048573)
+    sets = interval(fld, 0, 64), interval(fld, 0, 128), from_elements(fld, primes_upto(32))
+    tracemalloc.start()
+    try:
+        got = count_n(*sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 222653924
+    assert peak <= 8e6
+
+
+@st.composite
+def _diagonal_cases(draw):
+    # random, interval and subgroup S against an interval or random X, at a
+    # small p where S - S covers most lags and at 2^20, one y each
+    p = draw(st.sampled_from([31, 61, 1048573]))
+    fld = build_field(p)
+    n = draw(st.integers(1, 24))
+    family = draw(st.sampled_from(["random", "interval", "subgroup"]))
+    if family == "random":
+        s = random_set(fld, min(n, p - 1), draw(st.integers(0, 2**31)))
+    elif family == "interval":
+        s = interval(fld, draw(st.integers(0, p - 1)), min(n, p - 1))
+    else:
+        s = subgroup(fld, draw(st.sampled_from([d for d in range(1, 64) if (p - 1) % d == 0])))
+    x_len = draw(st.integers(1, min(40, p - 1)))
+    if draw(st.booleans()):
+        x = interval(fld, draw(st.integers(0, p - 1)), x_len)
+    else:
+        x = random_set(fld, x_len, draw(st.integers(0, 2**31)))
+    return s, x, from_elements(fld, [draw(st.integers(1, p - 1))])
+
+
+def _diagonal_case(p, family, x_len, y):
+    fld = build_field(p)
+    s = {"random": lambda: random_set(fld, 64, 7), "interval": lambda: interval(fld, 0, 64),
+         "subgroup": lambda: subgroup(fld, 63)}[family]()
+    return s, interval(fld, 0, x_len), from_elements(fld, [y])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_cases())
+# item-size instances at 2^20: nS = 64 (63 for the subgroup) and X = 256, at
+# y = 1, at y = 2 and at y = p - 1
+@example(_diagonal_case(1048573, "random", 256, 2))
+@example(_diagonal_case(1048573, "interval", 256, 1048572))
+@example(_diagonal_case(1048573, "subgroup", 256, 1))
+def test_count_n_single_y_is_e3_minus_t2(sets):
+    # at one y, the rows (y, x) and (y, x') have M = r_{S-S}(x' - x), so
+    # count_n = sum_{x, x'} r(x' - x)^2 - r(x' - x) = E3(S, S, X) - T2(S, X)
+    s, x, y = sets
+    assert count_n(s, x, y) == e3(s, s, x) - t_k([s, x])
 
 
 # ---------------------------------------------------------------------------

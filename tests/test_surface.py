@@ -140,7 +140,7 @@ def test_every_private_definition_is_reached():
 PRODUCTION_NAMES = {
     "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
     "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_fibre_parts",
-    "collinear_triples", "line_spectrum",
+    "_values", "_row_meets", "collinear_triples", "line_spectrum",
 }
 REFEREES = {
     "geometry": "collinear_triples_bruteforce",
