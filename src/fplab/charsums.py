@@ -6,8 +6,8 @@ with weights in the closed unit disk, each given as a complex array aligned
 with its set's sorted elems (None for unit weights).  The amplification
 transform substitutes x -> x + y*z over a prime window y in [Y, 2Y] and a
 shift range z in (Z, 2Z], which turns the inner sums into complete sums over
-F_p whose size the Weil bound controls.  Its map of (lambda, mu) is the
-lambda-chunked fibre of _fibre_parts; its solution count count_n is summed
+F_p whose size the Weil bound controls.  Its map of (lambda, mu) is one
+np.unique over the keys of _values; its solution count count_n is summed
 over pairs of rows (y, x) from the intersections of their value sets
 {(x + s)/y : s in S}, in _row_meets.
 """
@@ -131,58 +131,20 @@ def _values(p: int, ss, xs, ys) -> np.ndarray:
     return (xs[:, None] + ss[None, :]) * yinv[:, None, None] % p
 
 
-def _fibre_parts(fld: PrimeField, ss, xs, ys):
-    """Multiplicities of the keys lambda * p + mu over (s, t, x, y) in the
-    int64 arrays ss, xs and ys with s != t, lambda = (x + s)/y and
-    mu = (x + t)/y; y must be nonzero mod p.
-
-    Yields one MultiplicityFn per chunk of lambda, in increasing lambda, so
-    the chunks concatenate to the whole fibre, sorted.  The (y, x, s) entries
-    are sorted by lambda and cut only where lambda changes, so no key spans
-    two chunks.  Each entry pairs with the #S - 1 values t != s, and a chunk
-    holds at most _BLOCK keys unless one lambda alone has more; memory is
-    O(#Y #X #S) for the entries, never O(#Y #X #S^2) for the fibre.  Keys
-    stay below p^2 < 2^48 at p < 2^24, in int64.
-    """
-    p = fld.p
-    if len(ss) < 2:
-        return
-    vals = _values(p, ss, xs, ys).reshape(-1, len(ss))
-    order = np.argsort(vals, axis=None)
-    lam = vals.ravel()[order]
-    # the offsets where a run of equal lambda starts, and the end
-    bounds = np.flatnonzero(np.diff(lam, prepend=-1, append=p))
-    # _BLOCK = 2^14 keys a chunk: at the 8191 sweep cell (106k keys) and
-    # at 5.7M keys, chunks of 2^13 to 2^15 keys ran equally fast within noise
-    # and 2^16 no faster, while the tracemalloc peak grows with the chunk
-    # (0.7 and 3.6 MB at 2^13, 1.2 and 3.9 MB at 2^14, 3.4 and 7.1 MB at 2^16)
-    per_chunk = max(1, _BLOCK // (len(ss) - 1))
-    ts = np.arange(len(ss))
-    i = 0
-    while i < len(bounds) - 1:
-        # the last run start within per_chunk entries, or the next one
-        j = max(i + 1, np.searchsorted(bounds, bounds[i] + per_chunk, side="right") - 1)
-        row, col = np.divmod(order[bounds[i]:bounds[j]], len(ss))  # (y, x) row and s
-        keys = lam[bounds[i]:bounds[j], None] * p + vals[row]
-        yield MultiplicityFn(*np.unique(keys[ts != col[:, None]], return_counts=True))
-        i = j
-
-
 def amplification_map(s_set: FpSet, x_radius: int, params: AmplificationParams) -> MultiplicityFn:
     """Multiplicities of (lambda, mu), as keys lambda * p + mu, over the
     (s, t, x, y) with s != t in the set, x in the symmetric interval of the
-    radius and y in the prime window, where (s+x)/y = lambda, (t+x)/y = mu."""
+    radius and y in the prime window, where (s+x)/y = lambda, (t+x)/y = mu.
+    Keys stay below p^2 < 2^48 at p < 2^24, in int64."""
     fld = s_set.field
     if 4 * params.y * params.z > x_radius:
         raise InadmissibleYZError(
             f"4YZ = {4 * params.y * params.z} exceeds X = {x_radius}"
         )
     window = np.array(prime_window(params, fld.p), dtype=np.int64)
-    values, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for part in _fibre_parts(fld, s_set.elems, symmetric_interval(fld, x_radius).elems, window):
-        values.append(part.values)
-        counts.append(part.counts)
-    return MultiplicityFn(np.concatenate(values), np.concatenate(counts))
+    vals = _values(fld.p, s_set.elems, symmetric_interval(fld, x_radius).elems, window)
+    i, j = np.nonzero(~np.eye(len(s_set), dtype=bool))  # ordered pairs s != t
+    return MultiplicityFn(*np.unique(vals[..., i] * fld.p + vals[..., j], return_counts=True))
 
 
 def _row_meets(fld: PrimeField, ss, xs, ys):
@@ -197,18 +159,20 @@ def _row_meets(fld: PrimeField, ss, xs, ys):
     them once: a block's pairs (r, r') are the runs of its entries, laid out
     by np.repeat, sum d(lambda)^2 pairs in all.  A block holds at most _BLOCK
     pairs and _BLOCK counts, or a single row; it may cut a run of equal
-    lambda, as each of its entries takes its whole run.
+    lambda, as each of its entries takes its whole run.  The run starts and
+    lengths and each entry's length are int32, exact below 2^31 entries;
+    cumsum and sum widen them to int64, so the pair totals stay exact.
     """
     n_s, n_rows = len(ss), len(ys) * len(xs)
     vals = _values(fld.p, ss, xs, ys).ravel()
     if not len(vals):
         return
     order = np.argsort(vals)
-    starts = np.flatnonzero(np.diff(vals[order], prepend=-1))
-    runs = np.diff(starts, append=len(vals))
+    starts = np.flatnonzero(np.diff(vals[order], prepend=-1)).astype(np.int32)
+    runs = np.diff(starts, append=np.int32(len(vals)))
     # each entry's run of equal lambda, its first sorted entry and length, in
     # (y, x, s) order; vals is not read again, so first takes its buffer
-    first, deg = vals, np.empty_like(order)
+    first, deg = vals, np.empty(len(vals), dtype=np.int32)
     first[order] = np.repeat(starts, runs)
     deg[order] = np.repeat(runs, runs)
     pairs = deg.reshape(n_rows, n_s).sum(axis=1)  # each row's pairs

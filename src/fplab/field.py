@@ -29,8 +29,8 @@ P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
 # Kernels whose temporaries would grow with p (the ind and squares builds) or
 # with a whole key matrix (the dense _convolve step, the chi gathers of
-# _inner_sums, the collinear ratio keys, the _fibre_parts chunks, the row pairs
-# and counts of _row_meets) work through them in blocks of at most _BLOCK
+# _inner_sums, the collinear ratio keys, the row pairs and counts of
+# _row_meets) work through them in blocks of at most _BLOCK
 # entries.  2^14 against 2^16 (2 CPUs, best of 5, warm; wall time, then
 # tracemalloc peak): at p = 1048573, poly 26 against 20 ms (its T3 dense step
 # makes one np.add.at per row of 8,256 keys) in 2.7 against 3.6 MB, thm11 17 ms

@@ -230,6 +230,29 @@ def test_amplification_singleton_is_empty():
     assert m.values.tolist() == [] and m.counts.tolist() == [] and m.total == 0
 
 
+def _nu_loop(s_set, radius, params):
+    """Referee for amplification_map: the multiplicities nu of (lambda, mu)
+    over (s, t, x, y) with s != t, |x| <= radius and y in the prime window,
+    counted in a dict by Python loops with pow inverses."""
+    p = s_set.field.p
+    nu = {}
+    for y in prime_window(params, p):
+        yinv = pow(y, p - 2, p)
+        for s in s_set:
+            for t in s_set:
+                if s == t:
+                    continue
+                for x in range(-radius, radius + 1):
+                    key = ((s + x) * yinv % p, (t + x) * yinv % p)
+                    nu[key] = nu.get(key, 0) + 1
+    return nu
+
+
+def _assert_matches_nu(m, nu, p):
+    assert m.values.tolist() == [lam * p + mu for lam, mu in sorted(nu)]
+    assert m.counts.tolist() == [nu[key] for key in sorted(nu)]
+
+
 def test_amplification_example_bruteforce():
     p = 61
     fld = build_field(p)
@@ -237,19 +260,8 @@ def test_amplification_example_bruteforce():
     params = AmplificationParams(y=2, z=1)
     m = amplification_map(s, 8, params)
     assert prime_window(params, p) == [2, 3]
-    nu = {}
-    for a in s.elems:
-        for t in s.elems:
-            if a == t:
-                continue
-            for x in [v % p for v in range(-8, 9)]:
-                for y in (2, 3):
-                    yinv = pow(y, p - 2, p)
-                    key = ((a + x) * yinv % p, (t + x) * yinv % p)
-                    nu[key] = nu.get(key, 0) + 1
     assert m.values.dtype == m.counts.dtype == np.int64
-    assert m.values.tolist() == [lam * p + mu for lam, mu in sorted(nu)]
-    assert m.counts.tolist() == [nu[key] for key in sorted(nu)]
+    _assert_matches_nu(m, _nu_loop(s, 8, params), p)
     assert m.total == 2 * 1 * 17 * 2
 
 
@@ -392,9 +404,9 @@ def test_count_n_bruteforce_matches_loop_referee(sets, block):
 
 
 def _fibre_one_shot(s_set, x_set, y_set):
-    """Referee for the lambda-chunked fibre: (values, counts) of every key
-    lambda * p + mu over (s, t, x, y) with s != t, built at once and merged
-    by one np.unique."""
+    """Referee for count_n: (values, counts) of every key lambda * p + mu
+    over (s, t, x, y) with s != t, built at once and merged by one np.unique;
+    count_n is the sum of the counts squared."""
     p = s_set.field.p
     ss, xs = s_set.elems, x_set.elems
     yinv = np.array([pow(y, p - 2, p) for y in y_set], dtype=np.int64)
@@ -426,9 +438,8 @@ def _fibre_cases(draw):
 
 def _long_run_case():
     # Y = {1, 2}: lambda = 3 comes from the 3 pairs x + s = 3 at y = 1 and the
-    # 4 pairs x + s = 6 at y = 2, 7 entries of 5 keys each, so the run spans
-    # several chunks of 2 or 16 keys, and 7 rows, so blocks of 2 or 16 pairs
-    # cut it
+    # 4 pairs x + s = 6 at y = 2, 7 entries in 7 rows, so blocks of 2 or 16
+    # pairs cut its run
     fld = build_field(1048573)
     return (from_elements(fld, range(6)), from_elements(fld, range(1, 5)),
             from_elements(fld, [1, 2]), (4, AmplificationParams(y=1, z=1)))
@@ -448,26 +459,31 @@ def _wide_row_case():
 @example(_long_run_case(), 2)
 @example(_long_run_case(), 16)
 @example(_wide_row_case(), 16)
-def test_fibre_chunks_match_one_shot_referee(case, block):
-    # _BLOCK keys a fibre chunk: 1 gives one entry a chunk, 2 and 16 give 2
-    # and 16 keys, 2^40 the whole fibre; a chunk cut inside a run of equal
-    # lambda would split a key's count in two.  count_n's row blocks hold
-    # _BLOCK pairs and counts, or one row: 1 and 2 give a row a block, 16 cut
-    # runs of equal lambda between blocks, 2^40 takes every row at once
-    s, xset, yset, amp = case
-    fld = s.field
+def test_count_n_blocks_match_one_shot_referee(case, block):
+    # count_n's row blocks hold _BLOCK pairs and counts, or one row: 1 and 2
+    # give a row a block, 16 cuts runs of equal lambda between blocks, 2^40
+    # takes every row at once
+    s, xset, yset, _ = case
     _, counts = _fibre_one_shot(s, xset, yset)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(charsums, "_BLOCK", block)
         assert count_n(s, xset, yset) == sum(int(c) ** 2 for c in counts)
         assert count_n(s, xset, yset) == count_n_bruteforce(s, xset, yset)
-        if amp is not None:
-            radius, params = amp
-            got = amplification_map(s, radius, params)
-            values, counts = _fibre_one_shot(
-                s, symmetric_interval(fld, radius), from_elements(fld, prime_window(params, fld.p)))
-            assert got.values.tolist() == values.tolist()
-            assert got.counts.tolist() == counts.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fibre_cases().filter(lambda case: case[3] is not None))
+@example(_long_run_case())
+@example(_wide_row_case())
+def test_amplification_map_matches_loop_referee(case):
+    s, _, _, (radius, params) = case
+    fld = s.field
+    m = amplification_map(s, radius, params)
+    _assert_matches_nu(m, _nu_loop(s, radius, params), fld.p)
+    window = prime_window(params, fld.p)
+    assert m.total == len(s) * (len(s) - 1) * (2 * radius + 1) * len(window)
+    assert m.second_moment == count_n_bruteforce(
+        s, symmetric_interval(fld, radius), from_elements(fld, window))
 
 
 def test_count_n_memory_budget():
@@ -489,8 +505,8 @@ def test_count_n_memory_budget():
 def test_count_n_interval_memory_budget():
     # an interval S gives every y runs of up to 64 equal lambda, as the rows
     # of one y share up to 64 values: 7.0M row pairs in all, where the random
-    # S of the budget above gives 97k; N is the count the lambda-chunked
-    # fibre gave
+    # S of the budget above gives 97k; N is the sum of the squared counts of
+    # the fibre's keys lambda * p + mu
     fld = build_field(1048573)
     sets = interval(fld, 0, 64), interval(fld, 0, 128), from_elements(fld, primes_upto(32))
     tracemalloc.start()

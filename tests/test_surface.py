@@ -139,8 +139,8 @@ def test_every_private_definition_is_reached():
 # be a copy of what it checks.
 PRODUCTION_NAMES = {
     "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
-    "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_fibre_parts",
-    "_values", "_row_meets", "collinear_triples", "line_spectrum",
+    "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_values", "_row_meets",
+    "collinear_triples", "line_spectrum",
 }
 REFEREES = {
     "geometry": "collinear_triples_bruteforce",
@@ -150,6 +150,11 @@ REFEREES = {
 
 
 def test_bruteforce_referees_load_no_production_route():
+    # a deleted kernel's name would guard nothing
+    trees, _ = _package()
+    defined = {name for tree in trees.values() for name, _ in _private_definitions(tree)}
+    stale = sorted(name for name in PRODUCTION_NAMES if name.startswith("_") and name not in defined)
+    assert not stale, f"production names defined by no module: {stale}"
     found = {}
     for mod, name in REFEREES.items():
         tree = ast.parse((PACKAGE / f"{mod}.py").read_text())
