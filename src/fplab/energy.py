@@ -4,8 +4,9 @@
 amplification fibre): sorted distinct keys and their counts, aligned int64
 arrays.  `_convolve` returns only the second moment of its sum counts, taken
 on the sets' own arcs when their sums cannot wrap; a dense step adds its
-counts as shifted slices where its support is dense and scatters them by
-np.add.at where it is sparse.  `e3` keeps difference counts on one lag window
+counts as shifted slices where its support is dense and, where it is sparse,
+scatters them by np.add.at into one window of _WINDOW sums at a time, so no
+length-p array is held.  `e3` keeps difference counts on one lag window
 [-h, h] only.  Counts that could pass the 2^62 guard are Python ints, and sums
 of products run in int64 only below it, so every count and energy is an exact
 integer.  Floats appear only in the Fourier cross-check, which bounds the error
@@ -40,6 +41,15 @@ _SORT_SHARE = 20
 # it is 0.33x as fast at 128 keys and 2.2x at 512.
 _SHIFT_SHARE = 32
 _SHIFT_CALL = 8192
+
+# A scattered dense step adds into one window of _WINDOW sums at a time, so it
+# holds no length-n array.  Measured on the poly cell's largest T3 (|S| = 128,
+# support 8,205, int16; best of 31, 2 CPUs; wall time, then tracemalloc peak),
+# windows of 2^15, 2^16, 2^17 and 2^18 against one length-p array: at p =
+# 1048573, 8.5, 8.4, 8.0 and 7.8 against 6.7 ms in 1.11, 1.18, 1.31 and 1.57
+# against 2.65 MB; at 16777213, 19.2, 16.5, 14.8 and 14.7 against 12.5 ms in
+# 0.88, 1.02, 1.15 and 1.41 against 13.2 MB.
+_WINDOW = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +90,18 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
     the sums are taken mod p over n = p residues, reduced by subtracting
     p * (sum >= p), cheaper than % p.  A step against S sorts the
     len(support) * |S| keys and sums equal ones below n / _SORT_SHARE keys;
-    otherwise it adds the counts into one dense length-n array, in one of two
-    forms.  Where the support fills most of its width w = max(support) + 1,
-    w + _SHIFT_CALL < _SHIFT_SHARE * len(support), the counts are laid out
-    densely over [0, w) once and added at each x in S as one contiguous
-    slice, or two where the sums wrap past p.  Otherwise one np.add.at
-    (weights of the array's exact dtype, which keeps it fast) scatters them
-    per block of rows of S of at most _BLOCK keys (one row when the support
-    alone is longer).  The dense array takes the narrowest dtype that holds
-    the step's count bound min(max count * |S|, total): int16 below 2^15,
-    int32 below 2^31, the counts' own dtype past that.  Counts are int64
-    below the guard and Python ints past it.  A last dense step is squared in
-    place by _dot, never reduced to its support.  Any empty set makes every
-    count 0.
+    otherwise it adds the counts densely over [0, n), in one of two forms.
+    Where the support fills most of its width w = max(support) + 1,
+    w + _SHIFT_CALL < _SHIFT_SHARE * len(support), they are laid out over
+    [0, w) once and added at each x in S as one contiguous slice of one
+    length-n array, or two where the sums wrap past p.  Otherwise they are
+    scattered by np.add.at into one window of _WINDOW sums at a time, in
+    _scattered.  The dense arrays take the narrowest dtype that holds the
+    step's count bound min(max count * |S|, total): int16 below 2^15, int32
+    below 2^31, the counts' own dtype past that.  Counts are int64 below the
+    guard and Python ints past it.  A last dense step squares each window in
+    place by _dot, never reduced to its support; an earlier one keeps each
+    window's support.  Any empty set makes every count 0.
     """
     arrays = [first, *others]
     total = math.prod(map(len, arrays))
@@ -102,7 +111,7 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
     n = sum(arcs[id(a)][1] - 1 for a in arrays) + 1
     wraps = n >= p
     if not wraps:
-        arrays = [(a - arcs[id(a)][0]) % p for a in arrays]
+        arrays = [np.sort((a - arcs[id(a)][0]) % p) for a in arrays]
     n = min(n, p)
     counts = np.ones(len(first), dtype=np.int64 if total < _INT64_SAFE else object)
     values = arrays[0]
@@ -117,32 +126,81 @@ def _convolve(p: int, first: np.ndarray, others) -> int:
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
             counts = np.add.reduceat(np.repeat(counts, len(s))[order], starts)
             values = keys[starts]
+            continue
+        bound = min(int(counts.max()) * len(s), total)
+        weights = counts.astype(np.int16 if bound < 1 << 15
+                                else np.int32 if bound < 1 << 31 else counts.dtype, copy=False)
+        width = int(values[-1]) + 1
+        if width + _SHIFT_CALL < _SHIFT_SHARE * len(values):
+            windows = [(0, _shifted(values, weights, s, n, width))]
         else:
-            bound = min(int(counts.max()) * len(s), total)
-            dense = np.zeros(n, dtype=np.int16 if bound < 1 << 15
-                             else np.int32 if bound < 1 << 31 else counts.dtype)
-            width = int(values.max()) + 1  # the first step's values are unsorted
-            if width + _SHIFT_CALL < _SHIFT_SHARE * len(values):
-                src = np.zeros(width, dtype=dense.dtype)
-                src[values] = counts
-                for x in s.tolist():
-                    head = min(width, n - x)  # below width only where sums wrap
-                    dense[x:x + head] += src[:head]
-                    if head < width:
-                        dense[:width - head] += src[head:]
-            else:
-                rows = max(1, _BLOCK // len(values))
-                weights = np.tile(counts.astype(dense.dtype, copy=False), min(rows, len(s)))
-                for lo in range(0, len(s), rows):
-                    keys = s[lo:lo + rows, None] + values[None, :]
-                    if wraps:
-                        keys -= p * (keys >= p)
-                    np.add.at(dense, keys.ravel(), weights[:keys.size])
-            if step == len(others):
-                return _dot(dense, dense)
-            values = np.flatnonzero(dense)
-            counts = dense[values].astype(counts.dtype, copy=False)
+            windows = _scattered(values, weights, s, n, wraps)
+        if step == len(others):
+            return sum(_dot(dense, dense) for _, dense in windows)
+        parts = []
+        for lo, dense in windows:
+            nz = np.flatnonzero(dense)
+            parts.append((dense[nz].astype(counts.dtype, copy=False), nz + lo))
+        counts, values = (np.concatenate(part) for part in zip(*parts))
     return _dot(counts, counts)
+
+
+def _shifted(values, weights, s, n, width):
+    """The sums of the sorted support values (with weights) and S over
+    [0, n), each x in S adding the weights laid out over [0, width) as one
+    slice, or two where the sums wrap past n."""
+    src = np.zeros(width, dtype=weights.dtype)
+    src[values] = weights
+    dense = np.zeros(n, dtype=weights.dtype)
+    for x in s.tolist():
+        head = min(width, n - x)  # below width only where sums wrap
+        dense[x:x + head] += src[:head]
+        if head < width:
+            dense[:width - head] += src[head:]
+    return dense
+
+
+def _scattered(values, weights, s, n, wraps):
+    """Yields (lo, the sums of the sorted support values and S over
+    [lo, lo + _WINDOW) & [0, n)) for each window that holds a sum, one
+    buffer reused.  The rows are the shorter of S and the support and the
+    runs the other, doubled with -n where sums wrap, so that the sums of a
+    row in a window are one contiguous run of keys, found with
+    np.searchsorted.  The runs are gathered and added by np.add.at (weights
+    of the buffer's exact dtype, which keeps it fast) in blocks of at most
+    _BLOCK keys; a row's weight is its support count, or the count of each
+    key of its run when the rows are S."""
+    if len(s) <= len(values):
+        rows, row_weights, runs, run_weights = s, None, values, weights
+    else:
+        rows, row_weights, runs, run_weights = values, weights, s, None
+    if wraps:
+        runs = np.concatenate((runs - n, runs))
+        run_weights = None if run_weights is None else np.tile(run_weights, 2)
+    buf = np.zeros(min(_WINDOW, n), dtype=weights.dtype)
+    stop = np.searchsorted(runs, -rows)
+    for lo in range(0, n, _WINDOW):
+        hi = min(lo + _WINDOW, n)
+        start, stop = stop, np.searchsorted(runs, hi - rows)
+        end = np.cumsum(stop - start)
+        if not end[-1]:
+            continue
+        begin = end - (stop - start)
+        shift, offset = rows - lo, start - begin
+        dense = buf[:hi - lo]
+        dense[:] = 0
+        for f in range(0, int(end[-1]), _BLOCK):
+            # the block's keys f .. f + _BLOCK - 1 of the rows' runs laid end to end
+            g = min(f + _BLOCK, int(end[-1]))
+            a, b = np.searchsorted(end, f, side="right"), np.searchsorted(begin, g)
+            c = np.minimum(end[a:b], g) - np.maximum(begin[a:b], f)
+            k = np.repeat(offset[a:b], c)
+            k += np.arange(f, g)
+            keys = runs.take(k)
+            keys += np.repeat(shift[a:b], c)
+            np.add.at(dense, keys, run_weights.take(k) if row_weights is None
+                      else np.repeat(row_weights[a:b], c))
+        yield lo, dense
 
 
 def _dot(*columns) -> int:

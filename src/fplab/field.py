@@ -4,8 +4,8 @@ Everything downstream counts exactly in integers.  A field is (p, g), built
 anew by each build_field call; each of its two tables is built on first read
 and freed with the field.  A character value is held as its class k in
 [0, order), an index into the character's `order` roots of unity, converted
-to a complex number only when a sum is accumulated.  `squares`, a bool bitmap
-of the nonzero squares (1 byte per residue), gives a real character its
+to a complex number only when a sum is accumulated.  `squares`, the nonzero
+squares as one bit per residue in uint64 words, gives a real character its
 classes with no discrete log.  Any other character gathers `ind`, the int32
 discrete logs to g (4 bytes per residue), at the points it is evaluated and
 takes k = (m * ind[x] mod (p-1)) / ((p-1)/order); gathered logs are widened
@@ -28,18 +28,18 @@ DEFAULT_CAP = 1 << 20  # the default max_p
 P_CEILING = 1 << 24  # the most max_p may be raised to: build_field's cap
 
 # Kernels whose temporaries would grow with p (the ind and squares builds) or
-# with a whole key matrix (the dense _convolve step, the chi gathers of
-# _inner_sums, the collinear ratio keys, the row pairs and counts of
-# _row_meets) work through them in blocks of at most _BLOCK
-# entries.  2^14 against 2^16 (2 CPUs, best of 5, warm; wall time, then
-# tracemalloc peak): at p = 1048573, poly 26 against 20 ms (its T3 dense step
-# makes one np.add.at per row of 8,256 keys) in 2.7 against 3.6 MB, thm11 17 ms
-# either way in 1.9 against 4.2 MB, tabc 8 ms in 1.1 against 2.2 MB, nsxy
-# (count_n's row blocks) 0.55 against 0.45 ms in 0.6 against 1.0 MB, the
-# squares build 7 against 5 ms and the ind build 24 ms either way; at p =
-# 16777213, poly 43 against 44 ms in 13.2 against 14.1 MB, thm11 0.40 s either
-# way in 17.7 against 20.0 MB, the squares build 0.33 s either way and the ind
-# build 0.74 against 0.69 s.
+# with a whole key matrix (the gathers of the scattered _convolve step, the chi
+# gathers of _inner_sums, the collinear ratio keys, the row pairs and counts of
+# _row_meets) work through them in blocks of at most _BLOCK entries.  2^14
+# against 2^16 (2 CPUs, best of 5-11, warm; wall time, then tracemalloc peak):
+# at p = 1048573, poly 13 against 17 ms in 1.3 against 2.5 MB, thm11 5.0
+# against 6.4 ms in 0.7 against 2.3 MB and the squares build 3.9-4.9 ms
+# either way in 0.5 against 1.7 MB; at p = 16777213, poly 22 against 21 ms in
+# 1.2 against 1.9 MB, thm11 77 against 80 ms in 4.9 MB either way and the
+# squares build 72 against 74 ms in 2.5 against 3.7 MB.  Measured before the
+# squares were packed: tabc 8 ms in 1.1 against 2.2 MB and nsxy (count_n's row
+# blocks) 0.55 against 0.45 ms in 0.6 against 1.0 MB at 1048573, and the ind
+# build 24 ms either way there and 0.74 against 0.69 s at 16777213.
 _BLOCK = 1 << 14
 
 # Witness set makes Miller-Rabin deterministic for n < 3.3e24, far past the cap.
@@ -99,13 +99,14 @@ def least_primitive_root(p: int) -> int:
 class PrimeField:
     """Prime p and its least primitive root g, with two tables built on first
     read and kept for the object's lifetime: the discrete logs `ind` and the
-    squares bitmap `squares`.
+    packed squares bitmap `squares`.
 
     ind[x] = k for the unique k in [0, p-2] with g^k = x (mod p); ind[0] = -1
     as a sentinel.  ind is a read-only int32 array (p < 2^31), so kernels
     gather from it at the points they use and widen what they gathered to
     int64 before multiplying; the scalar accessors return Python ints.
-    squares[x] is True exactly for the nonzero squares x, read-only bool.
+    squares holds one bit per residue in (p + 63) // 64 read-only uint64
+    words: bit x & 63 of word x >> 6 is set exactly for the nonzero squares x.
     Safe to share across workers, which build their own tables.
     """
 
@@ -146,17 +147,22 @@ def _index_table(p: int, g: int) -> np.ndarray:
 
 
 def _squares_bitmap(p: int) -> np.ndarray:
-    """True at k^2 mod p for k in [1, (p-1)/2], which are all the nonzero
-    squares, each once; _BLOCK values of k at a time, k^2 < p^2."""
-    squares = np.zeros(p, dtype=bool)
+    """The squares words: bit q & 63 of word q >> 6 set at q = k^2 mod p for
+    k in [1, (p-1)/2], which are all the nonzero squares, each once, so
+    adding each bit sets it; _BLOCK values of k at a time, k^2 < p^2."""
+    words = np.zeros((p + 63) // 64, dtype=np.uint64)
     half = (p - 1) // 2
     for lo in range(1, half + 1, _BLOCK):
-        k = np.arange(lo, min(lo + _BLOCK, half + 1), dtype=np.int64)
-        k *= k
-        k %= p
-        squares[k] = True
-    squares.flags.writeable = False
-    return squares
+        q = np.arange(lo, min(lo + _BLOCK, half + 1), dtype=np.int64)
+        q *= q
+        q %= p
+        bits = q.astype(np.uint64)
+        bits &= np.uint64(63)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        q >>= 6
+        np.add.at(words, q, bits)
+    words.flags.writeable = False
+    return words
 
 
 def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
@@ -221,13 +227,15 @@ class Character:
         """The class k in [0, order) of chi(x), chi(x) = roots()[k], for every
         residue x in [0, p-1] of the int64 array xs, and -1 at x = 0, as an
         int64 array of the same shape.  A real chi reads k off the squares
-        bitmap (principal: 0 at every unit) with no ind; any other gathers
+        words (principal: 0 at every unit) with no ind; any other gathers
         ind at those points only."""
-        if self.order <= 2:
-            nonsquare = ~self.field.squares[xs] if self.order == 2 else np.zeros(xs.shape, bool)
-            k = nonsquare.astype(np.int64)
+        if self.order == 2:
+            bits = self.field.squares[xs >> 6] >> (xs & 63).astype(np.uint64)
+            k = 1 - (bits & np.uint64(1)).astype(np.int64)  # 0 on a square
             k[xs == 0] = -1
             return k
+        if self.order == 1:
+            return np.where(xs == 0, -1, 0)
         n = self.field.p - 1
         e = self.field.ind[xs]
         k = np.multiply(e, self.m, dtype=np.int64)  # m * ind reaches p^2

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import random
 import tracemalloc
 
@@ -20,7 +21,7 @@ from fplab.charsums import (
     weil_applicable,
     weil_bound,
 )
-from fplab.energy import e3, t_k
+from fplab.energy import _arc, e3, t_k
 from fplab.errors import (
     FieldMismatchError,
     InadmissibleYZError,
@@ -159,6 +160,91 @@ def test_real_inner_sums_are_exact_legendre_sums(case):
         legendre = [sum((s + x) % p != 0 for x in x_set) for s in s_set]
     want = np.array(legendre, dtype=np.complex128)
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes() == weighted.tobytes()
+
+
+ARC_PRIMES = [3, 5, 7, 61, 127, 1048573, 16777213]
+
+
+@functools.cache
+def _squares_words(p):
+    return build_field(p).squares
+
+
+def _euler_squares(p, lo, hi):
+    """#{nonzero squares in [lo, hi)}, 0 <= lo <= hi <= p, by Euler's criterion."""
+    return sum(pow(x, (p - 1) // 2, p) == 1 for x in range(max(lo, 1), hi))
+
+
+@st.composite
+def _square_windows(draw):
+    # window ends at 0, 1, 63, 64 (a word's last bit and the next word's
+    # first), p - 1 and p, and anywhere in [0, p]; windows may be empty
+    p = draw(st.sampled_from(ARC_PRIMES))
+    ends = st.one_of(st.sampled_from([0, 1, 63, 64, p - 1, p]), st.integers(0, p))
+    windows = []
+    for lo in draw(st.lists(ends, min_size=1, max_size=8)):
+        lo = min(lo, p)
+        windows.append((lo, lo + draw(st.integers(0, min(p - lo, 130)))))
+    return p, windows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_windows())
+def test_squares_below_counts_euler_squares(case):
+    # the squares below each end, off the popcounts of the words, differ
+    # across a window by the squares in it; below 0 there are none, below p
+    # all (p - 1)/2, and below an end up to 200 the count is checked whole
+    p, windows = case
+    ends = np.array([t for window in windows for t in window] + [0, p], dtype=np.int64)
+    below = charsums._squares_below(_squares_words(p), ends).tolist()
+    assert below[-2:] == [0, (p - 1) // 2]
+    for (lo, hi), a, b in zip(windows, below[0::2], below[1::2]):
+        assert b - a == _euler_squares(p, lo, hi)
+        if lo <= 200:
+            assert a == _euler_squares(p, 0, lo)
+
+
+def _gather_route_arc(arr, p):
+    """An arc longer than any set: _inner_sums gathers the classes."""
+    return 0, p
+
+
+@st.composite
+def _arc_cases(draw):
+    # the quadratic chi over an interval X, its arc starting at a, with S
+    # drawn so that windows [s + a, s + a + L) start or end at 0, 1, 63, 64,
+    # p - 1 and p, wrap past p and hold 0; at p <= 127, X may be all of F_p
+    p = draw(st.sampled_from(ARC_PRIMES))
+    fld = build_field(p)
+    if p < 128 and draw(st.booleans()):
+        x_set = from_elements(fld, range(p))
+    else:
+        x_set = interval(fld, draw(st.integers(0, p - 1)), draw(st.integers(1, min(p - 1, 130))))
+    start, length = _arc(x_set.elems, p)
+    edges = [(t - start - shift) % p for t in (0, 1, 63, 64, p - 1) for shift in (0, length)]
+    s_elems = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, p - 1)),
+                            min_size=1, max_size=20))
+    return character(fld, (p - 1) // 2), from_elements(fld, s_elems), x_set
+
+
+@settings(max_examples=80, deadline=None)
+@given(_arc_cases())
+def test_arc_inner_sums_match_euler_and_gather_route(case):
+    # each row of the arc route is 2 #squares - #units over its window, the
+    # Legendre-symbol sum by pow, and bit for bit what the gather route reads
+    chi, s_set, x_set = case
+    p = chi.field.p
+    calls, below = [], charsums._squares_below
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charsums, "_squares_below", lambda *a: calls.append(()) or below(*a))
+        got = _inner_sums(chi, s_set, x_set, None)
+    assert calls == [()]  # the arc route, with no gather
+    legendre = [sum(0 if (s + x) % p == 0 else 1 if pow(s + x, (p - 1) // 2, p) == 1 else -1
+                    for x in x_set) for s in s_set]
+    assert got.dtype == np.complex128 and got.tolist() == legendre
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(charsums, "_arc", _gather_route_arc)
+        assert _inner_sums(chi, s_set, x_set, None).tobytes() == got.tobytes()
 
 
 def test_bilinear_trivial_bound_and_support():

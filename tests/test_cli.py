@@ -473,13 +473,14 @@ def test_sweep_frees_its_fields(monkeypatch):
 @pytest.mark.parametrize("cell, seed, budget", [
     (suites._cell_tabc, 2, 20e6),
     (suites._cell_tabc, 1000, 20e6),
-    (suites._cell_thm11, 2, 24e6),
+    (suites._cell_thm11, 2, 7e6),
 ])
 def test_ceiling_cells_memory_budget(cell, seed, budget):
     # at p = 16777213, field tables included: the int32 ind table alone is
     # 67 MB, and the cells peaked at 83.6 (tabc, seed 2), 134.7 (tabc, seed
-    # 1000) and 70.9 MB (thm11) when they built it; the squares bitmap is
-    # 16.8 MB
+    # 1000) and 70.9 MB (thm11) when they built it.  thm11 peaks at 4.9 MB
+    # with the squares as 2.1 MB of packed words (17.6 MB with the bool
+    # bitmap of 1 byte per residue)
     tracemalloc.start()
     try:
         cell(16777213, seed, DEFAULTS["epsilon"])
@@ -490,16 +491,16 @@ def test_ceiling_cells_memory_budget(cell, seed, budget):
 
 
 @pytest.mark.parametrize("cell, p, budget", [
-    (suites._cell_poly, 1048573, 3.5e6),
-    (suites._cell_poly, 16777213, 18e6),
-    (suites._cell_thm11, 1048573, 3e6),
+    (suites._cell_poly, 1048573, 2e6),
+    (suites._cell_poly, 16777213, 2e6),
+    (suites._cell_thm11, 1048573, 1e6),
 ])
 def test_sweep_cells_memory_budget(cell, p, budget):
-    # field tables included.  The poly cell peaked at 5.8 MB at 1048573,
-    # adding its largest T3 into a length-p int32 array (4.2 MB), and at
-    # 36.3 MB at 16777213, sorting that T3's 1.06M keys mod p; thm11 peaked
-    # at 4.2 MB with chi gathered 2^16 points at a time beside its 1 MB
-    # squares bitmap
+    # field tables included.  The poly cell peaks at 1.32 MB at 1048573 and
+    # 1.16 MB at 16777213: its largest T3 scatters into one int16 window of
+    # 2^17 sums at a time (256 KB), where a length-p int16 array (2.1 and
+    # 33.6 MB) took it to 2.67 and 13.2 MB.  thm11 peaks at 0.69 MB, counting
+    # its row sums off the 131 KB squares words at the windows' ends
     tracemalloc.start()
     try:
         cell(p, 2, DEFAULTS["epsilon"])

@@ -578,7 +578,8 @@ def test_dense_step_route_follows_support_width(monkeypatch):
     # in one call; the second step's support fills most of F_p and is added
     # as shifted slices, with no np.add.at.  At 1048573 the cubic image's
     # first step sorts, and its pair sums stay sparse in F_p (about 8,200 of
-    # p), so the second step scatters them, one row of S at a time
+    # p), so the second step scatters them, a window of sums at a time, in
+    # blocks of at most _BLOCK keys
     calls = _count_scattered_keys(monkeypatch)
     img = poly_image([1, 1, 1], interval(build_field(8191), 0, 128))
     got = t_k([img] * 3)
@@ -593,14 +594,92 @@ def test_dense_step_route_follows_support_width(monkeypatch):
     assert t_k([img] * 3) == 17246000
     arr = img.elems
     support = len(np.unique((arr[:, None] + arr[None, :]) % fld.p))
-    assert calls == [support] * 128
+    assert max(calls) <= energy._BLOCK and sum(calls) == support * 128
+
+
+def _scatter_one_array(values, weights, s, n, wraps):
+    """Referee for energy._scattered: every sum of the support values (with
+    weights) and S, reduced mod n where sums wrap, added by one np.add.at
+    into one length-n array."""
+    keys = (s[:, None] + values[None, :]).ravel()
+    if wraps:
+        keys %= n
+    dense = np.zeros(n, dtype=weights.dtype)
+    np.add.at(dense, keys, np.tile(weights, len(s)))
+    return dense
+
+
+@st.composite
+def _scatter_cases(draw):
+    # sparse sets over n sums leave windows with no sum; with wraps, sums
+    # run past n and residues near n - 1 wrap.  Either S or the support may
+    # be the shorter, so either is the rows
+    n = draw(st.integers(1, 400))
+    wraps = draw(st.booleans())
+    elems = st.one_of(st.integers(0, min(2, n - 1)), st.integers(max(0, n - 3), n - 1),
+                      st.integers(0, n - 1))
+    s = np.array(sorted(set(draw(st.lists(elems, min_size=1, max_size=20)))), dtype=np.int64)
+    if not wraps:  # every sum below n
+        elems = st.integers(0, n - 1 - int(s[-1]))
+    values = np.array(sorted(set(draw(st.lists(elems, min_size=1, max_size=20)))), dtype=np.int64)
+    dtype = draw(st.sampled_from([np.int16, np.int32, object]))
+    weights = np.array(draw(st.lists(st.integers(1, 50), min_size=len(values),
+                                     max_size=len(values))), dtype=dtype)
+    return values, weights, s, n, wraps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scatter_cases(), st.sampled_from([1, 7, 64]), st.sampled_from([1, 5, energy._BLOCK]))
+@example((np.array([0, 1, 2, 29, 30]), np.array([1, 2, 3, 4, 5], dtype=np.int32),
+          np.array([0, 28, 30]), 31, True), 7, 5)
+@example((np.array([0, 1]), np.array([2**40, 3], dtype=object),
+          np.array([0, 60, 61, 62, 63, 64, 65]), 131, False), 64, 1)
+def test_scattered_windows_match_one_array_referee(case, window, block):
+    # the windows laid side by side are the one-array scatter, in the
+    # weights' dtype; each window that holds a sum is yielded once, in
+    # order, and no other.  A block of 1 key adds one key a call, 5 keys cut
+    # rows and leave short last blocks
+    values, weights, s, n, wraps = case
+    want = _scatter_one_array(values, weights, s, n, wraps)
+    got, seen = np.zeros(n, dtype=weights.dtype), []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_WINDOW", window)
+        m.setattr(energy, "_BLOCK", block)
+        for lo, dense in energy._scattered(values, weights, s, n, wraps):
+            assert dense.dtype == weights.dtype and len(dense) == min(window, n - lo)
+            got[lo:lo + len(dense)] = dense
+            seen.append(lo)
+    assert got.tolist() == want.tolist()
+    assert seen == [lo for lo in range(0, n, window) if want[lo:lo + window].any()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_convolve_inputs().filter(lambda case: case[0] < 1 << 10), st.booleans(),
+       st.sampled_from([1, 7, 64]))
+def test_windowed_convolve_matches_dict_referee(case, python_ints, window):
+    # every dense step scattered a window at a time, on the window of the
+    # arcs and over all of F_p, in int16 or int32 accumulators or, with the
+    # guard at 0, in Python ints
+    p, arrays = case
+    sums = Counter(sum(combo) % p for combo in itertools.product(*(a.tolist() for a in arrays)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy, "_WINDOW", window)
+        m.setattr(energy, "_SORT_SHARE", p + 1)
+        m.setattr(energy, "_SHIFT_SHARE", 0)
+        if python_ints:
+            m.setattr(energy, "_INT64_SAFE", 0)
+        for arc in (energy._arc, _whole_field_arc):
+            m.setattr(energy, "_arc", arc)
+            moment = energy._convolve(p, arrays[0], arrays[1:])
+            assert type(moment) is int and moment == sum(c * c for c in sums.values())
 
 
 def test_t_k_memory_budget():
     # the poly cell's largest t_k at 2^20: T_3 of the cubic image of
-    # [0, 128), whose last step is dense.  Its second moment is read off
-    # the int16 accumulator (2 p bytes; its count bound is below 2^15) with
-    # no sorted support beside it
+    # [0, 128), whose last step is dense and scattered.  Its second moment
+    # is read off one int16 window of 2^17 sums at a time (its count bound
+    # is below 2^15) with no sorted support beside it: 1.31 MB, where the
+    # length-p accumulator took 2.65 MB
     fld = build_field(1048573)
     img = poly_image([2, 0, 1, 1], interval(fld, 0, 128))
     tracemalloc.start()
@@ -610,7 +689,7 @@ def test_t_k_memory_budget():
     finally:
         tracemalloc.stop()
     assert got == 17246000  # the sweep's sweep_poly d=3;X=128;stat=T3 row at 2^20
-    assert peak <= 8e6
+    assert peak <= 2e6
 
 
 def test_t_k_past_int64():

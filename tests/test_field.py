@@ -271,9 +271,14 @@ def test_build_field_memory_budget():
 
 
 def test_squares_bitmap_memory_budget():
-    # 1 byte per residue and one block of k^2 at a time
+    # 1 bit per residue (131 KB at 2^20) and one block of k^2 at a time
     bare, peak = _table_peak(1048573, "squares")
-    assert bare < 1e5 and peak <= 3e6
+    assert bare < 1e5 and peak <= 1e6
+
+
+def _unpacked(words, p):
+    """The squares words as one bool per residue in [0, p)."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:p].astype(bool)
 
 
 @pytest.mark.parametrize("p", [3, 5, 31, 1048573])
@@ -283,21 +288,22 @@ def test_squares_bitmap_is_index_parity(p):
     fld = build_field(p)
     squares = fld.squares
     assert "ind" not in vars(fld)  # the bitmap is built without the log table
-    assert squares.dtype == np.bool_ and squares.shape == (p,)
+    assert squares.dtype == np.uint64 and squares.shape == ((p + 63) // 64,)
     assert not squares.flags.writeable
     with pytest.raises(ValueError):
-        squares[1] = False
-    assert not squares[0] and np.count_nonzero(squares) == (p - 1) // 2
-    assert np.array_equal(squares[1:], fld.ind[1:] % 2 == 0)
+        squares[0] = 0
+    assert int(np.bitwise_count(squares).sum()) == (p - 1) // 2
+    bits = _unpacked(squares, p)
+    assert not bits[0] and np.array_equal(bits[1:], fld.ind[1:] % 2 == 0)
 
 
 def test_squares_bitmap_euler_criterion_at_ceiling():
     p = 16777213
     fld = build_field(p)
     rng = random.Random(p)
-    xs = [0, 1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(200)]
-    want = [x != 0 and pow(x, (p - 1) // 2, p) == 1 for x in xs]
-    assert fld.squares[xs].tolist() == want
+    xs = [0, 1, 2, 3, 63, 64, p // 2, p // 2 + 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(200)]
+    want = [-1 if x == 0 else 0 if pow(x, (p - 1) // 2, p) == 1 else 1 for x in xs]
+    assert character(fld, (p - 1) // 2).classes(np.array(xs, dtype=np.int64)).tolist() == want
     assert "ind" not in vars(fld)
 
 

@@ -139,7 +139,8 @@ def test_every_private_definition_is_reached():
 # be a copy of what it checks.
 PRODUCTION_NAMES = {
     "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
-    "_convolve", "_pairs", "_lag_counts", "MultiplicityFn", "_values", "_row_meets",
+    "_convolve", "_shifted", "_scattered", "_pairs", "_lag_counts", "MultiplicityFn",
+    "_values", "_row_meets", "_squares_below",
     "collinear_triples", "line_spectrum",
 }
 REFEREES = {
@@ -208,7 +209,7 @@ def test_nothing_loads_as_set():
 # The routes that count E3 and T_k exactly, the region predicates, which
 # compare integers over one denominator, and the names that would bring
 # floats into them
-EXACT_COUNTERS = {"e3", "_lag_counts", "_pairs", "_convolve", "_dot"}
+EXACT_COUNTERS = {"e3", "_lag_counts", "_pairs", "_convolve", "_shifted", "_scattered", "_dot"}
 REGION_PREDICATES = {"region_marks", "subgroup_inside", "subgroup_inside_raw",
                      "subgroup_agreement", "karatsuba_below_chang", "_chang", "_above",
                      "_numerators", "_subgroup_domain"}
