@@ -5,7 +5,7 @@ bound skeleton the harness monitors."""
 
 import os
 
-# No command calls BLAS, and an idle OpenBLAS pool thread spins on the CPU.
+# No default command calls BLAS, and an idle OpenBLAS pool thread spins on the CPU.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -127,14 +127,14 @@ def check_thm11(p: int, s: int, x: int, r: int):
         raise PreconditionViolatedError(f"violated: X >= p^{{1/r}} (X={x}, r={r}, p={p})")
 
 
-def thm11_rhs(p: int, s: int, x: int, r: int, e3_value, epsilon: float = 0.0) -> float:
+def thm11_rhs(p: int, s: int, x: int, r: int, e3_value) -> float:
     """Bound skeleton S X (E3 p^{(r+1)/r} / (S^4 X^3) + p^{(r+2)/r} / (S X^{5/2})
-    + p^{(r+2)/r} / (S^2 X^2))^{1/4r} p^eps + S^{1/2} X."""
+    + p^{(r+2)/r} / (S^2 X^2))^{1/4r} + S^{1/2} X."""
     check_thm11(p, s, x, r)
     t1 = e3_value * p ** ((r + 1) / r) / (s**4 * x**3)
     t2 = p ** ((r + 2) / r) / (s * x**2.5)
     t3 = p ** ((r + 2) / r) / (s * s * x * x)
-    return s * x * (t1 + t2 + t3) ** (1 / (4 * r)) * p**epsilon + math.sqrt(s) * x
+    return s * x * (t1 + t2 + t3) ** (1 / (4 * r)) + math.sqrt(s) * x
 
 
 def tabc_skeletons(p: int, a: int, b: int, c: int):

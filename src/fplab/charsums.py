@@ -55,13 +55,13 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
     The quadratic chi with unit weights over an X that fills its shortest
     arc (_arc), of length L from a, sums each row over the window
     [s + a, s + a + L) mod p as the integer 2 #squares - #units, with the
-    squares counted by _squares_below at the window's ends.  Any other chi,
-    weights or X gathers chi's classes at s + x for blocks of rows of S, at
-    most _BLOCK points each (one row when X alone is longer).  A real chi
-    with unit weights sums each row as the integer #{k = 0} - #{k = 1}.  Any
-    other chi or weights index its roots, with a 0 appended for x = 0, and
-    every row keeps its own np.dot, which a matrix product would not match
-    bit for bit.
+    squares counted by the field's squares_below at the window's ends.  Any
+    other chi, weights or X gathers chi's classes at s + x for blocks of rows
+    of S, at most _BLOCK points each (one row when X alone is longer).  A
+    real chi with unit weights sums each row as the integer
+    #{k = 0} - #{k = 1}.  Any other chi or weights index its roots, with a 0
+    appended for x = 0, and every row keeps its own np.dot, which a matrix
+    product would not match bit for bit.
     """
     p = chi.field.p
     xs, ss = x_set.elems, s_set.elems
@@ -72,10 +72,10 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
         hi = lo + length
         wraps = hi > p
         hi -= p * wraps
-        below = _squares_below(chi.field.squares, np.concatenate((lo, hi)))
-        squares = below[len(ss):] - below[:len(ss)] + wraps * ((p - 1) // 2)
+        below = chi.field.squares_below(np.concatenate((lo, hi)))
+        n_squares = below[len(ss):] - below[:len(ss)] + wraps * ((p - 1) // 2)
         units = length - (lo == 0) - wraps  # a window holds 0 where it starts at 0 or wraps
-        return (2 * squares - units).astype(np.complex128)
+        return (2 * n_squares - units).astype(np.complex128)
     bv = beta if beta is not None else np.ones(len(xs))
     values = np.append(chi.roots(), 0)
     out = np.empty(len(ss), dtype=np.complex128)
@@ -90,22 +90,6 @@ def _inner_sums(chi: Character, s_set: FpSet, x_set: FpSet, beta) -> np.ndarray:
             for i, row in enumerate(values[k], lo):
                 out[i] = np.dot(bv, row)
     return out
-
-
-def _squares_below(words: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """#{nonzero squares below t} for each t in [0, p] of the int64 array
-    ts, off the squares words: the popcounts of the whole words below t's
-    word, summed by one np.add.reduceat between the sorted word indices and
-    a cumsum, plus the popcount of t's word below bit t & 63."""
-    w = ts >> 6
-    order = np.argsort(w)
-    cuts = np.concatenate(([0], w[order]))
-    runs = np.add.reduceat(np.bitwise_count(words), cuts, dtype=np.int64)[:-1]
-    runs[cuts[1:] == cuts[:-1]] = 0  # reduceat reads one word where a run is empty
-    below = np.empty(len(ts), dtype=np.int64)
-    below[order] = np.cumsum(runs)
-    low = np.left_shift(np.uint64(1), (ts & 63).astype(np.uint64)) - np.uint64(1)
-    return below + np.bitwise_count(words[w] & low)
 
 
 def bilinear_sum(

@@ -14,7 +14,6 @@ Flag names are exact (no abbreviations), and -h prints the commands or one
 command's flags.  Usage and config errors exit 2.
 """
 
-import math
 import os
 import sys
 import time
@@ -37,7 +36,6 @@ DEFAULTS = {
     "sweep_primes": [61, 127, 251, 509, 1021, 2039, 4093, 8191],
     "seed": 1,
     "workers": 1,
-    "epsilon": 0.0,
     "max_p": DEFAULT_CAP,
     "out": "fplab-out",
     "identity_trials": 8,
@@ -84,7 +82,6 @@ FLAGS = {
     "--seed": ("seed", "N", "master seed for all randomness"),
     "--workers": ("workers", "N", "parallel workers for sweep cells"),
     "--out": ("out", "DIR", "output directory"),
-    "--epsilon": ("epsilon", "F", "exponent standing in for p^o(1)"),
     "--max-p": ("max_p", "N", "drop primes above this"),
     "--timings": ("timings", None, "stamp wall times into rows (breaks byte-identical outputs)"),
     "--p": ("charsum_p", "N", "the prime p"),
@@ -126,14 +123,6 @@ def _coerce(key, value):
             return [int(t) for t in items]
         except ValueError:
             raise ConfigError(f"{key}: expected integers, got {value!r}")
-    if kind is float:
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        if not math.isfinite(number):
-            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-        return number
     if kind is bool:
         try:
             return _BOOL_WORDS[str(value).lower()]

@@ -1,7 +1,7 @@
 """Exact additive energies and representation-function machinery.
 
 `MultiplicityFn` is a representation function kept whole (line spectra, the
-amplification fibre): sorted distinct keys and their counts, aligned int64
+amplification map): sorted distinct keys and their counts, aligned int64
 arrays.  `_convolve` returns only the second moment of its sum counts, taken
 on the sets' own arcs when their sums cannot wrap; a dense step adds its
 counts as shifted slices where its support is dense and, where it is sparse,

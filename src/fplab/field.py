@@ -6,7 +6,8 @@ and freed with the field.  A character value is held as its class k in
 [0, order), an index into the character's `order` roots of unity, converted
 to a complex number only when a sum is accumulated.  `squares`, the nonzero
 squares as one bit per residue in uint64 words, gives a real character its
-classes with no discrete log.  Any other character gathers `ind`, the int32
+classes with no discrete log, and squares_below its sums over windows; no
+other module reads the words.  Any other character gathers `ind`, the int32
 discrete logs to g (4 bytes per residue), at the points it is evaluated and
 takes k = (m * ind[x] mod (p-1)) / ((p-1)/order); gathered logs are widened
 to int64 before the product, as m * ind reaches p^2.
@@ -122,6 +123,22 @@ class PrimeField:
     def squares(self) -> np.ndarray:
         return _squares_bitmap(self.p)
 
+    def squares_below(self, ts: np.ndarray) -> np.ndarray:
+        """#{nonzero squares below t} for each t in [0, p] of the int64 array
+        ts, off the squares words: the popcounts of the whole words below t's
+        word, summed by one np.add.reduceat between the sorted word indices and
+        a cumsum, plus the popcount of t's word below bit t & 63."""
+        words = self.squares
+        w = ts >> 6
+        order = np.argsort(w)
+        cuts = np.concatenate(([0], w[order]))
+        runs = np.add.reduceat(np.bitwise_count(words), cuts, dtype=np.int64)[:-1]
+        runs[cuts[1:] == cuts[:-1]] = 0  # reduceat reads one word where a run is empty
+        below = np.empty(len(ts), dtype=np.int64)
+        below[order] = np.cumsum(runs)
+        low = np.left_shift(np.uint64(1), (ts & 63).astype(np.uint64)) - np.uint64(1)
+        return below + np.bitwise_count(words[w] & low)
+
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
 
@@ -165,8 +182,8 @@ def _squares_bitmap(p: int) -> np.ndarray:
     return words
 
 
-def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
-    """Validated field constructor: p prime, 3 <= p <= cap.
+def build_field(p: int) -> PrimeField:
+    """Validated field constructor: p prime, 3 <= p <= P_CEILING.
 
     Deterministic: always the least primitive root.  p = 2 is rejected
     everywhere in this package (trivial multiplicative group).  Each call
@@ -178,8 +195,8 @@ def build_field(p: int, cap: int = P_CEILING) -> PrimeField:
         raise NotPrimeError(f"{p} is not prime")
     if p < 3:
         raise TooSmallError("p must be at least 3 (p = 2 is not supported)")
-    if p > cap:
-        raise TooLargeError(f"p = {p} exceeds the cap {cap}")
+    if p > P_CEILING:
+        raise TooLargeError(f"p = {p} exceeds the cap {P_CEILING}")
     return PrimeField(p, least_primitive_root(p))
 
 

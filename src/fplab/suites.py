@@ -230,7 +230,7 @@ def run_oracle_suite(cfg, timer=None):
 # sweep suite
 # ---------------------------------------------------------------------------
 
-def _cell_tabc(p, seed, epsilon):
+def _cell_tabc(p, seed):
     fld = build_field(p)
     rows, fits = [], []
     target = max(2, round(p**0.3))
@@ -247,7 +247,7 @@ def _cell_tabc(p, seed, epsilon):
     return rows, fits
 
 
-def _cell_nsxy(p, seed, epsilon):
+def _cell_nsxy(p, seed):
     fld = build_field(p)
     rows, fits = [], []
     rng = random.Random(subseed(seed, "sw_nsxy", p))
@@ -269,7 +269,7 @@ def _cell_nsxy(p, seed, epsilon):
     return rows, fits
 
 
-def _cell_subgroup(p, seed, epsilon):
+def _cell_subgroup(p, seed):
     fld = build_field(p)
     rows, fits = [], []
     cap = round(p**0.4)
@@ -293,7 +293,7 @@ def _cell_subgroup(p, seed, epsilon):
     return rows, fits
 
 
-def _cell_poly(p, seed, epsilon):
+def _cell_poly(p, seed):
     fld = build_field(p)
     rows, fits = [], []
     for d, coeffs in ((2, [1, 1, 1]), (3, [2, 0, 1, 1])):
@@ -312,14 +312,14 @@ def _cell_poly(p, seed, epsilon):
     return rows, fits
 
 
-def _thm11_rhs(fld, s, x_len, r, epsilon):
+def _thm11_rhs(fld, s, x_len, r):
     """thm11_rhs at E3(S, S, [-X, X]): LengthOutOfRangeError from the
     interval comes before thm11_rhs's PreconditionViolatedError."""
     e3v = energy.e3(s, s, symmetric_interval(fld, x_len))
-    return bounds.thm11_rhs(fld.p, len(s), x_len, r, e3v, epsilon)
+    return bounds.thm11_rhs(fld.p, len(s), x_len, r, e3v)
 
 
-def _cell_thm11(p, seed, epsilon):
+def _cell_thm11(p, seed):
     fld = build_field(p)
     rows, fits = [], []
     rng = random.Random(subseed(seed, "sw_thm11", p))
@@ -335,7 +335,7 @@ def _cell_thm11(p, seed, epsilon):
     chi = character(fld, (p - 1) // 2)
     iv = interval(fld, 0, x_len)
     w = abs(charsums.bilinear_sum(chi, s, iv))
-    rhs = _thm11_rhs(fld, s, x_len, r, epsilon)
+    rhs = _thm11_rhs(fld, s, x_len, r)
     rows.append(_ratio("sweep_thm11", p, f"S={n_s};X={x_len};r={r};chi=quadratic", w, rhs))
     fits.append({"family": "thm11_ratio", "p": p, "ratio": w / rhs})
     return rows, fits
@@ -350,7 +350,7 @@ def _largest_prime(cfg):
 
 
 class _Family(NamedTuple):
-    runner: Callable  # (p, seed, epsilon) -> (rows, fit records)
+    runner: Callable  # (p, seed) -> (rows, fit records)
     primes: Callable  # cfg -> the primes its cells run at
     fits: tuple = ()  # (fit name, quantity, driver, cfg -> primes whose records it reads)
 
@@ -371,9 +371,9 @@ _FAMILIES = {
 
 
 def _run_cell(args):
-    family, p, seed, epsilon = args
+    family, p, seed = args
     t0 = time.perf_counter()
-    rows, fits = _FAMILIES[family].runner(p, seed, epsilon)
+    rows, fits = _FAMILIES[family].runner(p, seed)
     return rows, fits, _ms_since(t0)
 
 
@@ -469,7 +469,7 @@ def run_sweep(cfg, timer=None):
     to the reason the fit failed."""
     # largest p first, so no big cell starts last in a pool; the order changes
     # no output, as the rows are sorted and exponent_fit is order-independent
-    tasks = sorted(((family, p, cfg["seed"], cfg["epsilon"])
+    tasks = sorted(((family, p, cfg["seed"])
                     for family, spec in _FAMILIES.items() for p in spec.primes(cfg)),
                    key=lambda task: -task[1])
     workers = min(cfg["workers"], len(tasks))  # every worker is forked up front
@@ -555,7 +555,7 @@ def run_charsum(cfg, timer=None):
     rows = []
     with _block(timer, rows):
         p = cfg["charsum_p"]
-        fld = build_field(p, cfg["max_p"])
+        fld = build_field(p)
         m = cfg["charsum_m"]
         chi = character(fld, m)
         x_len = cfg["charsum_x"]
@@ -570,7 +570,7 @@ def run_charsum(cfg, timer=None):
         rows += [_ratio("charsum", p, f"{base};stat=W", w, len(s) * x_len),
                  _ratio("charsum", p, f"{base};stat=modulus", mod, len(s) * x_len)]
         try:
-            rhs = _thm11_rhs(fld, s, x_len, r, cfg["epsilon"])
+            rhs = _thm11_rhs(fld, s, x_len, r)
             rows.append(_ratio("charsum", p, f"{base};r={r};stat=rhs", w, rhs))
         except (LengthOutOfRangeError, PreconditionViolatedError) as exc:
             rows.append(_skip("charsum", p, f"{base};r={r};reason={type(exc).__name__}"))

@@ -166,8 +166,8 @@ ARC_PRIMES = [3, 5, 7, 61, 127, 1048573, 16777213]
 
 
 @functools.cache
-def _squares_words(p):
-    return build_field(p).squares
+def _cached_field(p):
+    return build_field(p)
 
 
 def _euler_squares(p, lo, hi):
@@ -196,7 +196,7 @@ def test_squares_below_counts_euler_squares(case):
     # all (p - 1)/2, and below an end up to 200 the count is checked whole
     p, windows = case
     ends = np.array([t for window in windows for t in window] + [0, p], dtype=np.int64)
-    below = charsums._squares_below(_squares_words(p), ends).tolist()
+    below = _cached_field(p).squares_below(ends).tolist()
     assert below[-2:] == [0, (p - 1) // 2]
     for (lo, hi), a, b in zip(windows, below[0::2], below[1::2]):
         assert b - a == _euler_squares(p, lo, hi)
@@ -234,9 +234,9 @@ def test_arc_inner_sums_match_euler_and_gather_route(case):
     # Legendre-symbol sum by pow, and bit for bit what the gather route reads
     chi, s_set, x_set = case
     p = chi.field.p
-    calls, below = [], charsums._squares_below
+    calls, below = [], field.PrimeField.squares_below
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(charsums, "_squares_below", lambda *a: calls.append(()) or below(*a))
+        m.setattr(field.PrimeField, "squares_below", lambda *a: calls.append(()) or below(*a))
         got = _inner_sums(chi, s_set, x_set, None)
     assert calls == [()]  # the arc route, with no gather
     legendre = [sum(0 if (s + x) % p == 0 else 1 if pow(s + x, (p - 1) // 2, p) == 1 else -1

@@ -44,13 +44,13 @@ def _read(path):
 
 def test_config_parse_and_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("primes = 5,7\nseed = 9\n# comment\nepsilon = 0.5\n")
+    cfg_file.write_text("primes = 5,7\nseed = 9\n# comment\namp_trials = 3\n")
     parsed = parse_config_file(cfg_file)
-    assert parsed == {"primes": "5,7", "seed": "9", "epsilon": "0.5"}
+    assert parsed == {"primes": "5,7", "seed": "9", "amp_trials": "3"}
     cfg = resolve_config(_Args(config=str(cfg_file), seed=4))
     assert cfg["primes"] == [5, 7]
     assert cfg["seed"] == 4  # flag wins
-    assert cfg["epsilon"] == 0.5
+    assert cfg["amp_trials"] == 3
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -89,14 +89,14 @@ def test_every_flag_overrides_its_key(tmp_path):
     # each flag at a value other than its default; resolve_config must carry
     # every one of them into resolved.cfg
     out = tmp_path / "o"
-    flags = {"--seed": "5", "--workers": "2", "--epsilon": "0.25", "--max-p": "1000",
+    flags = {"--seed": "5", "--workers": "2", "--max-p": "1000",
              "--out": str(out), "--p": "61", "--m": "30", "--set-size": "5",
              "--x-len": "7", "--r": "2", "--subgroup-order": "12"}
     argv = ["charsum", "--timings"] + [t for pair in flags.items() for t in pair]
     assert main(argv) == 0
     lines = (out / "resolved.cfg").read_text().splitlines()
     resolved = dict(line.split(" = ", 1) for line in lines)
-    want = {"seed": "5", "workers": "2", "epsilon": "0.25", "max_p": "1000", "out": str(out),
+    want = {"seed": "5", "workers": "2", "max_p": "1000", "out": str(out),
             "timings": "True", "charsum_p": "61", "charsum_m": "30", "charsum_n": "5",
             "charsum_x": "7", "charsum_r": "2", "charsum_subgroup": "12"}
     assert all(str(DEFAULTS[key]) != value for key, value in want.items())
@@ -186,7 +186,7 @@ def test_config_rejects_repeated_prime(tmp_path, key):
 
 def test_resolved_config_round_trips(tmp_path):
     # list keys as the comma strings that a flag or a config file carries
-    off = {"primes": "7,11", "sweep_primes": "61", "seed": 5, "workers": 2, "epsilon": 0.25,
+    off = {"primes": "7,11", "sweep_primes": "61", "seed": 5, "workers": 2,
            "max_p": 1000, "out": "elsewhere", "identity_trials": 3, "amp_trials": 2,
            "oracle_trials": 4, "region_check_grid": 10,
            "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
@@ -203,12 +203,27 @@ def test_resolved_config_round_trips(tmp_path):
         resolve_config(_Args(out="o#1"))
 
 
-def test_readme_config_block_lists_every_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("### Configuration", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
-    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
-            if line.strip() and not line.startswith("#")]
-    assert sorted(keys) == sorted(DEFAULTS)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    # the block, read as a config file, is resolved.cfg at the defaults
+    block = README.read_text().split("### Configuration", 1)[1].split("```ini", 1)[1]
+    documented = tmp_path / "readme.cfg"
+    documented.write_text(block.split("```", 1)[0])
+    resolved = tmp_path / "resolved.cfg"
+    write_resolved_config(DEFAULTS, resolved)
+    assert parse_config_file(documented) == parse_config_file(resolved)
+
+
+def test_readme_flag_paragraph_lists_every_flag():
+    text = README.read_text().split("Every command takes", 1)[1].split(".  ", 1)[0]
+    common, charsum_only = text.split("`fplab charsum` alone also takes")
+    for part, charsum in ((common, False), (charsum_only, True)):
+        want = [f"{flag} {metavar}" if metavar else flag
+                for flag, (key, metavar, _) in cli.FLAGS.items()
+                if key.startswith("charsum_") == charsum]
+        assert sorted(re.findall(r"`(--[^`]+)`", part)) == sorted(want)
 
 
 def test_oracles_reproducible_and_skips(tmp_path):
@@ -398,7 +413,7 @@ def test_tabc_deviation_matches_fraction_referee():
     for p in (8191, 1048573):
         fld = build_field(p)
         target = max(2, round(p**0.3))
-        rows, _ = suites._cell_tabc(p, 1000, None)
+        rows, _ = suites._cell_tabc(p, 1000)
         for i in range(3):
             rng = random.Random(suites.subseed(1000, "sw_tabc", p, i))
             a, b, c = (suites._draw(fld, rng, max(1, target // 2), target) for _ in range(3))
@@ -483,7 +498,7 @@ def test_ceiling_cells_memory_budget(cell, seed, budget):
     # bitmap of 1 byte per residue)
     tracemalloc.start()
     try:
-        cell(16777213, seed, DEFAULTS["epsilon"])
+        cell(16777213, seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,7 +518,7 @@ def test_sweep_cells_memory_budget(cell, p, budget):
     # its row sums off the 131 KB squares words at the windows' ends
     tracemalloc.start()
     try:
-        cell(p, 2, DEFAULTS["epsilon"])
+        cell(p, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -784,10 +799,7 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
 
 
 @pytest.mark.parametrize("body, flags, message", [
-    ("epsilon = abc\n", [], "epsilon: expected a number, got 'abc'"),
-    ("epsilon = nan\n", [], "epsilon: expected a finite number, got 'nan'"),
-    ("epsilon = inf\n", [], "epsilon: expected a finite number, got 'inf'"),
-    ("", ["--epsilon", "inf"], "epsilon: expected a finite number, got 'inf'"),
+    ("epsilon = 0.5\n", [], "unknown config key 'epsilon'"),
     ("timings = maybe\n", [], "timings: expected true or false, got 'maybe'"),
     (None, [], "missing.cfg: No such file or directory"),
     ("", ["--set-size", "0"], "charsum_n: need >= 1, got 0"),
@@ -808,15 +820,14 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("charsum_subgroup = -4\n", [], "charsum_subgroup: need >= 0, got -4"),
     ("max_p = 16777217\n", [], "max_p: need <= 16777216, got 16777217"),
     ("", ["--seed", "abc"], "seed: expected an integer, got 'abc'"),
-    ("", ["--epsilon", "abc"], "epsilon: expected a number, got 'abc'"),
     ("", ["--workers", "2.5"], "workers: expected an integer, got '2.5'"),
     ("", ["--workers", "-1"], "workers: need >= 1, got -1"),
-], ids=["epsilon", "epsilon_nan", "epsilon_inf", "epsilon_inf_flag", "timings", "missing_file",
+], ids=["epsilon", "timings", "missing_file",
         "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
         "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
         "charsum_m_above", "charsum_m_below", "charsum_r_below", "charsum_x_above",
         "charsum_n_above", "charsum_subgroup_not_divisor", "charsum_subgroup_below",
-        "max_p_above_ceiling", "seed_flag", "epsilon_flag", "workers_flag_float",
+        "max_p_above_ceiling", "seed_flag", "workers_flag_float",
         "workers_flag_negative"])
 def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
     cfg = tmp_path / "missing.cfg"
@@ -830,7 +841,7 @@ def test_config_input_errors_exit_2(tmp_path, capsys, body, flags, message):
 
 def test_flag_value_and_flag_equals_value_agree(tmp_path):
     out = tmp_path / "o"
-    flags = {"--seed": "5", "--epsilon": "0.25", "--max-p": "1000", "--p": "61", "--m": "30",
+    flags = {"--seed": "5", "--max-p": "1000", "--p": "61", "--m": "30",
              "--set-size": "5", "--x-len": "7", "--r": "2", "--subgroup-order": "12",
              "--out": str(out)}
     assert main(["charsum"] + [t for pair in flags.items() for t in pair]) == 0
@@ -844,13 +855,15 @@ def test_flag_value_and_flag_equals_value_agree(tmp_path):
     ([], "expected a command"),
     (["bogus", "--out", "o"], "'bogus'"),
     (["sweep", "--bogus", "1", "--out", "o"], "'--bogus'"),
+    (["sweep", "--epsilon", "0.5", "--out", "o"], "fplab sweep takes no flag '--epsilon'"),
     (["sweep", "--p", "61", "--out", "o"], "fplab sweep takes no flag '--p'"),
     (["charsum", "--set", "5", "--out", "o"], "'--set'"),
     (["sweep", "--out", "o", "--seed"], "--seed needs a value"),
     (["sweep", "--seed", "--out", "o"], "--seed needs a value"),
     (["sweep", "--out", "o", "--timings=yes"], "'--timings=yes'"),
-], ids=["no_command", "unknown_command", "unknown_flag", "charsum_flag_on_sweep",
-        "abbreviation", "missing_last_value", "value_is_a_flag", "switch_with_value"])
+], ids=["no_command", "unknown_command", "unknown_flag", "epsilon_flag",
+        "charsum_flag_on_sweep", "abbreviation", "missing_last_value", "value_is_a_flag",
+        "switch_with_value"])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, token):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -874,7 +887,7 @@ def test_help_lists_commands_and_flags(tmp_path, capsys, monkeypatch, argv):
     listed = {flag for flag in cli.FLAGS if f"\n  {flag} " in text}
     want = {flag for flag, (key, _, _) in cli.FLAGS.items()
             if command == "charsum" or not key.startswith("charsum_")}
-    assert listed == want and len(want) == (13 if command == "charsum" else 7)
+    assert listed == want and len(want) == (12 if command == "charsum" else 6)
 
 
 def test_module_entry_point_reads_sys_argv(tmp_path):

@@ -42,7 +42,7 @@ def test_build_field_rejects_two_and_large():
     with pytest.raises(TooSmallError):
         build_field(2)
     with pytest.raises(TooLargeError):
-        build_field(1048583, cap=1 << 20)  # prime just above the cap
+        build_field(16777259)  # the least prime above the cap P_CEILING = 2^24
 
 
 def test_least_primitive_root_agrees_with_exhaustion():

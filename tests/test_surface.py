@@ -140,7 +140,7 @@ def test_every_private_definition_is_reached():
 PRODUCTION_NAMES = {
     "ind", "_index_table", "squares", "_squares_bitmap", "unique", "pow", "_inverse_mod",
     "_convolve", "_shifted", "_scattered", "_pairs", "_lag_counts", "MultiplicityFn",
-    "_values", "_row_meets", "_squares_below",
+    "_values", "_row_meets", "squares_below",
     "collinear_triples", "line_spectrum",
 }
 REFEREES = {
