@@ -7,12 +7,11 @@ with its set's sorted elems (None for unit weights).  The quadratic chi with
 unit weights over an interval sums each row by counting the squares in its
 window off the popcounts of the squares words, with no gather of chi at
 |S| |I| points; any other sum gathers chi's classes.  The amplification
-transform substitutes x -> x + y*z over a prime window y in [Y, 2Y] and a
-shift range z in (Z, 2Z], which turns the inner sums into complete sums over
-F_p whose size the Weil bound controls.  Its map of (lambda, mu) is one
-np.unique over the keys of _values; its solution count count_n is summed
-over pairs of rows (y, x) from the intersections of their value sets
-{(x + s)/y : s in S}, in _row_meets.
+map counts the pairs (lambda, mu) = ((s + x)/y, (t + x)/y) over a prime
+window y in [Y, 2Y] as one np.unique over the keys of _values; it applies
+no shift x -> x + y*z, and Z enters only its check 4YZ <= X.  Its solution
+count count_n is summed over pairs of rows (y, x) from the intersections of
+their value sets {(x + s)/y : s in S}, in _row_meets.
 """
 
 from dataclasses import dataclass
@@ -119,8 +118,8 @@ def modulus_sum(chi: Character, s_set: FpSet, x_set: FpSet, beta=None) -> float:
 
 @dataclass(frozen=True)
 class AmplificationParams:
-    """Amplification step parameters: prime window [y, 2y] and shift range
-    (z, 2z]."""
+    """Amplification step parameters: the prime window [y, 2y], and z, which
+    enters only amplification_map's check 4yz <= X (no shift is applied)."""
 
     y: int
     z: int

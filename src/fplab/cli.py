@@ -38,9 +38,6 @@ DEFAULTS = {
     "workers": 1,
     "max_p": DEFAULT_CAP,
     "out": "fplab-out",
-    "identity_trials": 8,
-    "amp_trials": 6,
-    "oracle_trials": 10,
     "region_check_grid": 200,
     "region_table_grid": 24,
     "timings": False,
@@ -172,7 +169,6 @@ def resolve_config(args, dropped=None) -> dict:
         raise ConfigError(f"charsum_p: {p} is above max_p = {cfg['max_p']}")
     for key, least in (("workers", 1), ("region_check_grid", 2), ("region_table_grid", 2),
                        ("charsum_n", 1), ("charsum_x", 1),
-                       ("identity_trials", 0), ("amp_trials", 0), ("oracle_trials", 0),
                        ("charsum_m", 0), ("charsum_r", 1), ("charsum_subgroup", 0)):
         if cfg[key] < least:
             raise ConfigError(f"{key}: need >= {least}, got {cfg[key]}")

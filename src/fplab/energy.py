@@ -278,7 +278,7 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     that does not fill its arc can, so only such sets are paired."""
     _same_field(u, v, w)
     p = u.field.p
-    arrays = {s: s.elems for s in dict.fromkeys((u, v, w))}
+    arrays = {id(s): s.elems for s in (u, v, w)}  # FpSet.__hash__ hashes elems
     if not all(map(len, arrays.values())):
         return 0
     lengths = {s: _arc(arr, p)[1] for s, arr in arrays.items()}
@@ -288,7 +288,7 @@ def e3(u: FpSet, v: FpSet, w: FpSet) -> int:
     keys = (_sorted_distinct(np.concatenate(list(blocks()))) if npairs < 2 * h + 1
             else np.arange(-h, h + 1))
     r = {s: _lag_counts(arr, p, h, keys, lengths[s], pairs.get(s)) for s, arr in arrays.items()}
-    return _dot(*(r[s] for s in (u, v, w)))
+    return _dot(*(r[id(s)] for s in (u, v, w)))
 
 
 def e3_bruteforce(u: FpSet, v: FpSet, w: FpSet) -> int:

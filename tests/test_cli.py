@@ -44,13 +44,13 @@ def _read(path):
 
 def test_config_parse_and_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("primes = 5,7\nseed = 9\n# comment\namp_trials = 3\n")
+    cfg_file.write_text("primes = 5,7\nseed = 9\n# comment\nworkers = 3\n")
     parsed = parse_config_file(cfg_file)
-    assert parsed == {"primes": "5,7", "seed": "9", "amp_trials": "3"}
+    assert parsed == {"primes": "5,7", "seed": "9", "workers": "3"}
     cfg = resolve_config(_Args(config=str(cfg_file), seed=4))
     assert cfg["primes"] == [5, 7]
     assert cfg["seed"] == 4  # flag wins
-    assert cfg["amp_trials"] == 3
+    assert cfg["workers"] == 3
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -140,7 +140,7 @@ def _write_cfg(tmp_path, body):
 
 
 def test_identities_command_green(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "primes = 5,7\nidentity_trials = 3\namp_trials = 2\n")
+    cfg = _write_cfg(tmp_path, "primes = 5,7\n")
     out = tmp_path / "out"
     rc = main(["identities", "--config", cfg, "--out", str(out)])
     assert rc == 0
@@ -154,13 +154,18 @@ def test_identities_command_green(tmp_path, capsys):
 
 
 def test_identities_empty_primes_exit_zero(tmp_path):
-    cfg = _write_cfg(tmp_path, "primes =\nidentity_trials = 3\namp_trials = 0\n")
-    out = tmp_path / "out"
-    rc = main(["identities", "--config", cfg, "--out", str(out)])
-    assert rc == 0
-    lines = (out / "identities.csv").read_text().splitlines()
-    # only the fixed gram rows remain
-    assert all(line.startswith("gram_structure") for line in lines[1:])
+    # no per-prime rows: the gram rows, and the amplification rows at the
+    # fallback p = 61, or their one skip row once max_p is below 61
+    cfg = _write_cfg(tmp_path, "primes =\n")
+    gram = {("gram_structure", q, "pass") for q in ("2", "3", "5")}
+    for max_p, amp in (("61", {("amp_total", "61", "pass"), ("amp_second_moment", "61", "pass")}),
+                       ("59", {("amp_total", "0", "skip")})):
+        out = tmp_path / max_p
+        assert main(["identities", "--config", cfg, "--max-p", max_p, "--out", str(out)]) == 0
+        with open(out / "identities.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(row["suite"], row["p"], row["status"]) for row in rows} == gram | amp
+    assert rows[-1]["params"] == "requested_p=61;reason=AboveMaxP"  # the max_p = 59 run
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -187,9 +192,7 @@ def test_config_rejects_repeated_prime(tmp_path, key):
 def test_resolved_config_round_trips(tmp_path):
     # list keys as the comma strings that a flag or a config file carries
     off = {"primes": "7,11", "sweep_primes": "61", "seed": 5, "workers": 2,
-           "max_p": 1000, "out": "elsewhere", "identity_trials": 3, "amp_trials": 2,
-           "oracle_trials": 4, "region_check_grid": 10,
-           "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
+           "max_p": 1000, "out": "elsewhere", "region_check_grid": 10, "region_table_grid": 3, "timings": True, "charsum_p": 61, "charsum_m": 30,
            "charsum_n": 5, "charsum_x": 7, "charsum_r": 2, "charsum_subgroup": 12}
     assert off.keys() == DEFAULTS.keys()
     assert all(off[key] != DEFAULTS[key] for key in DEFAULTS)
@@ -227,9 +230,7 @@ def test_readme_flag_paragraph_lists_every_flag():
 
 
 def test_oracles_reproducible_and_skips(tmp_path):
-    cfg = _write_cfg(
-        tmp_path, "primes = 7,37\noracle_trials = 4\n"
-    )
+    cfg = _write_cfg(tmp_path, "primes = 7,37\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["oracles", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["oracles", "--config", cfg, "--out", str(out2)]) == 0
@@ -238,7 +239,7 @@ def test_oracles_reproducible_and_skips(tmp_path):
     assert ",skip," in text  # p = 37 exceeds the oracle prime cap
     # the e3 referee's cost does not grow with p, so it runs at p = 37 too
     assert [line.split(",")[-2] for line in text.splitlines()
-            if line.startswith("e3_oracle,37,")] == ["pass", "pass"]
+            if line.startswith("e3_oracle,37,")] == ["pass"] * 5
 
 
 def test_sweep_max_p_50_reports_dropped_primes(tmp_path):
@@ -770,7 +771,7 @@ def test_charsum_subgroup_source(tmp_path):
 
 
 def test_timings_flag_stamps_rows(tmp_path):
-    cfg = _write_cfg(tmp_path, "primes = 5\nidentity_trials = 2\namp_trials = 1\n")
+    cfg = _write_cfg(tmp_path, "primes = 5\n")
     out = tmp_path / "t"
     assert main(["identities", "--config", cfg, "--out", str(out), "--timings"]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -800,14 +801,14 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
 
 @pytest.mark.parametrize("body, flags, message", [
     ("epsilon = 0.5\n", [], "unknown config key 'epsilon'"),
+    ("identity_trials = 3\n", [], "unknown config key 'identity_trials'"),
+    ("amp_trials = 3\n", [], "unknown config key 'amp_trials'"),
+    ("oracle_trials = 3\n", [], "unknown config key 'oracle_trials'"),
     ("timings = maybe\n", [], "timings: expected true or false, got 'maybe'"),
     (None, [], "missing.cfg: No such file or directory"),
     ("", ["--set-size", "0"], "charsum_n: need >= 1, got 0"),
     ("charsum_x = 0\n", [], "charsum_x: need >= 1, got 0"),
     ("oracle_max_size = 8\n", [], "unknown config key 'oracle_max_size'"),
-    ("identity_trials = -1\n", [], "identity_trials: need >= 0, got -1"),
-    ("amp_trials = -1\n", [], "amp_trials: need >= 0, got -1"),
-    ("oracle_trials = -1\n", [], "oracle_trials: need >= 0, got -1"),
     ("", ["--p", "100"], "charsum_p: 100 is not prime"),
     ("charsum_p = 2\n", [], "charsum_p: 2 is below 3"),
     ("", ["--p", "211", "--max-p", "150"], "charsum_p: 211 is above max_p = 150"),
@@ -822,9 +823,8 @@ def test_timings_stamp_each_sweep_cell(tmp_path):
     ("", ["--seed", "abc"], "seed: expected an integer, got 'abc'"),
     ("", ["--workers", "2.5"], "workers: expected an integer, got '2.5'"),
     ("", ["--workers", "-1"], "workers: need >= 1, got -1"),
-], ids=["epsilon", "timings", "missing_file",
-        "charsum_n_flag", "charsum_x", "oracle_max_size", "identity_trials", "amp_trials",
-        "oracle_trials", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
+], ids=["epsilon", "identity_trials", "amp_trials", "oracle_trials", "timings", "missing_file",
+        "charsum_n_flag", "charsum_x", "oracle_max_size", "charsum_p_not_prime", "charsum_p_below_3", "charsum_p_above_max_p",
         "charsum_m_above", "charsum_m_below", "charsum_r_below", "charsum_x_above",
         "charsum_n_above", "charsum_subgroup_not_divisor", "charsum_subgroup_below",
         "max_p_above_ceiling", "seed_flag", "workers_flag_float",

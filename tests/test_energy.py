@@ -127,6 +127,18 @@ def test_e3_against_bruteforce():
             fn(z3, z3, z5)
 
 
+def test_e3_equal_sets_as_distinct_objects():
+    # e3 keys its sets by identity: an equal copy is paired like a third set,
+    # and must count the same as the one object
+    fld = build_field(8191)
+    iv = symmetric_interval(fld, 6)
+    for s in (random_set(fld, 12, 5), interval(fld, 40, 9), from_elements(fld, [3, 9, 700])):
+        copy = from_elements(fld, s.elems.tolist())
+        assert copy == s and copy is not s
+        assert e3(s, copy, iv) == e3(s, s, iv) == e3(copy, iv, s) == e3_bruteforce(s, s, iv)
+        assert e3(copy, s, copy) == e3(s, s, s) == e3_bruteforce(s, s, s)
+
+
 def test_t_k_examples():
     f7 = build_field(7)
     s = from_elements(f7, [0, 1])
